@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .data import (
     FeatureConfig,
     RATIO_HC_OVER_O2,
@@ -28,6 +30,7 @@ from .data import (
 from .errors import GasgateError
 from .evaluate import (
     DEFAULT_GAMMA_GRID,
+    ConfusionCounts,
     LogisticLearner,
     SvmLearner,
     choose_ratio,
@@ -41,7 +44,7 @@ from .evaluate import (
     sweep_tsv,
 )
 from .kernels import KERNEL_KINDS, KernelSpec
-from .logistic import LogisticModel, explosion_interval, intervals_csv
+from .logistic import LogisticModel, explosion_interval, intervals_csv, sigmoid
 from .model_io import load_model, save_model
 from .svm import PenaltyConfig, SvmModel
 from .synth import default_region, generate
@@ -367,18 +370,15 @@ def cmd_train(args) -> int:
     features = featurize(params, data)
     model = learner.fit(features, data.exploded, normalization=params)
     save_model(model, args.out)
-    predicted = learner.predict_exploded(model, features)
-    actual = data.exploded
-    tp = int((actual & predicted).sum())
-    fp = int((~actual & predicted).sum())
-    fn = int((actual & ~predicted).sum())
-    tn = int((~actual & ~predicted).sum())
-    accuracy = (tp + tn) / len(data)
+    counts = ConfusionCounts.from_outcomes(
+        data.exploded, learner.predict_exploded(model, features)
+    )
     if not model.converged:
         print("warning: solver did not converge; model saved anyway", file=sys.stderr)
     print(
         f"trained {args.model} on {len(data)} samples: "
-        f"accuracy {100.0 * accuracy:.2f}% (tp={tp} fp={fp} tn={tn} fn={fn})"
+        f"accuracy {100.0 * counts.accuracy:.2f}% "
+        f"(tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn})"
     )
     print(f"wrote {args.out}")
     return 0
@@ -398,12 +398,15 @@ def cmd_predict(args) -> int:
     if args.scores:
         header += ",score"
     lines = [header]
-    labels = model.predict(features)
+    # Score once and derive labels (and probabilities) from the scores, as
+    # the models' own predict methods do.
     if is_lr:
-        probabilities = model.predict_proba(features)
         scores = model.scores(features)
+        probabilities = sigmoid(scores)
+        labels = np.where(probabilities >= 0.5, 1, 0)
     else:
         scores = model.decision_values(features)
+        labels = np.where(scores >= 0, 1, -1)
     for i in range(len(data)):
         row = f"{i + 1},{int(labels[i])}"
         if is_lr:

@@ -64,16 +64,22 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) 
     if spec.uses_gamma and spec.gamma is None:
         raise ValueError("gamma is unresolved; call KernelSpec.resolved() first")
 
+    # Every kernel is an elementwise map of A @ B.T; apply it in place so the
+    # Gram never needs a second n x m temporary.
+    G = A @ B.T
     if spec.kind == "linear":
-        return A @ B.T
-    if spec.kind == "polynomial":
-        return (spec.gamma * (A @ B.T) + spec.coef0) ** spec.degree
+        return G
+    if spec.kind == "rbf":
+        # squared distances via the expansion ||a-b||^2 = a.a + b.b - 2 a.b
+        G *= -2.0
+        G += (A * A).sum(axis=1)[:, None]
+        G += (B * B).sum(axis=1)[None, :]
+        np.maximum(G, 0.0, out=G)
+        G *= -spec.gamma
+        return np.exp(G, out=G)
+    G *= spec.gamma
+    G += spec.coef0
     if spec.kind == "sigmoid":
-        return np.tanh(spec.gamma * (A @ B.T) + spec.coef0)
-    # rbf: squared distances via the expansion ||a-b||^2 = a.a + b.b - 2 a.b
-    sq = (
-        (A * A).sum(axis=1)[:, None]
-        + (B * B).sum(axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+        return np.tanh(G, out=G)
+    G **= spec.degree
+    return G

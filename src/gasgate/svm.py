@@ -5,11 +5,15 @@ The dual problem
     max  sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K(x_i, x_j)
     s.t. 0 <= alpha_i <= C_i,   sum_i alpha_i y_i = 0
 
-is solved by sequential minimal optimization (Platt 1998) with
-maximal-violating-pair working-set selection (Keerthi et al. 2001).  The
-box cap C_i depends on the sample's class: violations by explosion-labeled
-samples cost ``penalties.positive``, the rest ``penalties.negative``, which
-is how the asymmetric slack costs of cost-sensitive training enter the dual.
+is solved by sequential minimal optimization (Platt 1998).  Each update
+picks i as the maximal violator (Keerthi et al. 2001) and j by second-order
+working-set selection, the partner with the largest guaranteed objective
+gain (Fan, Chen & Lin 2005, JMLR 6).  The sigmoid kernel's Gram is
+indefinite, so its dual is nonconvex; there j stays the first-order maximal
+violating partner.  The box cap C_i depends on the sample's class:
+violations by explosion-labeled samples cost ``penalties.positive``, the
+rest ``penalties.negative``, which is how the asymmetric slack costs of
+cost-sensitive training enter the dual.
 """
 
 from __future__ import annotations
@@ -122,9 +126,13 @@ def fit_svm(
     Runs until the largest KKT violation drops to ``tol`` or the update
     budget of ``max_passes`` nominal sweeps (n pair updates each) runs out,
     in which case the best iterate so far is returned flagged
-    ``converged=False``.  The working pair is the maximal violating pair;
-    exact ties are broken by a jitter drawn from ``seed``, so refits are
-    reproducible.
+    ``converged=False``.  The working pair is i = the maximal violator and
+    j = the second-order choice of Fan, Chen & Lin (2005), or the maximal
+    violating partner for the indefinite sigmoid kernel; a stalled pair
+    falls back to the maximal violating pair, then to nearby candidates.
+    Exact ties are broken by a jitter drawn from ``seed``, so refits are
+    reproducible.  ``objective_trace`` holds the dual objective after each
+    update, accumulated from the closed-form gain of each step.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -142,23 +150,46 @@ def fit_svm(
     n = X.shape[0]
     spec = kernel.resolved(X.shape[1])
     K = kernel_matrix(spec, X)
+    diag = K.diagonal().copy()
     caps = np.where(y > 0, penalties.positive, penalties.negative)
     # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
     # selection order among exactly-tied violators, nothing else.
     jitter = np.random.default_rng(seed).uniform(0.0, 1e-12, size=n)
+    # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
+    # selection would steer it to a different local optimum.
+    second_order = spec.kind != "sigmoid"
 
     alpha = np.zeros(n)
-    u = np.zeros(n)  # decision values without bias
-    trace = [0.0]
+    F = -y  # gradient u - y, with u the decision values without bias
+    # F + jitter restricted to the low / up index sets; non-members are
+    # pinned at -inf / +inf, which adding a finite step leaves in place.
+    up, low = _index_sets(alpha, y, caps)
+    g_low = np.where(low, F + jitter, -np.inf)
+    g_up = np.where(up, F + jitter, np.inf)
+    delta = np.empty(n)
+    scratch = np.empty(n)
+    objective = 0.0
+    trace = [objective]
 
-    def objective() -> float:
-        return float(alpha.sum() - 0.5 * (alpha * y * u).sum())
+    def second_order_j(i: int) -> int:
+        """argmax over violating t in up of (g_i - g_t)^2 / eta(i, t)."""
+        nonlocal delta, scratch
+        np.subtract(g_low[i], g_up, out=delta)
+        np.maximum(delta, 0.0, out=delta)
+        delta *= delta
+        np.multiply(K[i], -2.0, out=scratch)
+        scratch += diag
+        scratch += diag[i]
+        np.maximum(scratch, 1e-12, out=scratch)
+        delta /= scratch
+        return int(np.argmax(delta))
 
-    def take_step(i: int, j: int) -> bool:
-        """Jointly optimize (alpha_i, alpha_j); returns False on no progress."""
-        nonlocal u
+    def take_step(i: int, j: int) -> float | None:
+        """Jointly optimize (alpha_i, alpha_j); returns the objective gain,
+        or None on no progress."""
+        nonlocal F, g_low, g_up, delta
         if i == j:
-            return False
+            return None
         yi, yj = y[i], y[j]
         ai, aj = alpha[i], alpha[j]
         if yi != yj:
@@ -166,60 +197,70 @@ def fit_svm(
         else:
             lo, hi = max(0.0, ai + aj - caps[i]), min(caps[j], ai + aj)
         if hi - lo < 1e-14:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        Fi, Fj = u[i] - yi, u[j] - yj
+            return None
+        eta = diag[i] + diag[j] - 2.0 * K[i, j]
+        Fi, Fj = F[i], F[j]
         if eta > 1e-12:
             aj_new = np.clip(aj + yj * (Fi - Fj) / eta, lo, hi)
         else:
             # Non-positive curvature (possible for indefinite kernels):
             # the restricted objective is linear or concave-up along the
             # constraint line, so the best point is an endpoint.
-            gain_lo = _pair_gain(lo - aj, i, j, y, u, K, alpha)
-            gain_hi = _pair_gain(hi - aj, i, j, y, u, K, alpha)
+            gain_lo = _pair_gain(lo - aj, yj, Fi, Fj, eta)
+            gain_hi = _pair_gain(hi - aj, yj, Fi, Fj, eta)
             if max(gain_lo, gain_hi) <= 1e-15:
-                return False
+                return None
             aj_new = lo if gain_lo >= gain_hi else hi
         if abs(aj_new - aj) < 1e-13 * (aj_new + aj + 1e-13):
-            return False
+            return None
         ai_new = ai + yi * yj * (aj - aj_new)
         alpha[i], alpha[j] = ai_new, aj_new
-        u += (ai_new - ai) * yi * K[i] + (aj_new - aj) * yj * K[j]
-        return True
+        np.multiply(K[i], (ai_new - ai) * yi, out=delta)
+        np.multiply(K[j], (aj_new - aj) * yj, out=scratch)
+        delta += scratch
+        F += delta
+        g_low += delta
+        g_up += delta
+        for k in (i, j):
+            in_up, in_low = _index_sets(alpha[k], y[k], caps[k])
+            g_low[k] = F[k] + jitter[k] if in_low else -np.inf
+            g_up[k] = F[k] + jitter[k] if in_up else np.inf
+        return _pair_gain(aj_new - aj, yj, Fi, Fj, eta)
 
     converged = False
     max_updates = max_passes * n
     updates = 0
     while updates < max_updates:
-        F = u - y
-        up = ((y > 0) & (alpha < caps - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < caps - 1e-12))
-        if not up.any() or not low.any():
+        i = int(np.argmax(g_low))
+        j_min = int(np.argmin(g_up))
+        if g_low[i] == -np.inf or g_up[j_min] == np.inf:
+            converged = True  # one index set is empty
+            break
+        if F[i] - F[j_min] <= tol:
             converged = True
             break
-        i = int(np.argmax(np.where(low, F + jitter, -np.inf)))
-        j = int(np.argmin(np.where(up, F + jitter, np.inf)))
-        if F[i] - F[j] <= tol:
-            converged = True
-            break
-        if not take_step(i, j):
-            # Stalled primary pair: walk the next-most-violating candidates.
-            low_order = np.argsort(-(F + jitter))
-            up_order = np.argsort(F + jitter)
-            moved = False
-            for i2 in (k for k in low_order[:16] if low[k]):
-                for j2 in (k for k in up_order[:16] if up[k]):
+        j = second_order_j(i) if second_order else j_min
+        gain = take_step(i, j)
+        if gain is None and j != j_min:
+            gain = take_step(i, j_min)
+        if gain is None:
+            # Stalled pair: walk the next-most-violating candidates.
+            low_order = np.argsort(-g_low)[:16]
+            up_order = np.argsort(g_up)[:16]
+            for i2 in (int(k) for k in low_order if g_low[k] > -np.inf):
+                for j2 in (int(k) for k in up_order if g_up[k] < np.inf):
                     if F[i2] - F[j2] <= tol:
                         break
-                    if take_step(int(i2), int(j2)):
-                        moved = True
+                    gain = take_step(i2, j2)
+                    if gain is not None:
                         break
-                if moved:
+                if gain is not None:
                     break
-            if not moved:
+            if gain is None:
                 break
         updates += 1
-        trace.append(objective())
+        objective += gain
+        trace.append(objective)
 
     # One exact recomputation guards against drift in the incremental u.
     u = (alpha * y) @ K
@@ -244,14 +285,21 @@ def fit_svm(
     )
 
 
-def _pair_gain(dj, i, j, y, u, K, alpha):
-    """Dual-objective change when alpha_j moves by dj along the constraint."""
-    di = -y[i] * y[j] * dj
-    linear = di + dj - di * y[i] * u[i] - dj * y[j] * u[j]
-    quad = 0.5 * (
-        di * di * K[i, i] + dj * dj * K[j, j] + 2 * di * dj * y[i] * y[j] * K[i, j]
-    )
-    return linear - quad
+def _pair_gain(dj, yj, Fi, Fj, eta):
+    """Dual-objective change when alpha_j moves by dj along the constraint,
+    given the pair's gradients F = u - y and curvature eta = K_ii + K_jj - 2 K_ij."""
+    return yj * dj * (Fi - Fj) - 0.5 * eta * dj * dj
+
+
+def _index_sets(alpha, y, caps):
+    """Membership of the up and low index sets (Keerthi et al. 2001): the
+    samples whose alpha may move so as to raise, respectively lower, y * alpha.
+    Works elementwise on arrays and on single samples alike."""
+    below_cap = alpha < caps - 1e-12
+    above_zero = alpha > 1e-12
+    up = ((y > 0) & below_cap) | ((y < 0) & above_zero)
+    low = ((y > 0) & above_zero) | ((y < 0) & below_cap)
+    return up, low
 
 
 def _fit_bias(alpha, y, caps, F) -> float:
@@ -259,8 +307,7 @@ def _fit_bias(alpha, y, caps, F) -> float:
     free = (alpha > 1e-9 * caps) & (alpha < caps * (1 - 1e-9))
     if free.any():
         return float(-F[free].mean())
-    up = ((y > 0) & (alpha < caps - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < caps - 1e-12))
+    up, low = _index_sets(alpha, y, caps)
     if up.any() and low.any():
         return float(-(F[up].min() + F[low].max()) / 2.0)
     if up.any():

@@ -17,6 +17,7 @@ from .support import (
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
+SIGMOID = KernelSpec("sigmoid", gamma=0.05, coef0=0.1)
 
 
 def fit(X, y, kernel=LINEAR, pos=10.0, neg=10.0, **kw):
@@ -78,7 +79,7 @@ class TestOptimality:
             LINEAR,
             RBF,
             KernelSpec("polynomial", gamma=0.3, coef0=1.0, degree=2),
-            KernelSpec("sigmoid", gamma=0.05, coef0=0.1),
+            SIGMOID,
         ],
         ids=lambda k: k.kind,
     )
@@ -114,6 +115,17 @@ class TestOptimality:
         trace = model.objective_trace
         assert len(trace) >= 2
         assert np.all(np.diff(trace) >= -1e-8)
+
+    @pytest.mark.parametrize("kernel", [RBF, SIGMOID], ids=lambda k: k.kind)
+    def test_objective_trace_ends_at_dual_objective(self, kernel, rng):
+        # the trace is accumulated from per-step gains; it must not drift
+        for _ in range(4):
+            X, y = random_two_class_problem(rng)
+            model = fit(X, y, kernel, pos=3.0, neg=4.0)
+            objective = model.dual_objective()
+            assert abs(model.objective_trace[-1] - objective) <= 1e-9 * max(
+                1.0, abs(objective)
+            )
 
     def test_model_objective_matches_reference_formula(self, rng):
         X, y = random_two_class_problem(rng)
@@ -271,14 +283,16 @@ class TestPredictContract:
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_random_fits_satisfy_kkt_and_feasibility(seed):
+    # rbf takes the second-order pair selection, sigmoid the first-order one
     rng = np.random.default_rng(seed)
     X, y = random_two_class_problem(rng, n_range=(8, 25), d_range=(1, 3))
     pos, neg = 1.0 + 5.0 * rng.random(), 1.0 + 5.0 * rng.random()
-    model = fit_svm(X, y, RBF, PenaltyConfig(pos, neg), tol=1e-3)
-    if not model.converged:
-        return
-    alpha = np.abs(model.dual_coef)
-    caps = np.where(model.dual_coef > 0, pos, neg)
-    assert np.all(alpha <= caps * (1 + 1e-9))
-    assert abs(model.dual_coef.sum()) <= 1e-9 * max(pos, neg) * len(y)
-    assert kkt_max_residual(model, X, y) <= 1e-3 + 1e-9
+    for kernel in (RBF, SIGMOID):
+        model = fit_svm(X, y, kernel, PenaltyConfig(pos, neg), tol=1e-3)
+        if not model.converged:
+            continue
+        alpha = np.abs(model.dual_coef)
+        caps = np.where(model.dual_coef > 0, pos, neg)
+        assert np.all(alpha <= caps * (1 + 1e-9))
+        assert abs(model.dual_coef.sum()) <= 1e-9 * max(pos, neg) * len(y)
+        assert kkt_max_residual(model, X, y) <= 1e-3 + 1e-9
