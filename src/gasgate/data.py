@@ -2,7 +2,10 @@
 
 A record holds the averaged concentrations (volume percent) of total
 hydrocarbon (HC), oxygen, carbon monoxide and carbon dioxide together with a
-binary explosion outcome.  The default feature set for both classifiers is
+binary explosion outcome.  A ``Dataset`` stores its records as five
+read-only NumPy columns, so loading, featurizing and fold subsetting are
+array operations; ``GasSample`` objects exist only where a caller asks for
+one row at a time.  The default feature set for both classifiers is
 (HC, O2, O2/HC), each scaled to [-1, 1] by an affine map fitted on training
 data only.
 """
@@ -58,28 +61,79 @@ class GasSample:
             )
 
 
-@dataclass(frozen=True)
+#: Column names of a Dataset, in CSV order.
+COLUMNS = (*RAW_COLUMNS, "exploded")
+
+
 class Dataset:
-    """Ordered, immutable collection of samples with a free-text source tag."""
+    """Ordered, immutable table of measurements with a free-text source tag.
 
-    samples: tuple[GasSample, ...]
-    provenance: str = ""
+    The columns are the storage: ``hc``, ``o2``, ``co`` and ``co2`` are
+    float64 arrays and ``exploded`` a bool array, all of one length and all
+    read-only, so a dataset shared across CV folds cannot be changed through
+    them.  ``Dataset(samples)`` builds the columns from ``GasSample`` rows and
+    ``Dataset.from_columns`` from arrays.  Iteration and ``.samples``
+    materialise ``GasSample`` rows on demand, at most once per dataset.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
+    __slots__ = (*COLUMNS, "provenance", "_samples")
+
+    def __init__(self, samples, provenance: str = ""):
+        samples = tuple(samples)
+        columns = [np.array([s.hc for s in samples], dtype=float),
+                   np.array([s.o2 for s in samples], dtype=float),
+                   np.array([s.co for s in samples], dtype=float),
+                   np.array([s.co2 for s in samples], dtype=float),
+                   np.array([s.exploded for s in samples], dtype=bool)]
+        self._adopt(columns, provenance)
+        object.__setattr__(self, "_samples", samples)
+
+    @classmethod
+    def from_columns(cls, hc, o2, co, co2, exploded, provenance: str = "") -> "Dataset":
+        """Dataset over copies of the given columns.
+
+        Every row is checked as ``GasSample`` checks it; the first offending
+        row is reported with its 1-based index.
+        """
+        values = [np.array(c, dtype=float) for c in (hc, o2, co, co2)]
+        flags = np.array(exploded, dtype=bool)
+        if flags.ndim != 1 or any(v.shape != flags.shape for v in values):
+            raise ValueError("columns must be 1-D and of equal length")
+        _check_rows(*values, lambda k: f"row {k + 1}")
+        return cls._wrap([*values, flags], provenance)
+
+    @classmethod
+    def _wrap(cls, columns, provenance: str) -> "Dataset":
+        """Adopt columns that are already valid, without copying them."""
+        data = object.__new__(cls)
+        data._adopt(columns, provenance)
+        return data
+
+    def _adopt(self, columns, provenance: str) -> None:
+        if len(columns[-1]) == 0:
             raise DataFormatError("empty dataset")
+        for name, column in zip(COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_samples", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.exploded)
 
     def __iter__(self):
         return iter(self.samples)
 
     @property
-    def exploded(self) -> np.ndarray:
-        """Boolean outcome per sample, in order."""
-        return np.array([s.exploded for s in self.samples], dtype=bool)
+    def samples(self) -> tuple[GasSample, ...]:
+        """The rows as ``GasSample`` objects, built on first access."""
+        if self._samples is None:
+            rows = zip(*(getattr(self, name).tolist() for name in COLUMNS))
+            object.__setattr__(self, "_samples", tuple(GasSample(*r) for r in rows))
+        return self._samples
 
     def class_counts(self) -> tuple[int, int]:
         """(number exploded, number not exploded)."""
@@ -87,9 +141,30 @@ class Dataset:
         return n_pos, len(self) - n_pos
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(
-            tuple(self.samples[i] for i in indices), provenance=self.provenance
+        """The rows at ``indices``, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset._wrap(
+            [getattr(self, name)[idx] for name in COLUMNS], self.provenance
         )
+
+
+def _check_rows(hc, o2, co, co2, where) -> None:
+    """Raise ``GasSample``'s error for the first row it would reject.
+
+    The vectorised tests match ``GasSample.__post_init__``; the offending row
+    is then rebuilt as a ``GasSample`` so the message is the one it gives.
+    ``where(k)`` names the 0-based row ``k``, e.g. by its line in a file.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = hc + o2 + co + co2 > 100.0 + 1e-9
+        for column in (hc, o2, co, co2):
+            bad |= ~np.isfinite(column) | (column < 0)
+    if bad.any():
+        k = int(bad.argmax())
+        try:
+            GasSample(hc[k], o2[k], co[k], co2[k], False)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{where(k)}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -123,11 +198,24 @@ class FeatureConfig:
         return sample.hc / sample.o2
 
     def raw_matrix(self, data: Dataset) -> np.ndarray:
-        """(n_samples, n_attributes) matrix of raw attribute values."""
-        return np.array(
-            [[self.raw_value(s, a) for a in self.attributes] for s in data],
-            dtype=float,
-        )
+        """(n_samples, n_attributes) matrix of raw attribute values.
+
+        A zero denominator in the ratio raises ``DataFormatError`` naming
+        the 1-based row of its first occurrence.
+        """
+        out = np.empty((len(data), len(self.attributes)))
+        for j, name in enumerate(self.attributes):
+            if name != "ratio":
+                out[:, j] = getattr(data, name)
+                continue
+            num, den = ("o2", "hc") if self.ratio == RATIO_O2_OVER_HC else ("hc", "o2")
+            zeros = np.flatnonzero(getattr(data, den) == 0)
+            if zeros.size:
+                raise DataFormatError(
+                    f"undefined ratio: {den} is 0 in row {zeros[0] + 1}"
+                )
+            np.divide(getattr(data, num), getattr(data, den), out=out[:, j])
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,8 +283,18 @@ def load_csv(path) -> Dataset:
     except FileNotFoundError:
         raise DataFormatError(f"no such file: {path}") from None
 
+    size = len(lines)  # bounds the row count
+    columns = [np.empty(size) for _ in RAW_COLUMNS] + [np.empty(size, dtype=bool)]
+    line_of = np.empty(size, dtype=np.int64)
+    # item writes through a memoryview cost a fraction of ndarray indexing
+    hc, o2, co, co2, exploded = map(memoryview, columns)
+    row_line = memoryview(line_of)
+
+    def where(k):
+        return f"line {line_of[k]}"
+
     header_seen = False
-    samples = []
+    n = 0
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -208,29 +306,33 @@ def load_csv(path) -> Dataset:
                 )
             header_seen = True
             continue
-        fields = [f.strip() for f in text.split(",")]
-        if len(fields) != 5:
-            raise DataFormatError(
-                f"line {lineno}: expected 5 fields, got {len(fields)}"
-            )
         try:
-            concentrations = [_parse_concentration(f) for f in fields[:4]]
+            hc[n], o2[n], co[n], co2[n], exploded[n] = _parse_row(text)
         except ValueError as exc:
+            # a bad value on an earlier row comes first in file order
+            _check_rows(*(c[:n] for c in columns[:4]), where)
             raise DataFormatError(f"line {lineno}: {exc}") from None
-        if fields[4] not in ("0", "1"):
-            raise DataFormatError(
-                f"line {lineno}: exploded must be 0 or 1, got {fields[4]!r}"
-            )
-        try:
-            samples.append(GasSample(*concentrations, exploded=fields[4] == "1"))
-        except DataFormatError as exc:
-            raise DataFormatError(f"line {lineno}: {exc}") from None
+        row_line[n] = lineno
+        n += 1
 
     if not header_seen:
         raise DataFormatError(f"missing header {CSV_HEADER!r} in {path}")
-    if not samples:
-        raise DataFormatError("empty dataset")
-    return Dataset(tuple(samples), provenance=str(path))
+    columns = [c[:n] for c in columns]
+    _check_rows(*columns[:4], where)
+    return Dataset._wrap(columns, provenance=str(path))
+
+
+def _parse_row(text: str) -> tuple[float, float, float, float, bool]:
+    """Split one data line into its four concentrations and the outcome."""
+    fields = text.split(",")
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    hc, o2, co, co2, flag = map(str.strip, fields)
+    values = (_parse_concentration(hc), _parse_concentration(o2),
+              _parse_concentration(co), _parse_concentration(co2))
+    if flag not in ("0", "1"):
+        raise ValueError(f"exploded must be 0 or 1, got {flag!r}")
+    return (*values, flag == "1")
 
 
 def _parse_concentration(token: str) -> float:
@@ -244,11 +346,12 @@ def _parse_concentration(token: str) -> float:
 
 def write_csv(data: Dataset, path) -> None:
     """Write a Dataset in the ingestion format (atomic: temp file + rename)."""
+    rows = zip(*(getattr(data, name).tolist() for name in COLUMNS))
     lines = [CSV_HEADER]
-    for s in data:
-        lines.append(
-            f"{s.hc!r},{s.o2!r},{s.co!r},{s.co2!r},{1 if s.exploded else 0}"
-        )
+    lines.extend(
+        f"{hc!r},{o2!r},{co!r},{co2!r},{1 if exploded else 0}"
+        for hc, o2, co, co2, exploded in rows
+    )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GasSample, NormalizationParams, apply_normalization
+from .data import (
+    Dataset,
+    GasSample,
+    NormalizationParams,
+    apply_normalization,
+    featurize,
+)
 from .errors import IntervalSolverError, PerfectSeparationError, SingleClassError
 
 SEPARATION_NORM = 1e3
@@ -170,6 +176,8 @@ def fit_logistic(
         improved = False
         for _ in range(60):
             candidate = beta + t * step
+            if np.array_equal(candidate, beta):
+                break  # the step has rounded away; smaller ones would too
             candidate_ll = penalized_log_likelihood(candidate, X, y, ridge)
             if candidate_ll > ll:
                 beta, ll = candidate, candidate_ll
@@ -223,12 +231,13 @@ def explosion_interval(
 ) -> ExplosionInterval:
     """Explosive HC interval at fixed oxygen: the {p >= 0.5} slice.
 
-    Scans ``grid_points`` HC values across ``hc_range`` (each featurized
-    from its raw concentrations through the model's stored normalization),
-    brackets the sign changes of p - 0.5 and polishes both endpoints by
-    bisection until |p - 0.5| <= root_tol.  Exactly one explosive region
-    must lie strictly inside the range; several regions, or a region
-    touching the range edge, raise ``IntervalSolverError``.
+    Scans ``grid_points`` HC values across ``hc_range`` (featurized in one
+    call from their raw concentrations through the model's stored
+    normalization), brackets the sign changes of p - 0.5 and polishes both
+    endpoints by bisection, one point at a time, until |p - 0.5| <= root_tol.
+    Exactly one explosive region must lie strictly inside the range; several
+    regions, or a region touching the range edge, raise
+    ``IntervalSolverError``.
     """
     if model.normalization is None:
         raise ValueError("model carries no normalization parameters")
@@ -249,7 +258,9 @@ def explosion_interval(
         return float(model.predict_proba(features))
 
     hcs = np.linspace(low, high, grid_points)
-    probs = np.array([prob(h) for h in hcs])
+    zeros = np.zeros(grid_points)
+    grid = Dataset.from_columns(hcs, np.full(grid_points, o2), zeros, zeros, zeros)
+    probs = model.predict_proba(featurize(model.normalization, grid))
     if not np.isfinite(probs).all():
         raise IntervalSolverError(f"non-finite probability on the grid at o2={o2}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GasSample
+from .data import Dataset
 from .errors import GenerationError
 
 #: (o2, lower HC limit, upper HC limit) anchor points of the default region.
@@ -130,40 +130,41 @@ def generate(
     o2_low = max(0.0, region.o2_window[0] - o2_margin)
     o2_high = region.o2_window[1] + o2_margin
 
-    pos: list[tuple[float, float]] = []
-    neg: list[tuple[float, float]] = []
+    pos, neg = [], []  # accepted (hc, o2) columns, in draw order
+    have_pos = have_neg = 0
     draws = 0
     max_draws = 100 * n
-    while len(pos) < n_pos or len(neg) < n_neg:
+    while have_pos < n_pos or have_neg < n_neg:
         batch = min(4 * n, max_draws - draws)
         if batch <= 0:
             raise GenerationError(
                 f"target positive fraction {positive_fraction} unreachable "
                 f"within {max_draws} draws "
-                f"(have {len(pos)}/{n_pos} positive, {len(neg)}/{n_neg} negative)"
+                f"(have {have_pos}/{n_pos} positive, {have_neg}/{n_neg} negative)"
             )
         hc = rng.uniform(hc_range[0], hc_range[1], size=batch)
         o2 = rng.uniform(o2_low, o2_high, size=batch)
         inside = region.contains(hc, o2)
         draws += batch
-        for h, o, lab in zip(hc, o2, inside):
-            if lab and len(pos) < n_pos:
-                pos.append((h, o))
-            elif not lab and len(neg) < n_neg:
-                neg.append((h, o))
+        points = np.stack([hc, o2])
+        take_pos = np.flatnonzero(inside)[: n_pos - have_pos]
+        take_neg = np.flatnonzero(~inside)[: n_neg - have_neg]
+        pos.append(points[:, take_pos])
+        neg.append(points[:, take_neg])
+        have_pos += take_pos.size
+        have_neg += take_neg.size
 
-    points = [(h, o, True) for h, o in pos] + [(h, o, False) for h, o in neg]
+    # positives first, then negatives; one shuffle, then the label flips
     order = rng.permutation(n)
     flip = rng.random(n) < noise
-
-    samples = []
-    for slot, idx in enumerate(order):
-        hc, o2, exploded = points[idx]
-        if flip[slot]:
-            exploded = not exploded
-        co2 = max(0.0, 33.0 - o2) if co2_policy == "oxygen-complement" else 0.0
-        samples.append(GasSample(float(hc), float(o2), co, co2, exploded))
-    return Dataset(
-        tuple(samples),
+    hc, o2 = np.concatenate(pos + neg, axis=1)[:, order]
+    exploded = (order < n_pos) ^ flip
+    co2 = np.maximum(0.0, 33.0 - o2) if co2_policy == "oxygen-complement" else np.zeros(n)
+    return Dataset.from_columns(
+        hc,
+        o2,
+        np.full(n, co, dtype=float),
+        co2,
+        exploded,
         provenance=f"synthetic(seed={seed},n={n},noise={noise})",
     )

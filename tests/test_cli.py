@@ -203,6 +203,18 @@ class TestPredict:
         assert "wrote" in capsys.readouterr().out
         assert out.read_text().startswith("row,prediction,probability\n")
 
+    def test_zero_hc_row_is_named(self, lr_model, corpus_csv, workdir, capsys):
+        rows = corpus_csv.read_text().splitlines()
+        fields = rows[5].split(",")
+        rows[5] = ",".join(["0.0", *fields[1:]])  # data row 5
+        path = workdir / "zero_hc.csv"
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["predict", "--model-file", str(lr_model), "--data", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "undefined ratio: hc is 0 in row 5" in captured.err
+
     def test_zero_coefficient_model_predicts_explosion_at_half(
         self, workdir, corpus_csv, capsys
     ):

@@ -22,6 +22,7 @@ from gasgate.data import (
     write_csv,
 )
 from gasgate.errors import DataFormatError
+from gasgate.synth import default_region, generate
 
 
 def make_dataset(rows):
@@ -67,6 +68,86 @@ class TestDataset:
         sub = SIMPLE.subset([3, 0])
         assert sub.samples[0].hc == 3.0
         assert sub.samples[1].hc == 1.84
+
+
+class TestColumns:
+    ROWS = [
+        (1.84, 15.6, 0.05, 18.4, True),
+        (1.81, 15.3, 0.61, 13.3, False),
+        (0.5, 20.0, 0.05, 13.0, False),
+        (3.0, 18.0, 0.05, 15.0, True),
+    ]
+
+    def test_columns_hold_the_sample_values(self):
+        data = make_dataset(self.ROWS)
+        for j, name in enumerate(("hc", "o2", "co", "co2", "exploded")):
+            assert getattr(data, name).tolist() == [row[j] for row in self.ROWS]
+        assert data.hc.dtype == np.float64 and data.exploded.dtype == bool
+
+    def test_subset_exploded_and_samples_match_the_source_rows(self):
+        data = make_dataset(self.ROWS)
+        idx = [3, 1, 1, 0]
+        sub = data.subset(np.array(idx))
+        assert sub.exploded.tolist() == [self.ROWS[i][4] for i in idx]
+        assert sub.hc.tolist() == [self.ROWS[i][0] for i in idx]
+        assert sub.samples == tuple(GasSample(*self.ROWS[i]) for i in idx)
+        assert list(sub) == list(sub.samples)
+        assert sub.samples is sub.samples  # materialised once
+
+    def test_from_columns_round_trips_to_samples(self):
+        data = Dataset.from_columns(*zip(*self.ROWS), provenance="cols")
+        assert data.samples == tuple(GasSample(*row) for row in self.ROWS)
+        assert data.provenance == "cols"
+
+    def test_from_columns_copies_its_inputs(self):
+        hc = np.array([1.0, 2.0])
+        data = Dataset.from_columns(hc, [15.0, 15.0], [0.0, 0.0], [0.0, 0.0], [1, 0])
+        hc[0] = 9.0
+        assert data.hc.tolist() == [1.0, 2.0]
+
+    def test_from_columns_names_the_first_bad_row(self):
+        with pytest.raises(DataFormatError, match=r"^row 2: o2 must be >= 0"):
+            Dataset.from_columns([1.0, 1.0, 1.0], [15.0, -1.0, -2.0],
+                                 [0.0] * 3, [0.0] * 3, [True] * 3)
+
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Dataset.from_columns([1.0, 2.0], [15.0], [0.0], [0.0], [True])
+
+    @pytest.mark.parametrize("name", ["hc", "o2", "co", "co2", "exploded"])
+    def test_columns_are_read_only(self, name):
+        data = make_dataset(self.ROWS)
+        column = getattr(data, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+        with pytest.raises(AttributeError):
+            setattr(data, name, column.copy())
+
+    def test_folds_cannot_change_a_shared_dataset(self):
+        data = make_dataset(self.ROWS)
+        with pytest.raises(ValueError):
+            data.subset([0, 1]).exploded[0] = False
+        assert data.exploded.tolist() == [True, False, False, True]
+
+    def test_featurize_matches_per_sample_normalization_bitwise(self):
+        data = generate(default_region(), n=300, seed=11, noise=0.1)
+        params = fit_normalization(data)
+        stacked = np.vstack([apply_normalization(params, s) for s in data])
+        assert featurize(params, data).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("ratio, column", [
+        ("o2_over_hc", "hc"), (RATIO_HC_OVER_O2, "o2"),
+    ])
+    def test_zero_ratio_denominator_names_its_row(self, ratio, column):
+        rows = [list(row) for row in self.ROWS * 2]
+        rows[5][0 if column == "hc" else 1] = 0.0
+        rows[6][0 if column == "hc" else 1] = 0.0
+        data = make_dataset(rows)
+        params = NormalizationParams(FeatureConfig(ratio=ratio),
+                                     mins=(0.0, 0.0, 0.0), maxs=(1.0, 1.0, 1.0))
+        with pytest.raises(DataFormatError,
+                           match=rf"^undefined ratio: {column} is 0 in row 6$"):
+            featurize(params, data)
 
 
 class TestFeatureConfig:
@@ -223,6 +304,49 @@ class TestCsv:
         path.write_text(f"{CSV_HEADER}\n60.0,50.0,0.0,0.0,1\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path)
+
+    #: each case sits on physical line 7, after comments, blank lines and one
+    #: good row, and is followed by another good row; the messages are the
+    #: ones the per-row GasSample loader gave
+    PARITY_PREFIX = f"# comment\n\n{CSV_HEADER}\n# inner comment\n1.0,15.0,0.05,10.0,1\n\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,-2.5,0.05,10.0,0", "line 7: o2 must be >= 0, got -2.5"),
+        ("1.0,15.0,nan,10.0,0", "line 7: co must be finite, got nan"),
+        ("inf,15.0,0.05,10.0,0", "line 7: hc must be finite, got inf"),
+        ("1.0,15.0,0.05,-inf,0", "line 7: co2 must be finite, got -inf"),
+        ("60.0,30.0,5.0,5.5,1", "line 7: concentrations sum to 100.5 vol %, above 100"),
+        ("50.0,40.0,10.0,1e-6,1", "line 7: concentrations sum to 100 vol %, above 100"),
+        ("1.0,15.0,0.05,10.0,yes", "line 7: exploded must be 0 or 1, got 'yes'"),
+        ("1.0,15.0,0.05,1", "line 7: expected 5 fields, got 4"),
+        ("1.0,15.0,0.05,1,1,1", "line 7: expected 5 fields, got 6"),
+        ("1_0,15.0,0.05,10.0,1", "line 7: malformed number '1_0'"),
+        ("1.0,,0.05,10.0,1", "line 7: malformed number ''"),
+        # within a row: columns in order, finiteness before sign, sum last
+        ("-1.0,nan,0.05,10.0,1", "line 7: hc must be >= 0, got -1.0"),
+        ("90.0,15.0,nan,10.0,1", "line 7: co must be finite, got nan"),
+        # across rows: the first bad row in file order, whatever its fault
+        ("1.0,-15.0,0.05,10.0,1\n1.0,15.0,0.05,10.0,maybe",
+         "line 7: o2 must be >= 0, got -15.0"),
+        ("1.0,15.0,0.05,10.0,maybe\n1.0,-15.0,0.05,10.0,1",
+         "line 7: exploded must be 0 or 1, got 'maybe'"),
+    ])
+    def test_malformed_rows_report_line_and_message(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.PARITY_PREFIX}{row}\n1.0,15.0,0.05,10.0,0\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
+    def test_sum_within_tolerance_of_100_is_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{CSV_HEADER}\n50.0,40.0,10.0,1e-12,1\n")
+        assert len(load_csv(path)) == 1
+
+    def test_fields_are_stripped(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text(f"{CSV_HEADER}\n 1.0 , 15.0 ,0.05, 10.0 , 1 \n")
+        assert load_csv(path).samples == (GasSample(1.0, 15.0, 0.05, 10.0, True),)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+import gasgate.logistic
 from gasgate.data import (
     FeatureConfig,
     GasSample,
@@ -29,6 +30,7 @@ from gasgate.logistic import (
     penalized_log_likelihood,
     sigmoid,
 )
+from gasgate.synth import default_region, generate
 
 # mins = -maxs makes the affine normalization the identity map, so scores can
 # be written directly in raw concentration units.
@@ -167,6 +169,29 @@ class TestFit:
         stunted = fit_logistic(X, y, ridge=0.1, max_iter=1)
         assert not stunted.converged
 
+    def test_line_search_never_reevaluates_the_current_iterate(self, monkeypatch):
+        # 2000 noisy rows with ridge 0.1 end unconverged: the Newton step
+        # shrinks below the rounding of beta before the gradient reaches tol
+        data = generate(default_region(), n=2000, seed=1, noise=0.05)
+        X = featurize(fit_normalization(data), data)
+        evaluated = []
+
+        def recording(beta, X, labels, ridge):
+            value = penalized_log_likelihood(beta, X, labels, ridge)
+            evaluated.append((np.array(beta), value))
+            return value
+
+        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", recording)
+        model = fit_logistic(X, data.exploded.astype(float), ridge=0.1)
+        assert not model.converged
+        # replay the accept rule: a candidate becomes the iterate iff it improves
+        current, best = evaluated[0]
+        for candidate, value in evaluated[1:]:
+            assert not np.array_equal(candidate, current)
+            if value > best:
+                current, best = candidate, value
+        assert np.array_equal(current, model.beta)
+
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             fit_logistic(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
@@ -233,6 +258,32 @@ class TestIntervalInversion:
         for hc in (iv.lower, iv.upper):
             x = apply_normalization(IDENTITY_NORM, GasSample(hc, 16.0, 0.0, 0.0, False))
             assert abs(model.predict_proba(x) - 0.5) <= 1e-6 + 1e-12
+
+    @pytest.mark.parametrize("o2", [15.0, 16.5, 20.0])
+    def test_grid_probabilities_match_per_point_probabilities(
+        self, span_corpus, monkeypatch, o2
+    ):
+        params = fit_normalization(span_corpus)
+        model = fit_logistic(featurize(params, span_corpus),
+                             span_corpus.exploded.astype(float), ridge=0.1,
+                             normalization=params)
+        grids = []
+
+        def recording(params, data):
+            X = featurize(params, data)
+            grids.append((data, X))
+            return X
+
+        monkeypatch.setattr(gasgate.logistic, "featurize", recording)
+        explosion_interval(model, o2=o2)
+        (grid, X), = grids
+        assert len(grid) == 2000
+        assert (grid.o2 == o2).all() and not grid.co.any() and not grid.co2.any()
+        point = np.array([
+            model.predict_proba(apply_normalization(params, GasSample(hc, o2, 0.0, 0.0, False)))
+            for hc in grid.hc.tolist()
+        ])
+        assert np.abs(model.predict_proba(X) - point).max() <= 1e-15
 
     def test_tighter_root_tol_tightens_endpoints(self):
         model = interval_model([3.0, -1.0, 0.0, -0.125])
