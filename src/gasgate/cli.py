@@ -434,6 +434,7 @@ def cmd_cv(args) -> int:
     if args.repeats == 1:
         report = cross_validate(data, learner, v=args.folds, seed=seed,
                                 feature_config=config)
+        reports = (report,)
         text = cv_report_csv(report)
         sys.stdout.write(cv_report_text(report))
     else:
@@ -448,6 +449,13 @@ def cmd_cv(args) -> int:
         print(
             f"{args.repeats} runs of {args.folds}-fold CV ({args.model}): "
             f"mean accuracy {mean:.2f}% (std {std:.2f})"
+        )
+    unconverged = sum(r.unconverged for r in reports)
+    if unconverged:
+        print(
+            f"warning: {unconverged} of {args.folds * args.repeats} fold fits "
+            "did not converge; their counts are included",
+            file=sys.stderr,
         )
     if args.out:
         atomic_write_text(args.out, text)
@@ -477,6 +485,14 @@ def cmd_sweep(args) -> int:
         max_passes=args.max_passes,
         feature_config=_feature_config(args),
     )
+    stalled = {r.gamma: r.unconverged for r in report.rows if r.unconverged}
+    if stalled:
+        detail = ", ".join(f"ratio {g!r}: {k}" for g, k in stalled.items())
+        print(
+            f"warning: {sum(stalled.values())} fold fits hit --max-passes "
+            f"without converging ({detail}); their counts are pooled",
+            file=sys.stderr,
+        )
     sys.stdout.write(sweep_text(report))
     print(f"chosen gamma: {choose_ratio(report)!r}")
     if args.out:

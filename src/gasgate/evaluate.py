@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, FeatureConfig, featurize, fit_normalization
 from .errors import SingleClassError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, kernel_matrix
 from .logistic import fit_logistic
 from .svm import PenaltyConfig, fit_svm
 
@@ -88,10 +88,15 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold confusion counts for one v-fold run plus summary accuracy."""
+    """Per-fold confusion counts for one v-fold run plus summary accuracy.
+
+    ``unconverged`` counts the fold fits that ran out of iterations; their
+    counts are included all the same.
+    """
 
     fold_counts: tuple[ConfusionCounts, ...]
     seed: int = 0
+    unconverged: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "fold_counts", tuple(self.fold_counts))
@@ -128,10 +133,15 @@ class CvReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Pooled cross-validated counts at one penalty ratio gamma = w1/w2."""
+    """Pooled cross-validated counts at one penalty ratio gamma = w1/w2.
+
+    ``unconverged`` counts the fold fits at this ratio that hit the SMO
+    update budget; their counts are pooled all the same.
+    """
 
     gamma: float
     counts: ConfusionCounts
+    unconverged: int = 0
 
     def __post_init__(self):
         if self.gamma < 1.0:
@@ -283,6 +293,18 @@ def fit_fold(
     return model, ConfusionCounts.from_outcomes(test.exploded, predicted)
 
 
+def _stratified_folds(data: Dataset, v: int, seed: int):
+    """Yield ``(train_idx, test_idx)`` for each fold of the stratified split,
+    refusing a fold whose training portion is single-class."""
+    everything = np.arange(len(data))
+    for fold in stratified_kfold_indices(data.exploded, v, seed):
+        train_idx = np.setdiff1d(everything, fold)
+        train_classes = data.exploded[train_idx]
+        if train_classes.all() or (~train_classes).all():
+            raise SingleClassError("training portion of a fold is single-class")
+        yield train_idx, fold
+
+
 def cross_validate(
     data: Dataset,
     learner,
@@ -291,17 +313,13 @@ def cross_validate(
     feature_config: FeatureConfig = FeatureConfig(),
 ) -> CvReport:
     """Stratified v-fold cross-validation of one learner recipe."""
-    folds = stratified_kfold_indices(data.exploded, v, seed)
-    everything = np.arange(len(data))
     counts = []
-    for fold in folds:
-        train_idx = np.setdiff1d(everything, fold)
-        train_classes = data.exploded[train_idx]
-        if train_classes.all() or (~train_classes).all():
-            raise SingleClassError("training portion of a fold is single-class")
-        _, fold_counts = fit_fold(data, train_idx, fold, learner, feature_config)
+    unconverged = 0
+    for train_idx, test_idx in _stratified_folds(data, v, seed):
+        model, fold_counts = fit_fold(data, train_idx, test_idx, learner, feature_config)
         counts.append(fold_counts)
-    return CvReport(tuple(counts), seed=seed)
+        unconverged += not model.converged
+    return CvReport(tuple(counts), seed=seed, unconverged=unconverged)
 
 
 def repeated_cv(
@@ -343,7 +361,16 @@ def penalty_sweep(
 
     At ratio gamma the positive (explosion) class slack cost is
     gamma * base_w2 and the negative cost is base_w2.  Counts are pooled
-    over the folds, so each row's rates share one denominator.
+    over the folds, so each row's rates share one denominator.  Rows follow
+    the order of ``gamma_grid``, repeats included.
+
+    The folds are those of ``cross_validate`` with the same seed.  Within a
+    fold the ratios are solved as a path (Hastie et al. 2004): normalization,
+    features and the Gram are computed once, and the distinct ratios are
+    fitted in ascending order, each starting SMO from the previous ratio's
+    multipliers.  Raising the ratio only raises the positive-class cap, so
+    that start is feasible, and every fit still stops at the same KKT
+    tolerance ``tol`` as a cold one.
     """
     grid = [float(g) for g in gamma_grid]
     if not grid:
@@ -352,18 +379,40 @@ def penalty_sweep(
         raise ValueError(f"all ratios must be >= 1, got {min(grid)}")
     if base_w2 <= 0:
         raise ValueError(f"base_w2 must be positive, got {base_w2}")
-    rows = []
-    for gamma in grid:
-        learner = SvmLearner(
-            kernel=kernel,
-            penalties=PenaltyConfig(positive=gamma * base_w2, negative=base_w2),
-            tol=tol,
-            max_passes=max_passes,
-            seed=seed,
+    ratios = sorted(set(grid))
+    penalties = [PenaltyConfig(positive=g * base_w2, negative=base_w2) for g in ratios]
+    counts = dict.fromkeys(ratios, ConfusionCounts())
+    unconverged = dict.fromkeys(ratios, 0)
+    for train_idx, test_idx in _stratified_folds(data, v, seed):
+        path = _sweep_fold(
+            data.subset(train_idx), data.subset(test_idx), penalties, feature_config,
+            kernel, tol=tol, max_passes=max_passes, seed=seed,
         )
-        report = cross_validate(data, learner, v, seed, feature_config)
-        rows.append(SweepRow(gamma, report.pooled))
-    return SweepReport(tuple(rows))
+        for gamma, (fold_counts, converged) in zip(ratios, path):
+            counts[gamma] = counts[gamma] + fold_counts
+            unconverged[gamma] += not converged
+    return SweepReport(tuple(SweepRow(g, counts[g], unconverged[g]) for g in grid))
+
+
+def _sweep_fold(train, test, penalties, feature_config, kernel, **fit_options):
+    """``(counts on test, converged)`` for each penalty pair, in order, fitted
+    on ``train`` with each fit warm-started from the one before.  The fold's
+    Gram lives only in this call, so a sweep never holds two."""
+    params = fit_normalization(train, feature_config)
+    X = featurize(params, train)
+    X_test = featurize(params, test)
+    labels = np.where(train.exploded, 1.0, -1.0)
+    spec = kernel.resolved(X.shape[1])
+    K = kernel_matrix(spec, X)
+    alpha = None
+    path = []
+    for pair in penalties:
+        model = fit_svm(X, labels, spec, pair, normalization=params,
+                        init_alpha=alpha, gram=K, **fit_options)
+        alpha = model.alpha
+        predicted = model.predict(X_test) == 1
+        path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))
+    return path
 
 
 def choose_ratio(report: SweepReport) -> float:
@@ -407,18 +456,6 @@ def sweep_tsv(report: SweepReport) -> str:
     for r in report.rows:
         lines.append(
             f"{r.gamma!r}\t{r.type1_rate!r}\t{r.type2_rate!r}\t{r.whole_error_rate!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(report: SweepReport) -> str:
-    """CSV with raw counts alongside the three error rates."""
-    lines = ["gamma,tp,fp,tn,fn,type1,type2,whole"]
-    for r in report.rows:
-        c = r.counts
-        lines.append(
-            f"{r.gamma!r},{c.tp},{c.fp},{c.tn},{c.fn},"
-            f"{r.type1_rate!r},{r.type2_rate!r},{r.whole_error_rate!r}"
         )
     return "\n".join(lines) + "\n"
 

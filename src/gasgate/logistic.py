@@ -130,10 +130,14 @@ def fit_logistic(
     Each iteration solves the regularized normal equations and halves the
     step until the objective improves; if the Hessian solve fails the step
     falls back to plain gradient ascent.  Stops when the gradient norm is
-    at most ``tol``; hitting ``max_iter`` returns the best iterate flagged
-    ``converged=False``.  Coefficients passing norm 1e3 raise (ridge == 0)
-    or warn (ridge > 0), since that scale signals class separation rather
-    than a meaningful fit.
+    at most ``tol``, or when no step improves the objective in float64.  The
+    log-likelihood is a sum over n rows, so on large corpora its rounding
+    stops the line search before the gradient reaches an absolute ``tol``;
+    such a stall counts as converged when the gradient per row,
+    ||gradient|| / n, is at most ``tol``.  Hitting ``max_iter`` returns the
+    best iterate flagged ``converged=False``.  Coefficients passing norm 1e3
+    raise (ridge == 0) or warn (ridge > 0), since that scale signals class
+    separation rather than a meaningful fit.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float)
@@ -185,6 +189,7 @@ def fit_logistic(
                 break
             t *= 0.5
         if not improved:
+            converged = bool(np.linalg.norm(grad) <= tol * n)
             break
         if np.linalg.norm(beta) > SEPARATION_NORM:
             if ridge == 0:

@@ -53,8 +53,9 @@ class SvmModel:
 
     ``dual_coef[k]`` is alpha_k * y_k, so its sign encodes the support
     vector's class.  ``support_indices`` point back into the training set;
-    they and ``objective_trace`` are diagnostics, not part of the
-    serialized form.
+    they, ``objective_trace`` and ``alpha`` (the multipliers of every
+    training sample, zeros included, which can warm-start a refit) are
+    diagnostics, not part of the serialized form.
     """
 
     support_vectors: np.ndarray
@@ -66,6 +67,7 @@ class SvmModel:
     converged: bool = True
     support_indices: np.ndarray | None = None
     objective_trace: np.ndarray | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         sv = np.atleast_2d(np.asarray(self.support_vectors, dtype=float))
@@ -120,6 +122,9 @@ def fit_svm(
     max_passes: int = 1000,
     seed: int = 0,
     normalization: NormalizationParams | None = None,
+    *,
+    init_alpha: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
 ) -> SvmModel:
     """Train on (features, +/-1 labels) by SMO.
 
@@ -131,8 +136,16 @@ def fit_svm(
     violating partner for the indefinite sigmoid kernel; a stalled pair
     falls back to the maximal violating pair, then to nearby candidates.
     Exact ties are broken by a jitter drawn from ``seed``, so refits are
-    reproducible.  ``objective_trace`` holds the dual objective after each
-    update, accumulated from the closed-form gain of each step.
+    reproducible.  ``objective_trace`` holds the dual objective of the
+    starting point and then after each update, accumulated from the
+    closed-form gain of each step.
+
+    ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
+    0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
+    previous fit's ``alpha`` qualifies when only the caps have grown, as
+    along a rising penalty ratio.  ``gram`` supplies the precomputed n x n
+    ``kernel_matrix`` of ``features`` under ``kernel`` so refits on the same
+    rows skip the Gram build.  Malformed values raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -149,7 +162,12 @@ def fit_svm(
 
     n = X.shape[0]
     spec = kernel.resolved(X.shape[1])
-    K = kernel_matrix(spec, X)
+    if gram is None:
+        K = kernel_matrix(spec, X)
+    else:
+        K = np.asarray(gram, dtype=float)
+        if K.shape != (n, n):
+            raise ValueError(f"gram must be {n} x {n}, got shape {K.shape}")
     diag = K.diagonal().copy()
     caps = np.where(y > 0, penalties.positive, penalties.negative)
     # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
@@ -159,8 +177,16 @@ def fit_svm(
     # selection would steer it to a different local optimum.
     second_order = spec.kind != "sigmoid"
 
-    alpha = np.zeros(n)
-    F = -y  # gradient u - y, with u the decision values without bias
+    if init_alpha is None:
+        alpha = np.zeros(n)
+        F = -y  # gradient u - y, with u the decision values without bias
+        objective = 0.0
+    else:
+        alpha = _feasible_start(init_alpha, y, caps)
+        coef = alpha * y
+        u = K @ coef
+        F = u - y
+        objective = float(alpha.sum() - 0.5 * coef @ u)
     # F + jitter restricted to the low / up index sets; non-members are
     # pinned at -inf / +inf, which adding a finite step leaves in place.
     up, low = _index_sets(alpha, y, caps)
@@ -168,7 +194,6 @@ def fit_svm(
     g_up = np.where(up, F + jitter, np.inf)
     delta = np.empty(n)
     scratch = np.empty(n)
-    objective = 0.0
     trace = [objective]
 
     def second_order_j(i: int) -> int:
@@ -282,7 +307,22 @@ def fit_svm(
         converged=converged,
         support_indices=np.flatnonzero(keep),
         objective_trace=np.array(trace),
+        alpha=alpha,
     )
+
+
+def _feasible_start(init_alpha, y, caps) -> np.ndarray:
+    """A copy of ``init_alpha`` checked against the dual constraints and
+    clipped into the box; rounding-level excursions are tolerated."""
+    alpha = np.array(init_alpha, dtype=float)
+    if alpha.shape != y.shape:
+        raise ValueError(f"init_alpha must have shape {y.shape}, got {alpha.shape}")
+    slack = 1e-12 * caps
+    if not ((alpha >= -slack) & (alpha <= caps + slack)).all():
+        raise ValueError("init_alpha violates 0 <= alpha <= C")
+    if not abs(alpha @ y) <= 1e-9 * caps.sum():
+        raise ValueError(f"init_alpha violates sum(alpha * y) = 0 (got {alpha @ y:.3g})")
+    return np.clip(alpha, 0.0, caps, out=alpha)
 
 
 def _pair_gain(dj, yj, Fi, Fj, eta):

@@ -6,6 +6,8 @@ import pytest
 
 from gasgate.cli import main
 from gasgate.data import Dataset, GasSample, load_csv, write_csv
+from gasgate.evaluate import choose_ratio, penalty_sweep, sweep_text
+from gasgate.kernels import KernelSpec
 from gasgate.logistic import LogisticModel
 from gasgate.model_io import load_model, save_model
 from gasgate.svm import SvmModel
@@ -274,6 +276,19 @@ class TestCv:
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("repeats", ["1", "2"])
+    def test_unconverged_folds_warn_on_stderr_only(self, corpus_csv, capsys, repeats):
+        base = ["cv", "--model", "svm", "--gamma", "0.5", "--data", str(corpus_csv),
+                "--folds", "4", "--repeats", repeats]
+        assert main(base) == 0
+        assert capsys.readouterr().err == ""
+        assert main(base + ["--max-passes", "1"]) == 0
+        stunted = capsys.readouterr()
+        assert stunted.err.count("\n") == 1
+        assert stunted.err.startswith("warning: ")
+        assert f"of {4 * int(repeats)} fold fits did not converge" in stunted.err
+        assert "warning" not in stunted.out
+
     def test_bad_fold_count(self, corpus_csv):
         rc = main(["cv", "--model", "lr", "--data", str(corpus_csv), "--folds", "1"])
         assert rc == 1
@@ -293,6 +308,23 @@ class TestSweep:
         assert lines[0] == "gamma\ttype1\ttype2\twhole"
         assert len(lines) == 3
         assert lines[1].split("\t")[0] == "1.0"
+
+    def test_unconverged_fits_warn_on_stderr_only(self, corpus_csv, capsys):
+        base = ["sweep", "--data", str(corpus_csv), "--grid", "1,8", "--folds", "4",
+                "--gamma", "0.5", "--base-w2", "10"]
+        assert main(base) == 0
+        converged = capsys.readouterr()
+        assert converged.err == ""
+        assert main(base + ["--max-passes", "1"]) == 0
+        stunted = capsys.readouterr()
+        assert stunted.err.count("\n") == 1
+        assert stunted.err.startswith("warning: ")
+        assert "fold fits hit --max-passes" in stunted.err
+        assert "ratio 1.0: " in stunted.err
+        # stdout is the report alone, exactly as rendered by the library
+        report = penalty_sweep(load_csv(corpus_csv), KernelSpec("rbf", gamma=0.5),
+                               base_w2=10.0, gamma_grid=(1.0, 8.0), v=4, max_passes=1)
+        assert stunted.out == sweep_text(report) + f"chosen gamma: {choose_ratio(report)!r}\n"
 
     def test_ratios_below_one_rejected(self, corpus_csv):
         assert main(["sweep", "--data", str(corpus_csv), "--grid", "0.5,2"]) == 1

@@ -24,12 +24,12 @@ from gasgate.evaluate import (
     repeated_cv,
     stratified_kfold_indices,
     summarize_repeats,
-    sweep_csv,
     sweep_text,
     sweep_tsv,
 )
 from gasgate.kernels import KernelSpec
 from gasgate.svm import PenaltyConfig
+from gasgate.synth import default_region, generate
 
 
 def counts_with_accuracy(correct: int, wrong: int) -> ConfusionCounts:
@@ -261,6 +261,12 @@ class TestCrossValidate:
         assert mean == pytest.approx(np.mean(means))
         assert spread == pytest.approx(np.std(means, ddof=1))
 
+    def test_unconverged_folds_are_counted(self, small_corpus):
+        kernel = KernelSpec("rbf", gamma=0.5)
+        stunted = cross_validate(small_corpus, SvmLearner(kernel, max_passes=1), v=4)
+        assert 0 < stunted.unconverged <= 4
+        assert cross_validate(small_corpus, SvmLearner(kernel), v=4).unconverged == 0
+
     def test_bad_repeats(self, small_corpus):
         with pytest.raises(ValueError, match="repeats"):
             repeated_cv(small_corpus, LogisticLearner(), repeats=0)
@@ -330,6 +336,54 @@ class TestPenaltySweep:
         with pytest.raises(ValueError):
             penalty_sweep(small_corpus, **kw)
 
+    # The warm-started path must agree with the cold reference: one
+    # cross_validate per ratio, every fit from alpha = 0 on its own Gram.
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_cold_reference_on_acceptance_corpora(self, seed):
+        data = generate(default_region(), n=200, seed=seed, noise=0.10)
+        warm = penalty_sweep(data, seed=seed)
+        cold = cold_sweep(data, KernelSpec(), DEFAULT_GAMMA_GRID, seed=seed)
+        assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
+        assert choose_ratio(warm) == choose_ratio(cold)
+
+    def test_matches_cold_reference_on_benchmark_corpus(self):
+        # the sweep workload's corpus: 500 rows, generator seed 3, 5 % noise
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        kernel = KernelSpec("rbf", gamma=0.5)
+        warm = penalty_sweep(data, kernel)
+        cold = cold_sweep(data, kernel, DEFAULT_GAMMA_GRID)
+        assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
+        assert choose_ratio(warm) == choose_ratio(cold)
+
+    def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
+        kernel = KernelSpec("rbf", gamma=0.5)
+        grid = (20.0, 1.0, 60.0, 1.0, 5.0)
+        report = penalty_sweep(small_corpus, kernel, gamma_grid=grid, v=4)
+        cold = cold_sweep(small_corpus, kernel, grid, v=4)
+        assert [r.gamma for r in report.rows] == list(grid)
+        assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
+
+    def test_unconverged_fits_are_counted(self, small_corpus):
+        kernel = KernelSpec("rbf", gamma=0.5)
+        stunted = penalty_sweep(
+            small_corpus, kernel, base_w2=10.0, gamma_grid=(1.0, 8.0, 1.0), v=4,
+            max_passes=1,
+        )
+        assert 0 < stunted.rows[0].unconverged <= 4
+        assert stunted.rows[2].unconverged == stunted.rows[0].unconverged
+        full = penalty_sweep(small_corpus, kernel, gamma_grid=(1.0, 8.0), v=4)
+        assert [r.unconverged for r in full.rows] == [0, 0]
+
+
+def cold_sweep(data, kernel, grid, seed=0, v=DEFAULT_FOLDS):
+    """Reference sweep from independent cold fits: cross_validate per ratio."""
+    rows = []
+    for gamma in grid:
+        learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(gamma, 1.0), seed=seed)
+        rows.append(SweepRow(gamma, cross_validate(data, learner, v, seed).pooled))
+    return SweepReport(tuple(rows))
+
 
 def sweep_from_error_counts(spec):
     """spec: iterable of (gamma, fn, fp) over a denominator of 100."""
@@ -377,11 +431,6 @@ class TestEmitters:
         assert float(t1) == 0.02 and float(t2) == 0.04
         assert float(whole) == pytest.approx(0.06)
         assert text.endswith("\n")
-
-    def test_sweep_csv_carries_raw_counts(self):
-        lines = sweep_csv(self.SWEEP).splitlines()
-        assert lines[0] == "gamma,tp,fp,tn,fn,type1,type2,whole"
-        assert lines[1].split(",")[:5] == ["1.0", "58", "4", "36", "2"]
 
     def test_cv_csv_round_trips_the_summary(self):
         lines = cv_report_csv(self.REPORT).splitlines()

@@ -170,8 +170,10 @@ class TestFit:
         assert not stunted.converged
 
     def test_line_search_never_reevaluates_the_current_iterate(self, monkeypatch):
-        # 2000 noisy rows with ridge 0.1 end unconverged: the Newton step
-        # shrinks below the rounding of beta before the gradient reaches tol
+        # On 2000 noisy rows with ridge 0.1 the Newton step shrinks below the
+        # rounding of beta before the gradient reaches tol, which drives the
+        # line search to its stall; a tol beyond float64's reach even per row
+        # leaves that stall unconverged
         data = generate(default_region(), n=2000, seed=1, noise=0.05)
         X = featurize(fit_normalization(data), data)
         evaluated = []
@@ -182,7 +184,7 @@ class TestFit:
             return value
 
         monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", recording)
-        model = fit_logistic(X, data.exploded.astype(float), ridge=0.1)
+        model = fit_logistic(X, data.exploded.astype(float), ridge=0.1, tol=1e-15)
         assert not model.converged
         # replay the accept rule: a candidate becomes the iterate iff it improves
         current, best = evaluated[0]
@@ -191,6 +193,18 @@ class TestFit:
             if value > best:
                 current, best = candidate, value
         assert np.array_equal(current, model.beta)
+
+    @pytest.mark.parametrize("n", [2000, 50_000])
+    def test_large_corpora_converge_at_the_default_tol(self, n):
+        # float64 line searches stall with the absolute gradient near 6e-8
+        # (2000 rows) and 2e-5 (50k rows), above an absolute 1e-8
+        data = generate(default_region(), n=n, seed=1, noise=0.05)
+        X = featurize(fit_normalization(data), data)
+        y = data.exploded.astype(float)
+        model = fit_logistic(X, y, ridge=0.1)
+        assert model.converged
+        assert np.linalg.norm(model.gradient(X, y)) <= 1e-8 * n
+        assert not fit_logistic(X, y, ridge=0.1, max_iter=1).converged
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):

@@ -192,6 +192,69 @@ class TestStructure:
         assert model.normalization is params
 
 
+class TestWarmStart:
+    """SMO restarted from given multipliers (``init_alpha``) on a given Gram."""
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, SIGMOID], ids=lambda k: k.kind)
+    def test_restart_from_own_optimum_makes_no_update(self, kernel, rng):
+        X, y = random_two_class_problem(rng, n_range=(30, 60))
+        model = fit(X, y, kernel, pos=3.0, neg=2.0)
+        again = fit(X, y, kernel, pos=3.0, neg=2.0, init_alpha=model.alpha,
+                    gram=kernel_matrix(model.kernel, X))
+        assert model.converged and again.converged
+        assert len(again.objective_trace) == 1
+        assert again.dual_objective() == model.dual_objective()
+        assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
+    def test_warm_fit_reaches_the_cold_objective(self, kernel, rng):
+        # raising the positive cap keeps the lower ratio's optimum feasible
+        for _ in range(4):
+            X, y = random_two_class_problem(rng, n_range=(30, 60))
+            low = fit(X, y, kernel, pos=1.0, neg=1.0)
+            cold = fit(X, y, kernel, pos=8.0, neg=1.0)
+            warm = fit(X, y, kernel, pos=8.0, neg=1.0, init_alpha=low.alpha)
+            assert cold.converged and warm.converged
+            assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
+
+    def test_supplied_gram_gives_the_same_fit(self, rng):
+        X, y = random_two_class_problem(rng, n_range=(30, 60))
+        built = fit(X, y, RBF)
+        given = fit(X, y, RBF, gram=kernel_matrix(RBF, X))
+        assert np.array_equal(built.alpha, given.alpha)
+        assert built.bias == given.bias
+
+    # caps: negative 1, positive 2; labels (-1, +1, +1)
+    X3 = np.array([[-1.0], [0.0], [1.0]])
+    Y3 = np.array([-1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            [0.0, 1e-3, -1e-3],  # below zero
+            [1.5, 1.0, 0.5],  # above the negative cap
+            [0.5, 0.0, 0.0],  # sum(alpha * y) != 0
+            [0.5, 0.5],  # wrong length
+            [np.nan, 0.0, 0.0],
+        ],
+    )
+    def test_infeasible_init_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="init_alpha"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha))
+
+    def test_rounding_excursions_are_clipped(self):
+        # 1e-13 below zero is tolerated and clipped to (0.5, 0.5, 0), whose
+        # linear-kernel dual objective is exactly 1 - 1/8
+        model = fit(self.X3, self.Y3, pos=2.0, neg=1.0,
+                    init_alpha=np.array([0.5, 0.5, -1e-13]))
+        assert model.objective_trace[0] == 0.875
+        assert model.alpha.min() >= 0.0
+
+    def test_misshapen_gram_rejected(self):
+        with pytest.raises(ValueError, match="gram"):
+            fit(self.X3, self.Y3, gram=np.eye(2))
+
+
 class TestValidation:
     def test_single_class_rejected(self):
         X = np.array([[0.0], [1.0]])
