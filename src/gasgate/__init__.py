@@ -49,7 +49,7 @@ from .evaluate import (
     repeated_cv,
     stratified_kfold_indices,
 )
-from .kernels import KERNEL_KINDS, KernelSpec, kernel_eval, kernel_matrix
+from .kernels import KERNEL_KINDS, KernelRows, KernelSpec, kernel_matrix
 from .logistic import (
     ExplosionInterval,
     LogisticModel,
@@ -77,6 +77,7 @@ __all__ = [
     "GenerationError",
     "IntervalSolverError",
     "KERNEL_KINDS",
+    "KernelRows",
     "KernelSpec",
     "LogisticLearner",
     "LogisticModel",
@@ -102,7 +103,6 @@ __all__ = [
     "fit_normalization",
     "fit_svm",
     "generate",
-    "kernel_eval",
     "kernel_matrix",
     "kfold_indices",
     "load_csv",

@@ -46,7 +46,7 @@ from .evaluate import (
 from .kernels import KERNEL_KINDS, KernelSpec
 from .logistic import LogisticModel, explosion_interval, intervals_csv, sigmoid
 from .model_io import load_model, save_model
-from .svm import PenaltyConfig, SvmModel
+from .svm import DEFAULT_CACHE_MB, PenaltyConfig, SvmModel
 from .synth import default_region, generate
 
 SEED_ENV = "GASGATE_SEED"
@@ -92,6 +92,8 @@ def build_parser() -> _Parser:
         p.add_argument("--penalty-negative", type=float, default=10.0,
                        help="slack cost for safe samples")
         p.add_argument("--max-passes", type=int, default=1000)
+        p.add_argument("--cache-mb", type=float, default=DEFAULT_CACHE_MB,
+                       help="memory for cached kernel rows, in MiB (default %(default)g)")
 
     def add_lr_flags(p):
         p.add_argument("--ridge", type=float, default=1e-6)
@@ -320,12 +322,14 @@ def _svm_learner(args, seed) -> SvmLearner:
     tol = 1e-3 if args.tol is None else args.tol
     _check(args, tol > 0, "--tol must be positive")
     _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
+    _check(args, args.cache_mb > 0, "--cache-mb must be positive")
     return SvmLearner(
         kernel=_kernel_spec(args),
         penalties=_penalties(args),
         tol=tol,
         max_passes=args.max_passes,
         seed=seed,
+        cache_mb=args.cache_mb,
     )
 
 
@@ -473,6 +477,7 @@ def cmd_sweep(args) -> int:
     tol = 1e-3 if args.tol is None else args.tol
     _check(args, tol > 0, "--tol must be positive")
     _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
+    _check(args, args.cache_mb > 0, "--cache-mb must be positive")
     data = load_csv(args.data)
     report = penalty_sweep(
         data,
@@ -484,6 +489,7 @@ def cmd_sweep(args) -> int:
         tol=tol,
         max_passes=args.max_passes,
         feature_config=_feature_config(args),
+        cache_mb=args.cache_mb,
     )
     stalled = {r.gamma: r.unconverged for r in report.rows if r.unconverged}
     if stalled:

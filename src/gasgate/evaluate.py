@@ -15,9 +15,9 @@ import numpy as np
 
 from .data import Dataset, FeatureConfig, featurize, fit_normalization
 from .errors import SingleClassError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelRows, KernelSpec
 from .logistic import fit_logistic
-from .svm import PenaltyConfig, fit_svm
+from .svm import DEFAULT_CACHE_MB, PenaltyConfig, fit_svm
 
 DEFAULT_FOLDS = 5
 DEFAULT_REPEATS = 10
@@ -185,6 +185,7 @@ class SvmLearner:
     tol: float = 1e-3
     max_passes: int = 1000
     seed: int = 0
+    cache_mb: float = DEFAULT_CACHE_MB
 
     kind = "svm"
 
@@ -199,6 +200,7 @@ class SvmLearner:
             max_passes=self.max_passes,
             seed=self.seed,
             normalization=normalization,
+            cache_mb=self.cache_mb,
         )
 
     def predict_exploded(self, model, features) -> np.ndarray:
@@ -356,6 +358,7 @@ def penalty_sweep(
     tol: float = 1e-3,
     max_passes: int = 1000,
     feature_config: FeatureConfig = FeatureConfig(),
+    cache_mb: float = DEFAULT_CACHE_MB,
 ) -> SweepReport:
     """Cross-validate the SVM at each penalty ratio in ``gamma_grid``.
 
@@ -365,12 +368,12 @@ def penalty_sweep(
     the order of ``gamma_grid``, repeats included.
 
     The folds are those of ``cross_validate`` with the same seed.  Within a
-    fold the ratios are solved as a path (Hastie et al. 2004): normalization,
-    features and the Gram are computed once, and the distinct ratios are
-    fitted in ascending order, each starting SMO from the previous ratio's
-    multipliers.  Raising the ratio only raises the positive-class cap, so
-    that start is feasible, and every fit still stops at the same KKT
-    tolerance ``tol`` as a cold one.
+    fold the ratios are solved as a path (Hastie et al. 2004): normalization
+    and features are computed once, one kernel-row cache of ``cache_mb`` MiB
+    serves every ratio, and the distinct ratios are fitted in ascending
+    order, each starting SMO from the previous ratio's multipliers.  Raising
+    the ratio only raises the positive-class cap, so that start is feasible,
+    and every fit still stops at the same KKT tolerance ``tol`` as a cold one.
     """
     grid = [float(g) for g in gamma_grid]
     if not grid:
@@ -386,7 +389,7 @@ def penalty_sweep(
     for train_idx, test_idx in _stratified_folds(data, v, seed):
         path = _sweep_fold(
             data.subset(train_idx), data.subset(test_idx), penalties, feature_config,
-            kernel, tol=tol, max_passes=max_passes, seed=seed,
+            kernel, cache_mb, tol=tol, max_passes=max_passes, seed=seed,
         )
         for gamma, (fold_counts, converged) in zip(ratios, path):
             counts[gamma] = counts[gamma] + fold_counts
@@ -394,21 +397,21 @@ def penalty_sweep(
     return SweepReport(tuple(SweepRow(g, counts[g], unconverged[g]) for g in grid))
 
 
-def _sweep_fold(train, test, penalties, feature_config, kernel, **fit_options):
+def _sweep_fold(train, test, penalties, feature_config, kernel, cache_mb, **fit_options):
     """``(counts on test, converged)`` for each penalty pair, in order, fitted
     on ``train`` with each fit warm-started from the one before.  The fold's
-    Gram lives only in this call, so a sweep never holds two."""
+    kernel-row cache lives only in this call, so a sweep never holds two."""
     params = fit_normalization(train, feature_config)
     X = featurize(params, train)
     X_test = featurize(params, test)
     labels = np.where(train.exploded, 1.0, -1.0)
     spec = kernel.resolved(X.shape[1])
-    K = kernel_matrix(spec, X)
+    cache = KernelRows(spec, X, cache_mb * 2**20)
     alpha = None
     path = []
     for pair in penalties:
         model = fit_svm(X, labels, spec, pair, normalization=params,
-                        init_alpha=alpha, gram=K, **fit_options)
+                        init_alpha=alpha, cache=cache, **fit_options)
         alpha = model.alpha
         predicted = model.predict(X_test) == 1
         path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))

@@ -2,15 +2,26 @@
 
 Four standard kernels: linear, polynomial, radial basis function and sigmoid.
 ``gamma=None`` means "resolve to 1 / n_features at fit time".
+
+Kernel values are built feature by feature from elementwise NumPy
+operations, so each value depends only on its two arguments.  A BLAS matrix
+product is faster but rounds an entry differently depending on the shape of
+the product and on where the entry sits in it.  The solver computes Gram
+rows one at a time (``KernelRows``) and the models score in blocks, and both
+must give the same bits whichever rows are computed or scored together.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+
+#: bytes of kernel rows gathered for one matrix-vector product in ``KernelRows.dot``
+_DOT_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -46,40 +57,129 @@ class KernelSpec:
         return self
 
 
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Kernel value for a single pair of feature vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
-
-
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix K[i, j] = k(A[i], B[j]); B defaults to A."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    _check_resolved(spec)
+    out = np.empty((A.shape[0], B.shape[0]))
+    return _evaluate(spec, A.T[:, :, None], np.ascontiguousarray(B.T), out)
+
+
+def _check_resolved(spec: KernelSpec) -> None:
     if spec.uses_gamma and spec.gamma is None:
         raise ValueError("gamma is unresolved; call KernelSpec.resolved() first")
 
-    # Every kernel is an elementwise map of A @ B.T; apply it in place so the
-    # Gram never needs a second n x m temporary.
-    G = A @ B.T
+
+def _evaluate(spec: KernelSpec, a_cols, b_cols, out: np.ndarray) -> np.ndarray:
+    """Kernel values from per-feature operands, written into ``out``.
+
+    ``a_cols[k]`` and ``b_cols[k]`` hold feature k of the left and right
+    arguments and broadcast to ``out.shape``: (m, 1) against (n,) gives an
+    m x n matrix, (n,) against (n,) the values of n pairs.  Every value goes
+    through the same sequence of elementwise operations either way.
+    """
+    term = np.empty_like(out) if len(a_cols) > 1 else None
+    for k, (a, b) in enumerate(zip(a_cols, b_cols)):
+        dest = out if k == 0 else term
+        if spec.kind == "rbf":
+            np.subtract(a, b, out=dest)
+            dest *= dest
+        else:
+            np.multiply(a, b, out=dest)
+        if k:
+            out += term
     if spec.kind == "linear":
-        return G
+        return out
     if spec.kind == "rbf":
-        # squared distances via the expansion ||a-b||^2 = a.a + b.b - 2 a.b
-        G *= -2.0
-        G += (A * A).sum(axis=1)[:, None]
-        G += (B * B).sum(axis=1)[None, :]
-        np.maximum(G, 0.0, out=G)
-        G *= -spec.gamma
-        return np.exp(G, out=G)
-    G *= spec.gamma
-    G += spec.coef0
+        out *= -spec.gamma
+        return np.exp(out, out=out)
+    out *= spec.gamma
+    out += spec.coef0
     if spec.kind == "sigmoid":
-        return np.tanh(G, out=G)
-    G **= spec.degree
-    return G
+        return np.tanh(out, out=out)
+    out **= spec.degree
+    return out
+
+
+class KernelRows:
+    """Rows of the Gram matrix of ``X``, each computed when first read.
+
+    Rows live in one preallocated slab of ``capacity`` rows: as many as
+    ``budget_bytes`` holds, at least two and at most n.  Once the slab is
+    full, the least recently read row gives up its slot.  Slab pages never
+    written are never resident, so memory is O(budget + n) and a budget that
+    exceeds the rows actually read costs nothing.  A row returned by ``row``
+    stays valid until ``capacity - 1`` other rows have been read.
+
+    ``diagonal`` holds k(x_i, x_i) for every sample, bitwise equal to the
+    same entry of the sample's row.
+    """
+
+    def __init__(self, spec: KernelSpec, X: np.ndarray, budget_bytes: float):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        _check_resolved(spec)
+        if not budget_bytes > 0:
+            raise ValueError(f"cache budget must be positive, got {budget_bytes} bytes")
+        n = X.shape[0]
+        self.spec = spec
+        self.X = X
+        self._cols = tuple(np.ascontiguousarray(X.T))
+        self.capacity = int(min(n, max(2, budget_bytes // (8 * n))))
+        self._slab = np.empty((self.capacity, n))
+        self._slot_of = np.full(n, -1, dtype=np.intp)
+        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest read first
+        self.rows_computed = 0
+        self.diagonal = _evaluate(spec, self._cols, self._cols, np.empty(n))
+
+    @property
+    def rows_held(self) -> int:
+        return len(self._rows)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i of the Gram matrix, a view into the slab."""
+        view = self._rows.get(i)
+        if view is not None:
+            self._rows.move_to_end(i)
+            return view
+        if len(self._rows) < self.capacity:
+            slot = len(self._rows)
+            view = self._slab[slot]
+        else:
+            victim, view = self._rows.popitem(last=False)
+            slot = self._slot_of[victim]
+            self._slot_of[victim] = -1
+        self.rows_computed += 1
+        _evaluate(self.spec, self.X[i], self._cols, view)
+        self._slot_of[i] = slot
+        self._rows[i] = view
+        return view
+
+    def dot(self, coef: np.ndarray) -> np.ndarray:
+        """``coef @ K``, summed over the rows whose coefficient is non-zero.
+
+        The rows are taken in sample order, a fixed number per
+        matrix-vector product, so the rounding does not depend on which rows
+        the slab holds.  Rows it lacks are computed for the sum, one call
+        per block, and not kept.
+        """
+        coef = np.asarray(coef, dtype=float)
+        n = self.X.shape[0]
+        nonzero = np.flatnonzero(coef)
+        step = max(1, _DOT_BLOCK_BYTES // (8 * n))
+        u = np.zeros(n)
+        for start in range(0, len(nonzero), step):
+            idx = nonzero[start:start + step]
+            slots = self._slot_of[idx]
+            held = slots >= 0
+            block = np.empty((len(idx), n))
+            block[held] = self._slab[slots[held]]
+            if not held.all():
+                missing = idx[~held]
+                self.rows_computed += len(missing)
+                block[~held] = _evaluate(self.spec, self.X[missing].T[:, :, None],
+                                         self._cols, np.empty((len(missing), n)))
+            u += coef[idx] @ block
+        return u

@@ -14,6 +14,11 @@ violating partner.  The box cap C_i depends on the sample's class:
 violations by explosion-labeled samples cost ``penalties.positive``, the
 rest ``penalties.negative``, which is how the asymmetric slack costs of
 cost-sensitive training enter the dual.
+
+No n x n Gram matrix is ever formed: SMO reads kernel rows from a
+``KernelRows`` cache under a byte budget (Chang & Lin 2011, LIBSVM section
+4), and scoring works through the rows in blocks, so memory is
+O(budget + n) in training and bounded in prediction.
 """
 
 from __future__ import annotations
@@ -24,7 +29,12 @@ import numpy as np
 
 from .data import NormalizationParams
 from .errors import GasgateError, SingleClassError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelRows, KernelSpec, kernel_matrix
+
+#: default budget of the kernel-row cache a fit builds, in MiB
+DEFAULT_CACHE_MB = 256.0
+#: kernel bytes ``SvmModel.decision_values`` holds at once
+_SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -88,10 +98,22 @@ class SvmModel:
         return self.support_vectors.shape[1]
 
     def decision_values(self, X) -> np.ndarray:
-        """sum_k dual_coef[k] * K(sv_k, x) + bias for each row of X."""
+        """sum_k dual_coef[k] * K(sv_k, x) + bias for each row of X.
+
+        Rows are scored in blocks whose kernel takes a few MB, so memory
+        does not grow with the row count; a row's score does not depend on
+        the rows scored with it.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = kernel_matrix(self.kernel, X, self.support_vectors)
-        return K @ self.dual_coef + self.bias
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self.dual_coef)))
+        scores = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], step):
+            K = kernel_matrix(self.kernel, X[start:start + step], self.support_vectors)
+            # einsum sums each row alone; BLAS matrix-vector products round
+            # a row differently depending on its place in the block
+            scores[start:start + step] = np.einsum("ij,j->i", K, self.dual_coef)
+        scores += self.bias
+        return scores
 
     def decision_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -123,8 +145,9 @@ def fit_svm(
     seed: int = 0,
     normalization: NormalizationParams | None = None,
     *,
+    cache_mb: float = DEFAULT_CACHE_MB,
     init_alpha: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
+    cache: KernelRows | None = None,
 ) -> SvmModel:
     """Train on (features, +/-1 labels) by SMO.
 
@@ -140,12 +163,18 @@ def fit_svm(
     starting point and then after each update, accumulated from the
     closed-form gain of each step.
 
+    SMO reads the Gram matrix only row by row, through a ``KernelRows``
+    cache that computes each row when first read and keeps at most
+    ``cache_mb`` MiB of rows, evicting the least recently read; memory is
+    O(cache_mb + n), not O(n^2).  A smaller budget recomputes evicted rows
+    but gives the same fit, bit for bit.  ``cache`` passes in a cache built
+    on these same ``features`` and the resolved ``kernel``, so refits on the
+    same rows reuse the rows already computed; ``cache_mb`` then goes unused.
+
     ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
     0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
     previous fit's ``alpha`` qualifies when only the caps have grown, as
-    along a rising penalty ratio.  ``gram`` supplies the precomputed n x n
-    ``kernel_matrix`` of ``features`` under ``kernel`` so refits on the same
-    rows skip the Gram build.  Malformed values raise ``ValueError``.
+    along a rising penalty ratio.  Malformed values raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -162,13 +191,12 @@ def fit_svm(
 
     n = X.shape[0]
     spec = kernel.resolved(X.shape[1])
-    if gram is None:
-        K = kernel_matrix(spec, X)
-    else:
-        K = np.asarray(gram, dtype=float)
-        if K.shape != (n, n):
-            raise ValueError(f"gram must be {n} x {n}, got shape {K.shape}")
-    diag = K.diagonal().copy()
+    if cache is None:
+        cache = KernelRows(spec, X, cache_mb * 2**20)
+    elif cache.spec != spec or cache.X.shape != X.shape or not np.array_equal(cache.X, X):
+        raise ValueError("cache was built on other features or another kernel")
+    row = cache.row
+    diag = cache.diagonal
     caps = np.where(y > 0, penalties.positive, penalties.negative)
     # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
     # selection order among exactly-tied violators, nothing else.
@@ -184,7 +212,7 @@ def fit_svm(
     else:
         alpha = _feasible_start(init_alpha, y, caps)
         coef = alpha * y
-        u = K @ coef
+        u = cache.dot(coef)
         F = u - y
         objective = float(alpha.sum() - 0.5 * coef @ u)
     # F + jitter restricted to the low / up index sets; non-members are
@@ -202,12 +230,12 @@ def fit_svm(
         np.subtract(g_low[i], g_up, out=delta)
         np.maximum(delta, 0.0, out=delta)
         delta *= delta
-        np.multiply(K[i], -2.0, out=scratch)
+        np.multiply(row(i), -2.0, out=scratch)
         scratch += diag
         scratch += diag[i]
         np.maximum(scratch, 1e-12, out=scratch)
         delta /= scratch
-        return int(np.argmax(delta))
+        return int(delta.argmax())
 
     def take_step(i: int, j: int) -> float | None:
         """Jointly optimize (alpha_i, alpha_j); returns the objective gain,
@@ -223,10 +251,11 @@ def fit_svm(
             lo, hi = max(0.0, ai + aj - caps[i]), min(caps[j], ai + aj)
         if hi - lo < 1e-14:
             return None
-        eta = diag[i] + diag[j] - 2.0 * K[i, j]
+        Ki, Kj = row(i), row(j)
+        eta = diag[i] + diag[j] - 2.0 * Ki[j]
         Fi, Fj = F[i], F[j]
         if eta > 1e-12:
-            aj_new = np.clip(aj + yj * (Fi - Fj) / eta, lo, hi)
+            aj_new = min(max(aj + yj * (Fi - Fj) / eta, lo), hi)
         else:
             # Non-positive curvature (possible for indefinite kernels):
             # the restricted objective is linear or concave-up along the
@@ -240,8 +269,8 @@ def fit_svm(
             return None
         ai_new = ai + yi * yj * (aj - aj_new)
         alpha[i], alpha[j] = ai_new, aj_new
-        np.multiply(K[i], (ai_new - ai) * yi, out=delta)
-        np.multiply(K[j], (aj_new - aj) * yj, out=scratch)
+        np.multiply(Ki, (ai_new - ai) * yi, out=delta)
+        np.multiply(Kj, (aj_new - aj) * yj, out=scratch)
         delta += scratch
         F += delta
         g_low += delta
@@ -256,8 +285,8 @@ def fit_svm(
     max_updates = max_passes * n
     updates = 0
     while updates < max_updates:
-        i = int(np.argmax(g_low))
-        j_min = int(np.argmin(g_up))
+        i = int(g_low.argmax())
+        j_min = int(g_up.argmin())
         if g_low[i] == -np.inf or g_up[j_min] == np.inf:
             converged = True  # one index set is empty
             break
@@ -288,7 +317,7 @@ def fit_svm(
         trace.append(objective)
 
     # One exact recomputation guards against drift in the incremental u.
-    u = (alpha * y) @ K
+    u = cache.dot(alpha * y)
     F = u - y
     bias = _fit_bias(alpha, y, caps, F)
 

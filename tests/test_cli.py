@@ -333,6 +333,32 @@ class TestSweep:
         assert main(["sweep", "--grid", "1,8"]) == 1
 
 
+class TestCacheBudget:
+    """``--cache-mb`` bounds kernel-row memory without changing any output."""
+
+    def test_tiny_budget_gives_identical_outputs(self, corpus_csv, workdir, capsys):
+        outputs = []
+        for budget in ("256", "0.001"):
+            model, report = workdir / f"cache{budget}.json", workdir / f"cache{budget}.tsv"
+            assert main(["train", "--model", "svm", "--gamma", "0.5", "--cache-mb", budget,
+                         "--data", str(corpus_csv), "--out", str(model)]) == 0
+            assert main(["sweep", "--data", str(corpus_csv), "--grid", "1,8", "--folds", "4",
+                         "--gamma", "0.5", "--cache-mb", budget, "--out", str(report)]) == 0
+            outputs.append((model.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "svm", "--out", "never.json"],
+        ["cv", "--model", "svm"],
+        ["sweep"],
+    ], ids=lambda c: c[0])
+    def test_non_positive_budget_rejected(self, corpus_csv, capsys, command, budget):
+        rc = main([*command, "--data", str(corpus_csv), "--cache-mb", budget])
+        assert rc == 1
+        assert "--cache-mb must be positive" in capsys.readouterr().err
+
+
 class TestIntervals:
     def test_fit_and_query(self, span_csv, workdir, capsys):
         out = workdir / "intervals.csv"

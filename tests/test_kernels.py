@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gasgate.kernels import KERNEL_KINDS, KernelSpec, kernel_eval, kernel_matrix
+from gasgate.kernels import KERNEL_KINDS, KernelRows, KernelSpec, kernel_matrix
+
+
+def pair_value(spec, a, b) -> float:
+    """Kernel value of one pair, as a 1 x 1 ``kernel_matrix``."""
+    return float(kernel_matrix(spec, [a], [b])[0, 0])
+
 
 ALL_SPECS = [
     KernelSpec("linear"),
@@ -43,35 +49,35 @@ class TestSpec:
 
     def test_unresolved_gamma_rejected_at_eval(self):
         with pytest.raises(ValueError, match="unresolved"):
-            kernel_eval(KernelSpec("rbf"), [1.0], [2.0])
+            pair_value(KernelSpec("rbf"), [1.0], [2.0])
 
 
 class TestPointValues:
     def test_rbf_identical_points_give_one(self):
         spec = KernelSpec("rbf", gamma=0.5)
-        assert kernel_eval(spec, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+        assert pair_value(spec, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
     def test_rbf_hand_value(self):
         spec = KernelSpec("rbf", gamma=0.5)
-        got = kernel_eval(spec, [0.0, 0.0], [1.0, 1.0])
+        got = pair_value(spec, [0.0, 0.0], [1.0, 1.0])
         assert got == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_linear_dot_product(self):
-        got = kernel_eval(KernelSpec("linear"), [1.0, 2.0, 0.0], [3.0, 4.0, 0.0])
+        got = pair_value(KernelSpec("linear"), [1.0, 2.0, 0.0], [3.0, 4.0, 0.0])
         assert got == 11.0
 
     def test_sigmoid_zero_argument(self):
         spec = KernelSpec("sigmoid", gamma=1.0, coef0=0.0)
-        assert kernel_eval(spec, [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert pair_value(spec, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_polynomial_hand_value(self):
         spec = KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=2)
         # (1*2 + 1)^2 = 9
-        assert kernel_eval(spec, [1.0], [2.0]) == 9.0
+        assert pair_value(spec, [1.0], [2.0]) == 9.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_eval(KernelSpec("linear"), [1.0, 2.0], [1.0])
+            pair_value(KernelSpec("linear"), [1.0, 2.0], [1.0])
 
 
 class TestMatrix:
@@ -83,7 +89,8 @@ class TestMatrix:
         assert K.shape == (5, 4)
         for i in range(5):
             for j in range(4):
-                assert K[i, j] == pytest.approx(kernel_eval(spec, A[i], B[j]), abs=1e-12)
+                # bitwise: a value does not depend on the matrix around it
+                assert K[i, j] == pair_value(spec, A[i], B[j])
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_self_gram_symmetric(self, spec, rng):
@@ -111,6 +118,75 @@ class TestMatrix:
             kernel_matrix(KernelSpec("linear"), rng.normal(size=(3, 2)), rng.normal(size=(3, 4)))
 
 
+def row_bytes(n, rows):
+    return 8 * n * rows
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_rows_and_diagonal_equal_the_gram_bitwise(self, spec, rng):
+        X = rng.normal(size=(9, 3))
+        K = kernel_matrix(spec, X)
+        rows = KernelRows(spec, X, row_bytes(9, 2))
+        assert np.array_equal(rows.diagonal, K.diagonal())
+        for i in (4, 0, 8, 4, 3, 0):
+            assert np.array_equal(rows.row(i), K[i])
+
+    def test_capacity_follows_the_budget(self, rng):
+        X = rng.normal(size=(10, 2))
+        spec = KernelSpec("linear")
+        assert KernelRows(spec, X, row_bytes(10, 3)).capacity == 3
+        assert KernelRows(spec, X, row_bytes(10, 3) + 79).capacity == 3
+        assert KernelRows(spec, X, 1).capacity == 2  # a pair always fits
+        assert KernelRows(spec, X, 1e12).capacity == 10
+
+    def test_least_recently_read_row_is_evicted(self, rng):
+        X = rng.normal(size=(6, 2))
+        spec = KernelSpec("rbf", gamma=0.5)
+        rows = KernelRows(spec, X, row_bytes(6, 2))
+        rows.row(0)
+        rows.row(1)
+        rows.row(0)  # now row 1 is the least recently read
+        rows.row(2)
+        assert rows.rows_computed == 3 and rows.rows_held == 2
+        rows.row(0)
+        assert rows.rows_computed == 3  # still held
+        rows.row(1)
+        assert rows.rows_computed == 4
+        assert np.array_equal(rows.row(1), kernel_matrix(spec, X)[1])
+
+    def test_dot_matches_the_gram_and_ignores_what_is_held(self, rng):
+        X = rng.normal(size=(40, 3))
+        spec = KernelSpec("rbf", gamma=0.5)
+        coef = rng.normal(size=40) * (rng.random(40) < 0.5)
+        full = KernelRows(spec, X, 1e9)
+        for i in range(40):
+            full.row(i)
+        tiny = KernelRows(spec, X, row_bytes(40, 2))
+        tiny.row(3)
+        computed = tiny.rows_computed
+        u = full.dot(coef)
+        assert full.rows_computed == 40  # every row was held
+        assert np.array_equal(tiny.dot(coef), u)
+        assert tiny.rows_computed > computed and tiny.rows_held == 1
+        assert u == pytest.approx(coef @ kernel_matrix(spec, X), rel=1e-12, abs=1e-12)
+
+    def test_dot_sums_across_several_blocks(self, rng, monkeypatch):
+        X = rng.normal(size=(30, 2))
+        spec = KernelSpec("linear")
+        coef = rng.normal(size=30)
+        rows = KernelRows(spec, X, row_bytes(30, 4))
+        one_block = rows.dot(coef)
+        monkeypatch.setattr("gasgate.kernels._DOT_BLOCK_BYTES", row_bytes(30, 7))
+        assert rows.dot(coef) == pytest.approx(one_block, rel=1e-12, abs=1e-12)
+
+    def test_invalid_budget_and_unresolved_gamma(self, rng):
+        X = rng.normal(size=(4, 2))
+        with pytest.raises(ValueError, match="budget"):
+            KernelRows(KernelSpec("linear"), X, 0)
+        with pytest.raises(ValueError, match="unresolved"):
+            KernelRows(KernelSpec("rbf"), X, 1e6)
+
 @given(
     a=hnp.arrays(np.float64, 3, elements=st.floats(-10, 10)),
     b=hnp.arrays(np.float64, 3, elements=st.floats(-10, 10)),
@@ -118,7 +194,7 @@ class TestMatrix:
 @settings(max_examples=50)
 def test_kernels_are_symmetric_in_arguments(a, b):
     for spec in ALL_SPECS:
-        assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a), abs=1e-12)
+        assert pair_value(spec, a, b) == pytest.approx(pair_value(spec, b, a), abs=1e-12)
 
 
 @given(
@@ -129,8 +205,8 @@ def test_kernels_are_symmetric_in_arguments(a, b):
 def test_rbf_is_translation_invariant(a, shift):
     spec = KernelSpec("rbf", gamma=0.3)
     b = a + np.array([1.0, -2.0])
-    assert kernel_eval(spec, a, b) == pytest.approx(
-        kernel_eval(spec, a + shift, b + shift), rel=1e-9, abs=1e-12
+    assert pair_value(spec, a, b) == pytest.approx(
+        pair_value(spec, a + shift, b + shift), rel=1e-9, abs=1e-12
     )
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasgate.errors import GasgateError, SingleClassError
-from gasgate.kernels import KernelSpec, kernel_matrix
+import gasgate as gg
+from gasgate.kernels import KernelRows, KernelSpec, kernel_matrix
 from gasgate.svm import PenaltyConfig, SvmModel, fit_svm
 
 from .support import (
@@ -193,14 +194,13 @@ class TestStructure:
 
 
 class TestWarmStart:
-    """SMO restarted from given multipliers (``init_alpha``) on a given Gram."""
+    """SMO restarted from given multipliers (``init_alpha``) on a shared cache."""
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF, SIGMOID], ids=lambda k: k.kind)
     def test_restart_from_own_optimum_makes_no_update(self, kernel, rng):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
         model = fit(X, y, kernel, pos=3.0, neg=2.0)
-        again = fit(X, y, kernel, pos=3.0, neg=2.0, init_alpha=model.alpha,
-                    gram=kernel_matrix(model.kernel, X))
+        again = fit(X, y, kernel, pos=3.0, neg=2.0, init_alpha=model.alpha)
         assert model.converged and again.converged
         assert len(again.objective_trace) == 1
         assert again.dual_objective() == model.dual_objective()
@@ -217,12 +217,14 @@ class TestWarmStart:
             assert cold.converged and warm.converged
             assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
 
-    def test_supplied_gram_gives_the_same_fit(self, rng):
+    def test_shared_cache_gives_the_same_fit(self, rng):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
-        built = fit(X, y, RBF)
-        given = fit(X, y, RBF, gram=kernel_matrix(RBF, X))
-        assert np.array_equal(built.alpha, given.alpha)
-        assert built.bias == given.bias
+        fresh = fit(X, y, RBF)
+        shared = KernelRows(RBF, X, 1e9)
+        fit(X, y, RBF, pos=1.0, neg=1.0, cache=shared)  # leaves rows behind
+        reused = fit(X, y, RBF, cache=shared)
+        assert np.array_equal(fresh.alpha, reused.alpha)
+        assert fresh.bias == reused.bias
 
     # caps: negative 1, positive 2; labels (-1, +1, +1)
     X3 = np.array([[-1.0], [0.0], [1.0]])
@@ -250,9 +252,106 @@ class TestWarmStart:
         assert model.objective_trace[0] == 0.875
         assert model.alpha.min() >= 0.0
 
-    def test_misshapen_gram_rejected(self):
-        with pytest.raises(ValueError, match="gram"):
-            fit(self.X3, self.Y3, gram=np.eye(2))
+    @pytest.mark.parametrize(
+        "features, kernel",
+        [
+            (X3[:2], LINEAR),
+            (X3 + 1.0, LINEAR),
+            (X3, RBF),
+        ],
+        ids=["other-rows", "other-values", "other-kernel"],
+    )
+    def test_cache_of_other_rows_rejected(self, features, kernel):
+        cache = KernelRows(kernel.resolved(1), features, 1e6)
+        with pytest.raises(ValueError, match="cache"):
+            fit(self.X3, self.Y3, cache=cache)
+
+
+class TestKernelRowCache:
+    """The row cache changes how often rows are computed, never the fit."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        data = gg.generate(gg.default_region(), n=300, seed=5, noise=0.05)
+        X = gg.featurize(gg.fit_normalization(data), data)
+        return X, np.where(data.exploded, 1.0, -1.0)
+
+    @staticmethod
+    def assert_same_fit(a, b):
+        assert np.array_equal(a.alpha, b.alpha)
+        assert a.bias == b.bias
+        assert len(a.objective_trace) == len(b.objective_trace)
+
+    def test_constant_eviction_gives_the_same_rbf_fit(self, corpus):
+        X, y = corpus
+        n = len(y)
+        tiny = KernelRows(RBF, X, 3 * 8 * n)
+        held, read = [], tiny.row
+
+        def checked_read(i):
+            row = read(i)
+            held.append(tiny.rows_held)
+            return row
+
+        tiny.row = checked_read
+        evicting = fit(X, y, RBF, cache=tiny)
+        unbounded = KernelRows(RBF, X, 1e9)
+        self.assert_same_fit(evicting, fit(X, y, RBF, cache=unbounded))
+        assert tiny._slab.shape == (3, n) and max(held) == 3
+        assert tiny.rows_computed > 2 * unbounded.rows_computed
+        # every alpha > 0 was read in some pair, so the final recompute of
+        # the gradient found all its rows held
+        assert unbounded.rows_computed == unbounded.rows_held
+
+    def test_tiny_cache_mb_gives_the_same_fit(self, corpus):
+        X, y = corpus
+        self.assert_same_fit(fit(X, y, RBF, cache_mb=1e-5), fit(X, y, RBF))
+
+    def test_constant_eviction_gives_the_same_warm_path(self, corpus):
+        X, y = corpus
+        n = len(y)
+        paths = []
+        for budget in (2 * 8 * n, 1e9):
+            cache = KernelRows(RBF, X, budget)
+            alpha, path = None, []
+            for ratio in (1.0, 5.0, 20.0):
+                model = fit(X, y, RBF, pos=ratio, neg=1.0, init_alpha=alpha, cache=cache)
+                alpha = model.alpha
+                path.append(model)
+            assert cache.rows_held <= max(2, budget // (8 * n))
+            paths.append(path)
+        for evicting, unbounded in zip(*paths):
+            self.assert_same_fit(evicting, unbounded)
+
+    @pytest.mark.parametrize("cache_mb", [0.0, -1.0])
+    def test_non_positive_budget_rejected(self, corpus, cache_mb):
+        X, y = corpus
+        with pytest.raises(ValueError, match="budget"):
+            fit(X, y, RBF, cache_mb=cache_mb)
+
+
+class TestBlockedScoring:
+    @pytest.fixture(scope="class")
+    def model(self, featurized_small):
+        _, X, exploded = featurized_small
+        return fit(X, np.where(exploded, 1.0, -1.0), RBF)
+
+    @pytest.mark.parametrize("rows", [5, 8, 21], ids=["below", "equal", "non-multiple"])
+    def test_blocked_scores_equal_one_shot(self, model, rows, rng, monkeypatch):
+        X = rng.uniform(-1.0, 1.0, size=(rows, model.n_features))
+        one_shot = model.decision_values(X)  # a single block at the default size
+        n_sv = len(model.dual_coef)
+        monkeypatch.setattr("gasgate.svm._SCORE_BLOCK_BYTES", 8 * 8 * n_sv)  # 8 rows
+        blocks = []
+
+        def recording_kernel(*args):
+            K = kernel_matrix(*args)
+            blocks.append(K.shape[0])
+            return K
+
+        monkeypatch.setattr("gasgate.svm.kernel_matrix", recording_kernel)
+        assert np.array_equal(model.decision_values(X), one_shot)
+        assert max(blocks) <= 8 and sum(blocks) == rows
 
 
 class TestValidation:
