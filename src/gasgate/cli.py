@@ -411,13 +411,12 @@ def cmd_predict(args) -> int:
     else:
         scores = model.decision_values(features)
         labels = np.where(scores >= 0, 1, -1)
-    for i in range(len(data)):
-        row = f"{i + 1},{int(labels[i])}"
-        if is_lr:
-            row += f",{float(probabilities[i])!r}"
-        if args.scores:
-            row += f",{float(scores[i])!r}"
-        lines.append(row)
+    fields = [map(str, range(1, len(data) + 1)), map(str, labels.tolist())]
+    if is_lr:
+        fields.append(map(repr, probabilities.tolist()))
+    if args.scores:
+        fields.append(map(repr, scores.tolist()))
+    lines.extend(map(",".join, zip(*fields)))
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)

@@ -129,13 +129,12 @@ def fit_logistic(
 
     Each iteration solves the regularized normal equations and halves the
     step until the objective improves; if the Hessian solve fails the step
-    falls back to plain gradient ascent.  Stops when the gradient norm is
-    at most ``tol``, or when no step improves the objective in float64.  The
-    log-likelihood is a sum over n rows, so on large corpora its rounding
-    stops the line search before the gradient reaches an absolute ``tol``;
-    such a stall counts as converged when the gradient per row,
-    ||gradient|| / n, is at most ``tol``.  Hitting ``max_iter`` returns the
-    best iterate flagged ``converged=False``.  Coefficients passing norm 1e3
+    falls back to plain gradient ascent.  Converges when the gradient per
+    row, ||gradient|| / n, is at most ``tol``: the log-likelihood is a sum
+    over n rows, so its float64 rounding grows with n and an absolute bound
+    is out of reach on large corpora.  A line search that finds no
+    improving step before that, or hitting ``max_iter``, returns the best
+    iterate flagged ``converged=False``.  Coefficients passing norm 1e3
     raise (ridge == 0) or warn (ridge > 0), since that scale signals class
     separation rather than a meaningful fit.
     """
@@ -165,7 +164,7 @@ def fit_logistic(
         probs = sigmoid(D @ beta)
         grad = D.T @ (y - probs)
         grad -= ridge * mask * beta
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= tol * n:
             converged = True
             break
         w = probs * (1.0 - probs)
@@ -189,7 +188,6 @@ def fit_logistic(
                 break
             t *= 0.5
         if not improved:
-            converged = bool(np.linalg.norm(grad) <= tol * n)
             break
         if np.linalg.norm(beta) > SEPARATION_NORM:
             if ridge == 0:

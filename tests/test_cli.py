@@ -138,6 +138,18 @@ class TestTrain:
         )
         assert rc == 2
 
+    def test_non_utf8_csv_names_its_line(self, workdir, capsys):
+        bad = workdir / "latin.csv"
+        bad.write_bytes(b"hc,o2,co,co2,exploded\n1.0,20.0,0,0,1\xff\n")
+        rc = main(
+            ["train", "--model", "lr", "--data", str(bad),
+             "--out", str(workdir / "latin.json")]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "gasgate: error: line 2: not UTF-8 (byte 0xff)\n"
+        assert not (workdir / "latin.json").exists()
+
     def test_unconverged_solver_warns_but_saves(self, corpus_csv, workdir, capsys):
         out = workdir / "stunted.json"
         rc = main(

@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gasgate.data
 from gasgate.data import (
+    COLUMNS,
     CSV_HEADER,
     Dataset,
     FeatureConfig,
@@ -353,6 +355,150 @@ class TestCsv:
         atomic_write_text(path, "hello\n")
         assert path.read_text() == "hello\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def parse_outcome(load, path):
+    """The Dataset a loader returns, or the message of the error it raises."""
+    try:
+        return load(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def assert_matches_strict_parser(path):
+    """``load_csv`` gives the line-by-line parser's Dataset bitwise, or its message.
+
+    Returns what ``load_csv`` gave.
+    """
+    want = parse_outcome(lambda p: gasgate.data._parse_lines(p.read_bytes(), p), path)
+    got = parse_outcome(load_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return got
+    assert not isinstance(got, str), got
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.provenance == want.provenance
+    return got
+
+
+class TestPlainFastPath:
+    """Files in ``write_csv``'s plain form take NumPy's C parser; others do not."""
+
+    GOOD = "1.0,15.0,0.05,10.0,1\n"
+
+    def test_written_corpus_takes_the_fast_path(self, tmp_path, monkeypatch):
+        data = generate(default_region(), n=300, seed=4, noise=0.1)
+        path = tmp_path / "plain.csv"
+        write_csv(data, path)
+        expected = gasgate.data._parse_lines(path.read_bytes(), path)
+
+        def refuse(raw, path):
+            raise AssertionError("plain file fell back to the line parser")
+
+        monkeypatch.setattr(gasgate.data, "_parse_lines", refuse)
+        back = load_csv(path)
+        for name in COLUMNS:
+            assert getattr(back, name).tobytes() == getattr(expected, name).tobytes()
+            assert getattr(back, name).tobytes() == getattr(data, name).tobytes()
+            assert getattr(back, name).flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            back.hc[0] = 1.0
+
+    @pytest.mark.parametrize("body, fast, message", [
+        # plain form: the C parser reads it and the row checks name line k + 2
+        (f"{GOOD}1e400,15.0,0.05,10.0,0\n{GOOD}", True,
+         "line 3: hc must be finite, got inf"),
+        (f"{GOOD}1.0,-2.5,0.05,10.0,0\n{GOOD}", True,
+         "line 3: o2 must be >= 0, got -2.5"),
+        (f"{GOOD}60.0,30.0,5.0,5.5,1\n{GOOD}", True,
+         "line 3: concentrations sum to 100.5 vol %, above 100"),
+        (f"{GOOD}4.9e-324,+.5e-3,1.,.5E1,0\n", True, None),
+        # anything else falls back to the line parser
+        ("", False, "empty dataset"),
+        (GOOD.rstrip("\n"), False, None),
+        (f"{GOOD}\n{GOOD}", False, None),
+        (f"{GOOD}".replace("\n", "\r\n"), False, None),
+        (f"# note\n{GOOD}", False, None),
+        (f" {GOOD.strip()} \n", False, None),
+        (f"{GOOD}1.0,15.0,0.05,10.0,1.0\n", False,
+         "line 3: exploded must be 0 or 1, got '1.0'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,01\n", False,
+         "line 3: exploded must be 0 or 1, got '01'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,+1\n", False,
+         "line 3: exploded must be 0 or 1, got '+1'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,-0\n", False,
+         "line 3: exploded must be 0 or 1, got '-0'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,2\n", False,
+         "line 3: exploded must be 0 or 1, got '2'"),
+        (f"{GOOD}1.0,15.0,0.05,0\n{GOOD}", False, "line 3: expected 5 fields, got 4"),
+        ("1.0,15.0,0.05,0\n1.0,15.0,0.05,1\n", False, "line 2: expected 5 fields, got 4"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,1,0\n", False, "line 3: expected 5 fields, got 6"),
+        ("1.0,15.0,0.05,10.0,1,0\n", False, "line 2: expected 5 fields, got 6"),
+        (f"{GOOD}1.0,,0.05,10.0,1\n", False, "line 3: malformed number ''"),
+        (f"{GOOD}1.0,15.0,nan,10.0,0\n", False, "line 3: co must be finite, got nan"),
+        (f"{GOOD}1_0,15.0,0.05,10.0,1\n", False, "line 3: malformed number '1_0'"),
+        (f"{GOOD}1e,15.0,0.05,10.0,1\n", False, "line 3: malformed number '1e'"),
+        (f"{GOOD}--1,15.0,0.05,10.0,1\n", False, "line 3: malformed number '--1'"),
+        # loadtxt reads 1.0 here; str.splitlines breaks the line at \x1c
+        (f"{GOOD}1.0\x1c,15.0,0.05,10.0,1\n", False, "line 3: expected 5 fields, got 1"),
+    ])
+    def test_fast_path_matches_the_line_parser(self, tmp_path, body, fast, message):
+        path = tmp_path / "case.csv"
+        path.write_bytes(f"{CSV_HEADER}\n{body}".encode())
+        assert (gasgate.data._parse_plain(path.read_bytes()) is not None) == fast
+        outcome = assert_matches_strict_parser(path)
+        if message is None:
+            assert not isinstance(outcome, str), outcome
+        else:
+            assert outcome == message
+
+    def test_byte_order_mark_is_not_stripped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(f"\ufeff{CSV_HEADER}\n{self.GOOD}".encode())
+        assert_matches_strict_parser(path)
+        with pytest.raises(DataFormatError, match="^line 1: expected header"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"1.0,20.0,0,0,1\xff\n", "line 2: not UTF-8 (byte 0xff)"),
+        # a valid multi-byte comment and a CRLF before the bad lead byte
+        (b"# caf\xc3\xa9\r\n1.0,20.0,0,0,1\n\xc3(,20.0,0,0,1\n",
+         "line 4: not UTF-8 (byte 0xc3)"),
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, raw, message):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(f"{CSV_HEADER}\n".encode() + raw)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
+    #: a byte replaced in written output: the plain alphabet plus a few others
+    SWAP_BYTES = b"0123456789.,+-eE\n" + b" #_\rnx\x1c\xff"
+
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(min_value=0.0, max_value=25.0)] * 4, st.booleans()),
+            min_size=1, max_size=12,
+        ),
+        swap=st.none() | st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                   st.sampled_from(SWAP_BYTES)),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_files_and_one_byte_edits_match_the_line_parser(
+            self, tmp_path, rows, swap):
+        path = tmp_path / "written.csv"
+        write_csv(make_dataset(rows), path)
+        if swap is None:
+            assert gasgate.data._parse_plain(path.read_bytes()) is not None
+        else:
+            raw = bytearray(path.read_bytes())
+            where, byte = swap
+            raw[int(where * len(raw))] = byte
+            path.write_bytes(bytes(raw))
+        assert_matches_strict_parser(path)
 
 
 class TestLabelsAndSplit:

@@ -206,6 +206,28 @@ class TestFit:
         assert np.linalg.norm(model.gradient(X, y)) <= 1e-8 * n
         assert not fit_logistic(X, y, ridge=0.1, max_iter=1).converged
 
+    @pytest.mark.parametrize("n", [2000, 50_000])
+    def test_default_tol_fits_stop_on_the_gradient_test(self, n, monkeypatch):
+        # the fit ends on ||gradient|| <= tol * n right after an accepted
+        # step, not on a line search that found nothing better
+        data = generate(default_region(), n=n, seed=1, noise=0.05)
+        X = featurize(fit_normalization(data), data)
+        y = data.exploded.astype(float)
+        evaluated = []
+
+        def recording(beta, X, labels, ridge):
+            value = penalized_log_likelihood(beta, X, labels, ridge)
+            evaluated.append((np.array(beta), value))
+            return value
+
+        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", recording)
+        model = fit_logistic(X, y, ridge=0.1)
+        assert model.converged
+        assert np.linalg.norm(model.gradient(X, y)) <= 1e-8 * n
+        last_beta, last_value = evaluated[-1]
+        assert np.array_equal(last_beta, model.beta)
+        assert last_value > max(value for _, value in evaluated[:-1])
+
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             fit_logistic(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
