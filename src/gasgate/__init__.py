@@ -44,7 +44,6 @@ from .evaluate import (
     SweepRow,
     choose_ratio,
     cross_validate,
-    kfold_indices,
     penalty_sweep,
     repeated_cv,
     stratified_kfold_indices,
@@ -104,7 +103,6 @@ __all__ = [
     "fit_svm",
     "generate",
     "kernel_matrix",
-    "kfold_indices",
     "load_csv",
     "load_model",
     "oracle_label",

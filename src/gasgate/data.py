@@ -198,23 +198,29 @@ class FeatureConfig:
             raise DataFormatError("undefined ratio: o2 is 0")
         return sample.hc / sample.o2
 
+    def check_ratio(self, data: Dataset) -> None:
+        """Raise ``DataFormatError`` naming the 1-based row of the first zero
+        ratio denominator in ``data``; a no-op without the ratio attribute."""
+        if "ratio" not in self.attributes:
+            return
+        den = "hc" if self.ratio == RATIO_O2_OVER_HC else "o2"
+        zeros = np.flatnonzero(getattr(data, den) == 0)
+        if zeros.size:
+            raise DataFormatError(f"undefined ratio: {den} is 0 in row {zeros[0] + 1}")
+
     def raw_matrix(self, data: Dataset) -> np.ndarray:
         """(n_samples, n_attributes) matrix of raw attribute values.
 
         A zero denominator in the ratio raises ``DataFormatError`` naming
-        the 1-based row of its first occurrence.
+        the 1-based row of its first occurrence (``check_ratio``).
         """
+        self.check_ratio(data)
         out = np.empty((len(data), len(self.attributes)))
         for j, name in enumerate(self.attributes):
             if name != "ratio":
                 out[:, j] = getattr(data, name)
                 continue
             num, den = ("o2", "hc") if self.ratio == RATIO_O2_OVER_HC else ("hc", "o2")
-            zeros = np.flatnonzero(getattr(data, den) == 0)
-            if zeros.size:
-                raise DataFormatError(
-                    f"undefined ratio: {den} is 0 in row {zeros[0] + 1}"
-                )
             np.divide(getattr(data, num), getattr(data, den), out=out[:, j])
         return out
 

@@ -232,23 +232,13 @@ class LogisticLearner:
         return np.asarray(model.predict(features)) == 1
 
 
-def kfold_indices(n: int, v: int, seed: int) -> list[np.ndarray]:
-    """Shuffle 0..n-1 and cut into v folds whose sizes differ by at most 1."""
-    if v < 2:
-        raise ValueError(f"need at least 2 folds, got {v}")
-    if v > n:
-        raise ValueError(f"{v} folds exceed {n} samples")
-    perm = np.random.default_rng(seed).permutation(n)
-    return [np.sort(fold) for fold in np.array_split(perm, v)]
-
-
 def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
     """Fold assignment preserving the class balance of ``exploded``.
 
     Each class is shuffled and dealt round-robin, continuing the deal across
     classes so overall fold sizes still differ by at most 1.  Any class with
-    at least two members is guaranteed to span at least two folds, which
-    keeps every training portion two-class.
+    at least two members lands in consecutive slots and so spans at least
+    two folds, which keeps every training portion two-class.
     """
     exploded = np.asarray(exploded, dtype=bool)
     n = exploded.shape[0]
@@ -259,19 +249,17 @@ def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
     if exploded.all() or (~exploded).all():
         raise SingleClassError("dataset contains a single class")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(v)]
-    slot = 0
-    for value in (True, False):
-        members = np.flatnonzero(exploded == value)
-        if len(members) == 1:
-            raise SingleClassError(
-                "a class with one sample cannot be spread over folds; "
-                "its only training portion would be single-class"
-            )
-        for idx in rng.permutation(members):
-            folds[slot % v].append(int(idx))
-            slot += 1
-    return [np.sort(np.array(fold, dtype=int)) for fold in folds]
+    classes = [np.flatnonzero(exploded == value) for value in (True, False)]
+    if min(len(members) for members in classes) == 1:
+        raise SingleClassError(
+            "a class with one sample cannot be spread over folds; "
+            "its only training portion would be single-class"
+        )
+    # the sample dealt k-th, exploded class first, goes to fold k mod v
+    order = np.concatenate([rng.permutation(members) for members in classes])
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[order] = np.arange(n) % v
+    return [np.flatnonzero(fold_of == k) for k in range(v)]
 
 
 def fit_fold(
@@ -295,16 +283,18 @@ def fit_fold(
     return model, ConfusionCounts.from_outcomes(test.exploded, predicted)
 
 
-def _stratified_folds(data: Dataset, v: int, seed: int):
-    """Yield ``(train_idx, test_idx)`` for each fold of the stratified split,
-    refusing a fold whose training portion is single-class."""
-    everything = np.arange(len(data))
-    for fold in stratified_kfold_indices(data.exploded, v, seed):
-        train_idx = np.setdiff1d(everything, fold)
-        train_classes = data.exploded[train_idx]
-        if train_classes.all() or (~train_classes).all():
-            raise SingleClassError("training portion of a fold is single-class")
-        yield train_idx, fold
+def _stratified_folds(data: Dataset, v: int, seed: int, feature_config: FeatureConfig):
+    """Yield ``(train_idx, test_idx)`` for each fold of the stratified split.
+
+    A zero ratio denominator is refused up front, naming its row in ``data``
+    rather than its place in a fold; a single-class dataset is refused first.
+    """
+    folds = stratified_kfold_indices(data.exploded, v, seed)
+    feature_config.check_ratio(data)
+    for fold in folds:
+        in_train = np.ones(len(data), dtype=bool)
+        in_train[fold] = False
+        yield np.flatnonzero(in_train), fold
 
 
 def cross_validate(
@@ -317,7 +307,7 @@ def cross_validate(
     """Stratified v-fold cross-validation of one learner recipe."""
     counts = []
     unconverged = 0
-    for train_idx, test_idx in _stratified_folds(data, v, seed):
+    for train_idx, test_idx in _stratified_folds(data, v, seed, feature_config):
         model, fold_counts = fit_fold(data, train_idx, test_idx, learner, feature_config)
         counts.append(fold_counts)
         unconverged += not model.converged
@@ -386,7 +376,7 @@ def penalty_sweep(
     penalties = [PenaltyConfig(positive=g * base_w2, negative=base_w2) for g in ratios]
     counts = dict.fromkeys(ratios, ConfusionCounts())
     unconverged = dict.fromkeys(ratios, 0)
-    for train_idx, test_idx in _stratified_folds(data, v, seed):
+    for train_idx, test_idx in _stratified_folds(data, v, seed, feature_config):
         path = _sweep_fold(
             data.subset(train_idx), data.subset(test_idx), penalties, feature_config,
             kernel, cache_mb, tol=tol, max_passes=max_passes, seed=seed,

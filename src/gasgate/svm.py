@@ -17,8 +17,8 @@ cost-sensitive training enter the dual.
 
 No n x n Gram matrix is ever formed: SMO reads kernel rows from a
 ``KernelRows`` cache under a byte budget (Chang & Lin 2011, LIBSVM section
-4), and scoring works through the rows in blocks, so memory is
-O(budget + n) in training and bounded in prediction.
+4), and scoring works through the rows in blocks of 512 KiB of kernel
+values, so memory is O(budget + n) in training and bounded in prediction.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .kernels import KernelRows, KernelSpec, kernel_matrix
 
 #: default budget of the kernel-row cache a fit builds, in MiB
 DEFAULT_CACHE_MB = 256.0
-#: kernel bytes ``SvmModel.decision_values`` holds at once
-_SCORE_BLOCK_BYTES = 4 << 20
+#: kernel bytes ``SvmModel.decision_values`` holds at once; the block and the
+#: equal-sized scratch of ``kernels._evaluate`` then fit together in a 2 MiB L2
+_SCORE_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,10 @@ class SvmModel:
     def decision_values(self, X) -> np.ndarray:
         """sum_k dual_coef[k] * K(sv_k, x) + bias for each row of X.
 
-        Rows are scored in blocks whose kernel takes a few MB, so memory
-        does not grow with the row count; a row's score does not depend on
-        the rows scored with it.
+        Rows are scored in blocks whose kernel takes 512 KiB, so memory
+        does not grow with the row count and the block stays in a 2 MiB L2
+        cache while it is built; a row's score does not depend on the rows
+        scored with it.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self.dual_coef)))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: the
 brute-force grid and the SLSQP solve are alternative routes to the SVM dual
-optimum, and the KKT scan re-derives optimality conditions from raw model
-output.
+optimum, the KKT scan re-derives optimality conditions from raw model
+output, and the fold deal and the masked sigmoid are the straightforward
+forms the library's array versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -114,3 +115,27 @@ def random_two_class_problem(rng, n_range=(10, 60), d_range=(1, 4)):
 
 def gram(spec, X) -> np.ndarray:
     return kernel_matrix(spec, X)
+
+
+def round_robin_folds(exploded, v: int, seed: int) -> list[np.ndarray]:
+    """Stratified folds dealt one sample at a time: each class shuffled,
+    exploded class first, the k-th sample dealt going to fold k mod v."""
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(v)]
+    slot = 0
+    for value in (True, False):
+        for idx in rng.permutation(np.flatnonzero(exploded == value)):
+            folds[slot % v].append(int(idx))
+            slot += 1
+    return [np.sort(np.array(fold, dtype=int)) for fold in folds]
+
+
+def masked_sigmoid(z) -> np.ndarray:
+    """Logistic function with each sign of z handled under a boolean mask."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

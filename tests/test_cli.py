@@ -345,6 +345,36 @@ class TestSweep:
         assert main(["sweep", "--grid", "1,8"]) == 1
 
 
+class TestFoldedZeroRatio:
+    """A zero ratio denominator fails CV and the sweep naming its row in the
+    file, as ``train`` does, not its place inside a fold."""
+
+    @pytest.fixture(scope="class")
+    def corpus_200(self, workdir):
+        path = workdir / "corpus200.csv"
+        assert main(["gen", "--n", "200", "--seed", "3", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("column", ["hc", "o2"])
+    @pytest.mark.parametrize("command", [
+        ["cv", "--model", "lr", "--ridge", "0.1"],
+        ["sweep", "--grid", "1,8", "--gamma", "0.5"],
+    ], ids=lambda c: c[0])
+    def test_error_names_the_dataset_row(self, corpus_200, workdir, capsys, command, column):
+        rows = corpus_200.read_text().splitlines()
+        fields = rows[151].split(",")  # data row 151
+        fields[0 if column == "hc" else 1] = "0.0"
+        rows[151] = ",".join(fields)
+        path = workdir / f"zero_{column}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        ratio = [] if column == "hc" else ["--ratio", "hc_over_o2"]
+        rc = main([*command, *ratio, "--data", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"undefined ratio: {column} is 0 in row 151" in captured.err
+
+
 class TestCacheBudget:
     """``--cache-mb`` bounds kernel-row memory without changing any output."""
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasgate.data import Dataset, FeatureConfig, GasSample
-from gasgate.errors import SingleClassError
+from gasgate.errors import DataFormatError, SingleClassError
 from gasgate.evaluate import (
     DEFAULT_FOLDS,
     DEFAULT_GAMMA_GRID,
@@ -19,7 +19,6 @@ from gasgate.evaluate import (
     cv_report_csv,
     cv_report_text,
     fit_fold,
-    kfold_indices,
     penalty_sweep,
     repeated_cv,
     stratified_kfold_indices,
@@ -30,6 +29,8 @@ from gasgate.evaluate import (
 from gasgate.kernels import KernelSpec
 from gasgate.svm import PenaltyConfig
 from gasgate.synth import default_region, generate
+
+from .support import round_robin_folds
 
 
 def counts_with_accuracy(correct: int, wrong: int) -> ConfusionCounts:
@@ -133,44 +134,6 @@ class TestSweepContainers:
         assert DEFAULT_GAMMA_GRID == tuple(5.0 * k for k in range(1, 13))
 
 
-class TestKfold:
-    def test_sizes_58_into_5(self):
-        folds = kfold_indices(58, 5, seed=0)
-        assert sorted(len(f) for f in folds) == [11, 11, 12, 12, 12]
-
-    def test_partition(self):
-        folds = kfold_indices(30, 4, seed=3)
-        merged = np.concatenate(folds)
-        assert sorted(merged.tolist()) == list(range(30))
-
-    def test_deterministic(self):
-        a = kfold_indices(40, 5, seed=7)
-        b = kfold_indices(40, 5, seed=7)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        c = kfold_indices(40, 5, seed=8)
-        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
-
-    def test_folds_are_sorted(self):
-        for fold in kfold_indices(25, 3, seed=1):
-            assert np.all(np.diff(fold) > 0)
-
-    @pytest.mark.parametrize("n,v", [(10, 1), (5, 6)])
-    def test_bad_fold_counts(self, n, v):
-        with pytest.raises(ValueError):
-            kfold_indices(n, v, seed=0)
-
-    @given(data=st.data())
-    @settings(max_examples=40)
-    def test_partition_and_balance_property(self, data):
-        n = data.draw(st.integers(4, 120))
-        v = data.draw(st.integers(2, min(n, 8)))
-        seed = data.draw(st.integers(0, 1000))
-        folds = kfold_indices(n, v, seed)
-        sizes = [len(f) for f in folds]
-        assert max(sizes) - min(sizes) <= 1
-        assert sorted(np.concatenate(folds).tolist()) == list(range(n))
-
-
 class TestStratifiedKfold:
     def test_class_balance_preserved_exactly_when_divisible(self):
         exploded = np.array([True] * 20 + [False] * 10)
@@ -203,6 +166,36 @@ class TestStratifiedKfold:
         exploded = np.array([True] + [False] * 9)
         with pytest.raises(SingleClassError, match="one sample"):
             stratified_kfold_indices(exploded, 5, seed=0)
+
+    @staticmethod
+    def draw_labels(data) -> tuple[np.ndarray, int, int]:
+        """(exploded, v, seed) with both classes of at least two members."""
+        n = data.draw(st.integers(4, 150))
+        positives = data.draw(st.integers(2, n - 2))
+        v = data.draw(st.integers(2, min(n, 10)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        exploded = np.zeros(n, dtype=bool)
+        exploded[data.draw(st.permutations(range(n)))[:positives]] = True
+        return exploded, v, seed
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_round_robin_deal(self, data):
+        exploded, v, seed = self.draw_labels(data)
+        folds = stratified_kfold_indices(exploded, v, seed)
+        reference = round_robin_folds(exploded, v, seed)
+        assert len(folds) == len(reference) == v
+        for fold, expected in zip(folds, reference):
+            assert fold.dtype == expected.dtype
+            assert np.array_equal(fold, expected)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_training_portion_is_two_class(self, data):
+        exploded, v, seed = self.draw_labels(data)
+        for fold in stratified_kfold_indices(exploded, v, seed):
+            train = np.delete(exploded, fold)
+            assert train.any() and not train.all()
 
 
 def tweak_dataset(data: Dataset, test_idx, new_hc: float) -> Dataset:
@@ -284,6 +277,19 @@ class TestCrossValidate:
         real = cross_validate(small_corpus, learner, v=5, seed=0).pooled.accuracy
         fake = cross_validate(shuffled, learner, v=5, seed=0).pooled.accuracy
         assert real >= fake + 0.05
+
+    @pytest.mark.parametrize("run", [
+        lambda data: cross_validate(data, LogisticLearner(), v=4),
+        lambda data: penalty_sweep(data, gamma_grid=(1.0,), v=4),
+    ], ids=["cv", "sweep"])
+    def test_single_class_outranks_a_zero_ratio_denominator(self, run):
+        rows = [GasSample(0.0 if i == 7 else 5.0, 15.0, 0.0, 0.0, True) for i in range(12)]
+        with pytest.raises(SingleClassError):
+            run(Dataset(tuple(rows)))
+        rows[0] = GasSample(5.0, 15.0, 0.0, 0.0, False)
+        rows[1] = GasSample(6.0, 15.0, 0.0, 0.0, False)
+        with pytest.raises(DataFormatError, match=r"^undefined ratio: hc is 0 in row 8$"):
+            run(Dataset(tuple(rows)))
 
 
 class TestLearners:

@@ -32,6 +32,8 @@ from gasgate.logistic import (
 )
 from gasgate.synth import default_region, generate
 
+from .support import masked_sigmoid
+
 # mins = -maxs makes the affine normalization the identity map, so scores can
 # be written directly in raw concentration units.
 IDENTITY_NORM = NormalizationParams(
@@ -54,6 +56,11 @@ class TestSigmoid:
     def test_monotone(self):
         z = np.linspace(-30, 30, 200)
         assert np.all(np.diff(sigmoid(z)) > 0)
+
+    def test_bits_match_the_masked_form(self, rng):
+        edges = [0.0, 1e-300, 36.0, 709.0, 710.0, 800.0, np.inf, np.nan]
+        z = np.concatenate([edges, np.negative(edges), rng.normal(size=10_000) * 40])
+        assert np.array_equal(sigmoid(z).view(np.uint64), masked_sigmoid(z).view(np.uint64))
 
 
 class TestModelBasics:
