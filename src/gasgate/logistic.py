@@ -91,13 +91,27 @@ class LogisticModel:
         return penalized_gradient(self.beta, X, labels, self.ridge)
 
 
-def _design(X: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Design:
+    """The design matrix (1, x) of a feature matrix, built once so that the
+    likelihood evaluations of one fit share it."""
+
+    matrix: np.ndarray
+
+
+def _design(X) -> np.ndarray:
+    """The design matrix (1, x) of feature matrix X; a ``_Design`` is taken as built."""
+    if isinstance(X, _Design):
+        return X.matrix
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
 def penalized_log_likelihood(beta, X, labels, ridge: float) -> float:
-    """sum_i [y_i g_i - log(1 + e^{g_i})] - ridge/2 * ||beta[1:]||^2."""
+    """sum_i [y_i g_i - log(1 + e^{g_i})] - ridge/2 * ||beta[1:]||^2.
+
+    X is the feature matrix, or inside ``fit_logistic`` its design matrix.
+    """
     beta = np.asarray(beta, dtype=float)
     y = np.asarray(labels, dtype=float)
     g = _design(X) @ beta
@@ -149,12 +163,13 @@ def fit_logistic(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    D = _design(X)
+    design = _Design(_design(X))
+    D = design.matrix
     n, p = D.shape
     beta = np.zeros(p)
     mask = np.ones(p)
     mask[0] = 0.0  # intercept is never penalized
-    ll = penalized_log_likelihood(beta, X, y, ridge)
+    ll = penalized_log_likelihood(beta, design, y, ridge)
     converged = False
     warned = False
 
@@ -179,7 +194,7 @@ def fit_logistic(
             candidate = beta + t * step
             if np.array_equal(candidate, beta):
                 break  # the step has rounded away; smaller ones would too
-            candidate_ll = penalized_log_likelihood(candidate, X, y, ridge)
+            candidate_ll = penalized_log_likelihood(candidate, design, y, ridge)
             if candidate_ll > ll:
                 beta, ll = candidate, candidate_ll
                 improved = True

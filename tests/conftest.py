@@ -46,6 +46,13 @@ def small_corpus():
 
 
 @pytest.fixture(scope="session")
+def noisy_small_corpus():
+    """Noisy enough that one pass of SMO (``max_passes=1``) leaves the RBF
+    fits on it unconverged, while the default budget converges them."""
+    return gg.generate(gg.default_region(), n=120, seed=0, noise=0.2)
+
+
+@pytest.fixture(scope="session")
 def featurized_small(small_corpus):
     params = gg.fit_normalization(small_corpus)
     X = gg.featurize(params, small_corpus)

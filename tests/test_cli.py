@@ -28,6 +28,15 @@ def corpus_csv(workdir):
 
 
 @pytest.fixture(scope="module")
+def noisy_csv(workdir):
+    """Noisy enough that one pass of SMO (``--max-passes 1``) leaves the RBF
+    fits on it unconverged, while the default budget converges them."""
+    path = workdir / "noisy.csv"
+    assert main(["gen", "--n", "120", "--seed", "0", "--noise", "0.2", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def span_csv(workdir, span_corpus):
     path = workdir / "span.csv"
     write_csv(span_corpus, path)
@@ -150,11 +159,11 @@ class TestTrain:
         assert captured.err == "gasgate: error: line 2: not UTF-8 (byte 0xff)\n"
         assert not (workdir / "latin.json").exists()
 
-    def test_unconverged_solver_warns_but_saves(self, corpus_csv, workdir, capsys):
+    def test_unconverged_solver_warns_but_saves(self, noisy_csv, workdir, capsys):
         out = workdir / "stunted.json"
         rc = main(
             ["train", "--model", "svm", "--max-passes", "1",
-             "--data", str(corpus_csv), "--out", str(out)]
+             "--data", str(noisy_csv), "--out", str(out)]
         )
         captured = capsys.readouterr()
         assert rc == 0
@@ -289,8 +298,8 @@ class TestCv:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("repeats", ["1", "2"])
-    def test_unconverged_folds_warn_on_stderr_only(self, corpus_csv, capsys, repeats):
-        base = ["cv", "--model", "svm", "--gamma", "0.5", "--data", str(corpus_csv),
+    def test_unconverged_folds_warn_on_stderr_only(self, noisy_csv, capsys, repeats):
+        base = ["cv", "--model", "svm", "--gamma", "0.5", "--data", str(noisy_csv),
                 "--folds", "4", "--repeats", repeats]
         assert main(base) == 0
         assert capsys.readouterr().err == ""
@@ -321,8 +330,8 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split("\t")[0] == "1.0"
 
-    def test_unconverged_fits_warn_on_stderr_only(self, corpus_csv, capsys):
-        base = ["sweep", "--data", str(corpus_csv), "--grid", "1,8", "--folds", "4",
+    def test_unconverged_fits_warn_on_stderr_only(self, noisy_csv, capsys):
+        base = ["sweep", "--data", str(noisy_csv), "--grid", "1,8", "--folds", "4",
                 "--gamma", "0.5", "--base-w2", "10"]
         assert main(base) == 0
         converged = capsys.readouterr()
@@ -334,7 +343,7 @@ class TestSweep:
         assert "fold fits hit --max-passes" in stunted.err
         assert "ratio 1.0: " in stunted.err
         # stdout is the report alone, exactly as rendered by the library
-        report = penalty_sweep(load_csv(corpus_csv), KernelSpec("rbf", gamma=0.5),
+        report = penalty_sweep(load_csv(noisy_csv), KernelSpec("rbf", gamma=0.5),
                                base_w2=10.0, gamma_grid=(1.0, 8.0), v=4, max_passes=1)
         assert stunted.out == sweep_text(report) + f"chosen gamma: {choose_ratio(report)!r}\n"
 

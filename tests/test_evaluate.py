@@ -27,7 +27,7 @@ from gasgate.evaluate import (
     sweep_tsv,
 )
 from gasgate.kernels import KernelSpec
-from gasgate.svm import PenaltyConfig
+from gasgate.svm import PenaltyConfig, fit_svm
 from gasgate.synth import default_region, generate
 
 from .support import round_robin_folds
@@ -254,11 +254,11 @@ class TestCrossValidate:
         assert mean == pytest.approx(np.mean(means))
         assert spread == pytest.approx(np.std(means, ddof=1))
 
-    def test_unconverged_folds_are_counted(self, small_corpus):
+    def test_unconverged_folds_are_counted(self, noisy_small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
-        stunted = cross_validate(small_corpus, SvmLearner(kernel, max_passes=1), v=4)
+        stunted = cross_validate(noisy_small_corpus, SvmLearner(kernel, max_passes=1), v=4)
         assert 0 < stunted.unconverged <= 4
-        assert cross_validate(small_corpus, SvmLearner(kernel), v=4).unconverged == 0
+        assert cross_validate(noisy_small_corpus, SvmLearner(kernel), v=4).unconverged == 0
 
     def test_bad_repeats(self, small_corpus):
         with pytest.raises(ValueError, match="repeats"):
@@ -362,6 +362,23 @@ class TestPenaltySweep:
         assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
         assert choose_ratio(warm) == choose_ratio(cold)
 
+    def test_benchmark_corpus_takes_at_most_2500_updates(self, monkeypatch):
+        # 7333 updates by pair steps alone; the free-set Newton step of
+        # fit_svm cuts them to under 1800
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        updates = []
+
+        def counting(*args, **kwargs):
+            model = fit_svm(*args, **kwargs)
+            updates.append(len(model.objective_trace) - 1)
+            return model
+
+        monkeypatch.setattr("gasgate.evaluate.fit_svm", counting)
+        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        assert len(updates) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
+        assert sum(updates) <= 2500
+        assert choose_ratio(report) == 10.0
+
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         grid = (20.0, 1.0, 60.0, 1.0, 5.0)
@@ -370,15 +387,15 @@ class TestPenaltySweep:
         assert [r.gamma for r in report.rows] == list(grid)
         assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
 
-    def test_unconverged_fits_are_counted(self, small_corpus):
+    def test_unconverged_fits_are_counted(self, noisy_small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         stunted = penalty_sweep(
-            small_corpus, kernel, base_w2=10.0, gamma_grid=(1.0, 8.0, 1.0), v=4,
+            noisy_small_corpus, kernel, base_w2=10.0, gamma_grid=(1.0, 8.0, 1.0), v=4,
             max_passes=1,
         )
         assert 0 < stunted.rows[0].unconverged <= 4
         assert stunted.rows[2].unconverged == stunted.rows[0].unconverged
-        full = penalty_sweep(small_corpus, kernel, gamma_grid=(1.0, 8.0), v=4)
+        full = penalty_sweep(noisy_small_corpus, kernel, gamma_grid=(1.0, 8.0), v=4)
         assert [r.unconverged for r in full.rows] == [0, 0]
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gasgate.errors import GasgateError, SingleClassError
 import gasgate as gg
+from gasgate import svm
 from gasgate.kernels import KernelRows, KernelSpec, kernel_matrix
 from gasgate.svm import PenaltyConfig, SvmModel, fit_svm
 
@@ -19,6 +20,7 @@ from .support import (
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
 SIGMOID = KernelSpec("sigmoid", gamma=0.05, coef0=0.1)
+POLYNOMIAL = KernelSpec("polynomial", gamma=0.3, coef0=1.0, degree=2)
 
 
 def fit(X, y, kernel=LINEAR, pos=10.0, neg=10.0, **kw):
@@ -267,14 +269,15 @@ class TestWarmStart:
             fit(self.X3, self.Y3, cache=cache)
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    data = gg.generate(gg.default_region(), n=300, seed=5, noise=0.05)
+    X = gg.featurize(gg.fit_normalization(data), data)
+    return X, np.where(data.exploded, 1.0, -1.0)
+
+
 class TestKernelRowCache:
     """The row cache changes how often rows are computed, never the fit."""
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        data = gg.generate(gg.default_region(), n=300, seed=5, noise=0.05)
-        X = gg.featurize(gg.fit_normalization(data), data)
-        return X, np.where(data.exploded, 1.0, -1.0)
 
     @staticmethod
     def assert_same_fit(a, b):
@@ -328,6 +331,64 @@ class TestKernelRowCache:
         X, y = corpus
         with pytest.raises(ValueError, match="budget"):
             fit(X, y, RBF, cache_mb=cache_mb)
+
+
+class TestFreeSetNewtonStep:
+    """Every ``_NEWTON_EVERY`` updates SMO maximizes the dual exactly over
+    the free multipliers; fits that take the step keep the guarantees of
+    pair updates alone."""
+
+    @pytest.fixture
+    def newton_gains(self, monkeypatch):
+        """The objective gain of every Newton step the test's fits attempt."""
+        gains = []
+        solve = svm._free_set_newton
+
+        def recording(*args):
+            alpha, gain = solve(*args)
+            gains.append(gain)
+            return alpha, gain
+
+        monkeypatch.setattr(svm, "_free_set_newton", recording)
+        return gains
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL], ids=lambda k: k.kind)
+    def test_trace_ends_at_dual_objective(self, corpus, kernel, newton_gains):
+        X, y = corpus
+        model = fit(X, y, kernel)
+        assert model.converged
+        assert max(newton_gains) > 0
+        objective = model.dual_objective()
+        assert abs(model.objective_trace[-1] - objective) <= 1e-9 * abs(objective)
+        assert np.all(np.diff(model.objective_trace) >= -1e-8)
+
+    @pytest.mark.parametrize("kernel", [RBF, POLYNOMIAL], ids=lambda k: k.kind)
+    def test_constant_eviction_gives_the_same_fit(self, corpus, kernel, newton_gains):
+        X, y = corpus
+        evicting = fit(X, y, kernel, cache=KernelRows(kernel, X, 3 * 8 * len(y)))
+        steps = sum(gain > 0 for gain in newton_gains)
+        assert steps > 0
+        unbounded = fit(X, y, kernel, cache=KernelRows(kernel, X, 1e9))
+        TestKernelRowCache.assert_same_fit(evicting, unbounded)
+        assert sum(gain > 0 for gain in newton_gains) == 2 * steps
+
+    def test_sigmoid_takes_no_step(self, corpus, newton_gains, monkeypatch):
+        X, y = corpus
+        model = fit(X, y, SIGMOID)
+        assert newton_gains == []
+        monkeypatch.setattr(svm, "_NEWTON_EVERY", 2**62)  # never reached
+        again = fit(X, y, SIGMOID)
+        TestKernelRowCache.assert_same_fit(model, again)
+        assert np.array_equal(model.objective_trace, again.objective_trace)
+
+    def test_benchmark_fit_corpus_takes_at_most_2000_updates(self):
+        # the fit workload's training corpus: 4468 updates by pair steps
+        # alone, under 1400 with the Newton step
+        data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
+        X = gg.featurize(gg.fit_normalization(data), data)
+        model = fit(X, np.where(data.exploded, 1.0, -1.0), RBF)
+        assert model.converged
+        assert len(model.objective_trace) - 1 <= 2000
 
 
 class TestBlockedScoring:
@@ -445,11 +506,12 @@ class TestPredictContract:
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_random_fits_satisfy_kkt_and_feasibility(seed):
-    # rbf takes the second-order pair selection, sigmoid the first-order one
+    # linear, rbf and polynomial take the second-order pair selection and the
+    # free-set Newton step, sigmoid the first-order selection alone
     rng = np.random.default_rng(seed)
     X, y = random_two_class_problem(rng, n_range=(8, 25), d_range=(1, 3))
     pos, neg = 1.0 + 5.0 * rng.random(), 1.0 + 5.0 * rng.random()
-    for kernel in (RBF, SIGMOID):
+    for kernel in (LINEAR, RBF, POLYNOMIAL, SIGMOID):
         model = fit_svm(X, y, kernel, PenaltyConfig(pos, neg), tol=1e-3)
         if not model.converged:
             continue
