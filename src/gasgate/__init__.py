@@ -19,11 +19,9 @@ from .data import (
     RATIO_HC_OVER_O2,
     RATIO_O2_OVER_HC,
     apply_normalization,
-    encode_labels,
     featurize,
     fit_normalization,
     load_csv,
-    split_train_test,
     write_csv,
 )
 from .errors import (
@@ -58,7 +56,7 @@ from .logistic import (
 )
 from .model_io import load_model, save_model
 from .svm import PenaltyConfig, SvmModel, fit_svm
-from .synth import OracleRegion, default_region, generate, oracle_label
+from .synth import OracleRegion, default_region, generate
 
 __version__ = "0.1.0"
 
@@ -95,7 +93,6 @@ __all__ = [
     "choose_ratio",
     "cross_validate",
     "default_region",
-    "encode_labels",
     "explosion_interval",
     "featurize",
     "fit_logistic",
@@ -105,12 +102,10 @@ __all__ = [
     "kernel_matrix",
     "load_csv",
     "load_model",
-    "oracle_label",
     "penalty_sweep",
     "repeated_cv",
     "save_model",
     "sigmoid",
-    "split_train_test",
     "stratified_kfold_indices",
     "write_csv",
 ]

@@ -470,30 +470,3 @@ def apply_normalization(params: NormalizationParams, sample: GasSample) -> np.nd
 def featurize(params: NormalizationParams, data: Dataset) -> np.ndarray:
     """Featurize a whole dataset into an (n, n_attributes) matrix."""
     return params.transform(params.feature_config.raw_matrix(data))
-
-
-LABEL_SCHEMES = ("zero-one", "plus-minus-one")
-
-
-def encode_labels(data: Dataset, scheme: str) -> np.ndarray:
-    """Encode outcomes as integers: explosion is 1 in both schemes."""
-    if scheme not in LABEL_SCHEMES:
-        raise ValueError(f"unknown label scheme {scheme!r}; use one of {LABEL_SCHEMES}")
-    negative = 0 if scheme == "zero-one" else -1
-    return np.where(data.exploded, 1, negative)
-
-
-def split_train_test(
-    data: Dataset, train_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled split; train size = round(n * fraction)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(data)
-    n_train = int(math.floor(n * train_fraction + 0.5))
-    if n_train == 0 or n_train == n:
-        raise ValueError(
-            f"fraction {train_fraction} on {n} samples leaves an empty side"
-        )
-    order = np.random.default_rng(seed).permutation(n)
-    return data.subset(order[:n_train]), data.subset(order[n_train:])

@@ -9,11 +9,23 @@ product is faster but rounds an entry differently depending on the shape of
 the product and on where the entry sits in it.  The solver computes Gram
 rows one at a time (``KernelRows``) and the models score in blocks, and both
 must give the same bits whichever rows are computed or scored together.
+
+Blocks at least ``_UNBUFFERED_MIN_COLS`` columns wide are evaluated with
+NumPy's ufunc buffer at its 16-element minimum (``unbuffered_blocks``).  The
+per-feature subtract broadcasts a column against a row; when that row is
+narrower than about a third of the default 8 192-element buffer, NumPy
+copies the operands through the buffer.  On a 2-vCPU Xeon VM with NumPy 2.4
+that subtract costs 1.0 ns per element with the default buffer and 0.4 ns
+with the smallest at 491 columns, and 1.4 against 0.8 ns at 128 columns.
+Narrower blocks keep the default buffer, which is faster for them (1.05
+against 1.4 ns at 64 columns, 3.4 against 9.1 ns at 4), and a single Gram
+row is never buffered.  The values are the same bits either way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +34,10 @@ KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
 #: bytes of kernel rows gathered for one matrix-vector product in ``KernelRows.dot``
 _DOT_BLOCK_BYTES = 4 << 20
+#: the narrowest kernel block, in columns, evaluated with the smallest ufunc buffer
+_UNBUFFERED_MIN_COLS = 128
+#: NumPy's smallest ufunc buffer, in elements
+_MIN_BUFSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,27 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) 
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     _check_resolved(spec)
     out = np.empty((A.shape[0], B.shape[0]))
-    return _evaluate(spec, A.T[:, :, None], np.ascontiguousarray(B.T), out)
+    with unbuffered_blocks(B.shape[0]):
+        return _evaluate(spec, A.T[:, :, None], np.ascontiguousarray(B.T), out)
+
+
+@contextmanager
+def unbuffered_blocks(n_cols: int):
+    """Evaluate the enclosed kernel blocks of ``n_cols`` columns with the
+    smallest ufunc buffer if they are wide enough to gain from it.
+
+    The caller's buffer size is restored on exit.  Inside an enclosing
+    ``unbuffered_blocks`` it only reads the buffer size, so a caller that
+    evaluates many blocks sets the buffer once for all of them.
+    """
+    if n_cols < _UNBUFFERED_MIN_COLS or np.getbufsize() <= _MIN_BUFSIZE:
+        yield
+        return
+    old = np.setbufsize(_MIN_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _check_resolved(spec: KernelSpec) -> None:
@@ -179,7 +215,9 @@ class KernelRows:
             if not held.all():
                 missing = idx[~held]
                 self.rows_computed += len(missing)
-                block[~held] = _evaluate(self.spec, self.X[missing].T[:, :, None],
-                                         self._cols, np.empty((len(missing), n)))
+                with unbuffered_blocks(n):
+                    values = _evaluate(self.spec, self.X[missing].T[:, :, None],
+                                       self._cols, np.empty((len(missing), n)))
+                block[~held] = values
             u += coef[idx] @ block
         return u

@@ -30,10 +30,19 @@ SEPARATION_NORM = 1e3
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
-    # exp(-|z|) never overflows; minimum, unlike -abs, keeps the sign of a nan
-    e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return _sigmoid_from(z, _exp_neg_abs(z))
+
+
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """exp(-|z|), which never overflows; minimum, unlike -abs, keeps the sign
+    of a nan."""
+    return np.exp(np.minimum(z, -z))
+
+
+def _sigmoid_from(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(z) given e = exp(-|z|): 1 / (1 + e) where z >= 0, else
+    e / (1 + e), with one division."""
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -91,12 +100,27 @@ class LogisticModel:
         return penalized_gradient(self.beta, X, labels, self.ridge)
 
 
-@dataclass(frozen=True)
 class _Design:
     """The design matrix (1, x) of a feature matrix, built once so that the
-    likelihood evaluations of one fit share it."""
+    likelihood evaluations of one fit share it.
 
-    matrix: np.ndarray
+    It keeps the last evaluation's beta, g = D beta and exp(-|g|), so the fit
+    takes an accepted iterate's probabilities without a second product and
+    exp.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def probabilities(self, beta: np.ndarray) -> np.ndarray:
+        """sigmoid(D beta), bit for bit; reused if the last evaluation was at beta."""
+        if self.last is not None and self.last[0] is beta:
+            _, g, e = self.last
+        else:
+            g = self.matrix @ beta
+            e = _exp_neg_abs(g)
+        return _sigmoid_from(g, e)
 
 
 def _design(X) -> np.ndarray:
@@ -111,11 +135,17 @@ def penalized_log_likelihood(beta, X, labels, ridge: float) -> float:
     """sum_i [y_i g_i - log(1 + e^{g_i})] - ridge/2 * ||beta[1:]||^2.
 
     X is the feature matrix, or inside ``fit_logistic`` its design matrix.
+    log(1 + e^g) is taken as max(g, 0) + log1p(e^-|g|), the decomposition
+    ``np.logaddexp`` uses, but with NumPy's vectorized exp.
     """
     beta = np.asarray(beta, dtype=float)
     y = np.asarray(labels, dtype=float)
     g = _design(X) @ beta
-    return float(y @ g - np.logaddexp(0.0, g).sum() - 0.5 * ridge * beta[1:] @ beta[1:])
+    e = _exp_neg_abs(g)
+    if isinstance(X, _Design):
+        X.last = (beta, g, e)
+    softplus = np.maximum(g, 0.0) + np.log1p(e)
+    return float(y @ g - softplus.sum() - 0.5 * ridge * beta[1:] @ beta[1:])
 
 
 def penalized_gradient(beta, X, labels, ridge: float) -> np.ndarray:
@@ -174,7 +204,7 @@ def fit_logistic(
     warned = False
 
     for _ in range(max_iter):
-        probs = sigmoid(D @ beta)
+        probs = design.probabilities(beta)
         grad = D.T @ (y - probs)
         grad -= ridge * mask * beta
         if np.linalg.norm(grad) <= tol * n:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import NormalizationParams
 from .errors import GasgateError, SingleClassError
-from .kernels import KernelRows, KernelSpec, kernel_matrix
+from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
 #: default budget of the kernel-row cache a fit builds, in MiB
 DEFAULT_CACHE_MB = 256.0
@@ -117,16 +117,19 @@ class SvmModel:
         Rows are scored in blocks whose kernel takes 512 KiB, so memory
         does not grow with the row count and the block stays in a 2 MiB L2
         cache while it is built; a row's score does not depend on the rows
-        scored with it.
+        scored with it.  The ufunc buffer is set once for all the blocks
+        (``kernels.unbuffered_blocks``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self.dual_coef)))
+        n_sv = len(self.dual_coef)
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * n_sv))
         scores = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], step):
-            K = kernel_matrix(self.kernel, X[start:start + step], self.support_vectors)
-            # einsum sums each row alone; BLAS matrix-vector products round
-            # a row differently depending on its place in the block
-            scores[start:start + step] = np.einsum("ij,j->i", K, self.dual_coef)
+        with unbuffered_blocks(n_sv):
+            for start in range(0, X.shape[0], step):
+                K = kernel_matrix(self.kernel, X[start:start + step], self.support_vectors)
+                # einsum sums each row alone; BLAS matrix-vector products round
+                # a row differently depending on its place in the block
+                scores[start:start + step] = np.einsum("ij,j->i", K, self.dual_coef)
         scores += self.bias
         return scores
 

@@ -84,13 +84,6 @@ def default_region() -> OracleRegion:
     return OracleRegion(o2s, lows, highs)
 
 
-def oracle_label(region: OracleRegion, hc: float, o2: float) -> bool:
-    """True iff (hc, o2) lies inside the explosive band."""
-    if hc <= 0:
-        raise ValueError(f"hc must be positive, got {hc}")
-    return bool(region.contains(hc, o2))
-
-
 def generate(
     region: OracleRegion,
     n: int,

@@ -16,11 +16,9 @@ from gasgate.data import (
     RATIO_HC_OVER_O2,
     apply_normalization,
     atomic_write_text,
-    encode_labels,
     featurize,
     fit_normalization,
     load_csv,
-    split_train_test,
     write_csv,
 )
 from gasgate.errors import DataFormatError
@@ -499,44 +497,3 @@ class TestPlainFastPath:
             raw[int(where * len(raw))] = byte
             path.write_bytes(bytes(raw))
         assert_matches_strict_parser(path)
-
-
-class TestLabelsAndSplit:
-    def test_encode_zero_one(self):
-        assert encode_labels(SIMPLE, "zero-one").tolist() == [1, 0, 0, 1]
-
-    def test_encode_plus_minus_one(self):
-        assert encode_labels(SIMPLE, "plus-minus-one").tolist() == [1, -1, -1, 1]
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError, match="unknown label scheme"):
-            encode_labels(SIMPLE, "signed")
-
-    def test_split_sizes_58_80(self):
-        data = make_dataset([(1.0 + 0.01 * i, 15.0, 0.0, 0.0, i % 2 == 0) for i in range(58)])
-        train, test = split_train_test(data, 0.8, seed=0)
-        assert (len(train), len(test)) == (46, 12)
-
-    def test_split_sizes_5_80(self):
-        data = make_dataset([(1.0 + 0.01 * i, 15.0, 0.0, 0.0, False) for i in range(5)])
-        train, test = split_train_test(data, 0.8, seed=1)
-        assert (len(train), len(test)) == (4, 1)
-
-    def test_split_partitions(self):
-        train, test = split_train_test(SIMPLE, 0.5, seed=9)
-        seen = sorted(s.hc for s in train) + sorted(s.hc for s in test)
-        assert sorted(seen) == sorted(s.hc for s in SIMPLE)
-
-    def test_split_deterministic(self):
-        a = split_train_test(SIMPLE, 0.5, seed=5)
-        b = split_train_test(SIMPLE, 0.5, seed=5)
-        assert [s.hc for s in a[0]] == [s.hc for s in b[0]]
-
-    def test_split_empty_side_rejected(self):
-        data = make_dataset([(1.0, 15.0, 0.0, 0.0, True), (2.0, 15.0, 0.0, 0.0, False)])
-        with pytest.raises(ValueError, match="empty side"):
-            split_train_test(data, 0.05, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError, match="train_fraction"):
-            split_train_test(SIMPLE, 1.5, seed=0)

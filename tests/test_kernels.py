@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gasgate.kernels
 from gasgate.kernels import KERNEL_KINDS, KernelRows, KernelSpec, kernel_matrix
+from gasgate.svm import PenaltyConfig, SvmModel
 
 
 def pair_value(spec, a, b) -> float:
@@ -125,12 +128,26 @@ def row_bytes(n, rows):
 class TestKernelRows:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_rows_and_diagonal_equal_the_gram_bitwise(self, spec, rng):
+        # 9 columns: the Gram is built with the default ufunc buffer
         X = rng.normal(size=(9, 3))
         K = kernel_matrix(spec, X)
         rows = KernelRows(spec, X, row_bytes(9, 2))
         assert np.array_equal(rows.diagonal, K.diagonal())
         for i in (4, 0, 8, 4, 3, 0):
             assert np.array_equal(rows.row(i), K[i])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_rows_equal_a_gram_built_unbuffered_bitwise(self, spec, rng):
+        # 300 columns: the Gram is built with the smallest ufunc buffer, the
+        # rows with the default one
+        X = rng.normal(size=(300, 5))
+        K = kernel_matrix(spec, X)
+        rows = KernelRows(spec, X, row_bytes(300, 4))
+        assert np.array_equal(rows.diagonal, K.diagonal())
+        for i in (0, 299, 17, 150, 0):
+            assert np.array_equal(rows.row(i), K[i])
+        coef = rng.normal(size=300)
+        assert np.array_equal(rows.dot(coef), KernelRows(spec, X, 1e9).dot(coef))
 
     def test_capacity_follows_the_budget(self, rng):
         X = rng.normal(size=(10, 2))
@@ -186,6 +203,117 @@ class TestKernelRows:
             KernelRows(KernelSpec("linear"), X, 0)
         with pytest.raises(ValueError, match="unresolved"):
             KernelRows(KernelSpec("rbf"), X, 1e6)
+
+CALLER_BUFSIZE = 4096  # not NumPy's default, so a restore to the default shows
+
+
+@pytest.fixture
+def caller_bufsize():
+    old = np.setbufsize(CALLER_BUFSIZE)
+    yield CALLER_BUFSIZE
+    np.setbufsize(old)
+
+
+@pytest.fixture
+def evaluation_bufsizes(monkeypatch):
+    """The ufunc buffer size of every kernel evaluation, with its shape."""
+    seen = []
+    evaluate = gasgate.kernels._evaluate
+
+    def recording(spec, a_cols, b_cols, out):
+        seen.append((out.shape, np.getbufsize()))
+        return evaluate(spec, a_cols, b_cols, out)
+
+    monkeypatch.setattr(gasgate.kernels, "_evaluate", recording)
+    return seen
+
+
+def score_model(rng, n_sv: int) -> SvmModel:
+    return SvmModel(
+        support_vectors=rng.normal(size=(n_sv, 5)),
+        dual_coef=rng.uniform(0.1, 1.0, n_sv) * rng.choice([-1.0, 1.0], n_sv),
+        bias=0.25,
+        kernel=KernelSpec("rbf", gamma=0.5),
+        penalties=PenaltyConfig(1.0, 1.0),
+    )
+
+
+class TestUfuncBuffer:
+    """Wide kernel blocks run with NumPy's smallest ufunc buffer, everything
+    else with the caller's, which is restored on every exit."""
+
+    def test_wide_blocks_run_with_the_smallest_buffer(
+            self, rng, caller_bufsize, evaluation_bufsizes):
+        kernel_matrix(KernelSpec("rbf", gamma=0.5), rng.normal(size=(7, 5)),
+                      rng.normal(size=(200, 5)))
+        assert evaluation_bufsizes == [((7, 200), 16)]
+        assert np.getbufsize() == caller_bufsize
+
+    def test_narrow_blocks_and_rows_keep_the_callers_buffer(
+            self, rng, caller_bufsize, evaluation_bufsizes):
+        spec = KernelSpec("rbf", gamma=0.5)
+        kernel_matrix(spec, rng.normal(size=(7, 5)), rng.normal(size=(32, 5)))
+        rows = KernelRows(spec, rng.normal(size=(200, 5)), 1e9)
+        rows.row(3)
+        rows.row(150)
+        assert evaluation_bufsizes == [((7, 32), caller_bufsize), ((200,), caller_bufsize),
+                                       ((200,), caller_bufsize), ((200,), caller_bufsize)]
+        assert np.getbufsize() == caller_bufsize
+
+    def test_gram_rows_missing_from_a_dot_are_a_wide_block(
+            self, rng, caller_bufsize, evaluation_bufsizes):
+        rows = KernelRows(KernelSpec("rbf", gamma=0.5), rng.normal(size=(200, 5)), 1e9)
+        rows.dot(np.ones(200))
+        assert evaluation_bufsizes[-1] == ((200, 200), 16)
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("n_sv,expected", [(200, 16), (32, CALLER_BUFSIZE)])
+    def test_scoring_blocks_follow_the_support_vector_count(
+            self, rng, n_sv, expected, caller_bufsize, evaluation_bufsizes, monkeypatch):
+        monkeypatch.setattr("gasgate.svm._SCORE_BLOCK_BYTES", 8 * 10 * n_sv)  # 10 rows
+        set_sizes = []
+        setbufsize = np.setbufsize
+
+        def counting(size):
+            set_sizes.append(size)
+            return setbufsize(size)
+
+        monkeypatch.setattr(np, "setbufsize", counting)
+        score_model(rng, n_sv).decision_values(rng.normal(size=(35, 5)))
+        assert [size for _, size in evaluation_bufsizes] == [expected] * 4
+        # once for all four blocks, then the restore
+        assert set_sizes == ([16, caller_bufsize] if expected == 16 else [])
+        assert np.getbufsize() == caller_bufsize
+
+    def test_scores_do_not_depend_on_the_buffer(self, rng):
+        model = score_model(rng, 300)
+        X = rng.normal(size=(40, 5))
+        K = kernel_matrix(model.kernel, X, model.support_vectors)
+        # einsum here runs with the default buffer, in decision_values with
+        # the smallest one
+        expected = np.einsum("ij,j->i", K, model.dual_coef) + model.bias
+        assert np.array_equal(model.decision_values(X), expected)
+
+    def test_a_rejected_call_leaves_the_buffer_alone(self, rng, caller_bufsize):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernel_matrix(KernelSpec("linear"), rng.normal(size=(3, 2)),
+                          rng.normal(size=(300, 4)))
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("width", [4, 32, 127, 128, 491, 3000])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_values_do_not_depend_on_the_buffer(self, spec, width, rng, monkeypatch):
+        A = rng.normal(size=(50, 5))
+        B = rng.normal(size=(width, 5))
+        chosen = kernel_matrix(spec, A, B)
+        monkeypatch.setattr(gasgate.kernels, "_UNBUFFERED_MIN_COLS", sys.maxsize)
+        for bufsize in (8192, 16):
+            old = np.setbufsize(bufsize)
+            try:
+                assert np.array_equal(kernel_matrix(spec, A, B), chosen)
+            finally:
+                np.setbufsize(old)
+
 
 @given(
     a=hnp.arrays(np.float64, 3, elements=st.floats(-10, 10)),

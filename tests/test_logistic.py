@@ -135,6 +135,51 @@ class TestGradient:
         assert np.linalg.norm(model.gradient(X, y)) <= 1e-8
 
 
+SOFTPLUS_PROBES = [0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0, 1e4, -1e4]
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("g", SOFTPLUS_PROBES)
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_matches_the_logaddexp_form(self, g, label):
+        # one feature, beta = (0, 1): the linear score is the feature itself
+        value = penalized_log_likelihood([0.0, 1.0], [[g]], [label], 0.0)
+        expected = label * g - np.logaddexp(0.0, g)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_matches_the_logaddexp_form_summed(self, rng):
+        g = np.concatenate([SOFTPLUS_PROBES, rng.normal(size=500) * 20])
+        y = (rng.random(g.size) < 0.5).astype(float)
+        value = penalized_log_likelihood([0.0, 1.0], g[:, None], y, 0.0)
+        expected = y @ g - np.logaddexp(0.0, g).sum()
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_finite_without_overflow_at_large_scores(self):
+        # exp(-|g|) underflows to 0 at |g| = 1e4, its rounded value; an
+        # overflow would be a fault
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            value = penalized_log_likelihood([0.0, 1.0], [[1e4], [-1e4]], [0.0, 0.0], 0.0)
+        assert value == -1e4
+
+    def test_fit_on_the_2000_row_corpus_agrees_with_bfgs(self):
+        data = generate(default_region(), n=2000, seed=1, noise=0.05)
+        X = featurize(fit_normalization(data), data)
+        y = data.exploded.astype(float)
+        model = fit_logistic(X, y, ridge=0.1)
+        res = optimize.minimize(
+            lambda b: -penalized_log_likelihood(b, X, y, 0.1),
+            np.zeros(4),
+            jac=lambda b: -penalized_gradient(b, X, y, 0.1),
+            method="BFGS",
+            options={"gtol": 1e-8},
+        )
+        assert model.converged
+        assert model.log_likelihood(X, y) >= -res.fun - 1e-9
+        assert np.abs(model.beta - res.x).max() <= 1e-4
+        assert np.linalg.norm(model.gradient(X, y)) <= 1e-8 * len(y)
+
+
 class TestFit:
     def test_agrees_with_bfgs_reference(self, featurized_small):
         _, X, exploded = featurized_small
@@ -200,6 +245,20 @@ class TestFit:
             if value > best:
                 current, best = candidate, value
         assert np.array_equal(current, model.beta)
+
+    def test_reused_probabilities_give_the_same_fit_bitwise(self, monkeypatch):
+        # a copy of beta defeats the reuse of the last evaluation's score,
+        # so every iterate's probabilities are recomputed from scratch
+        data = generate(default_region(), n=2000, seed=1, noise=0.05)
+        X = featurize(fit_normalization(data), data)
+        y = data.exploded.astype(float)
+        reused = fit_logistic(X, y, ridge=0.1)
+
+        def on_a_copy(beta, X, labels, ridge):
+            return penalized_log_likelihood(np.array(beta), X, labels, ridge)
+
+        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", on_a_copy)
+        assert np.array_equal(fit_logistic(X, y, ridge=0.1).beta, reused.beta)
 
     @pytest.mark.parametrize("n", [2000, 50_000])
     def test_large_corpora_converge_at_the_default_tol(self, n):

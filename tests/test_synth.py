@@ -10,7 +10,6 @@ from gasgate.synth import (
     OracleRegion,
     default_region,
     generate,
-    oracle_label,
 )
 
 REGION = default_region()
@@ -46,21 +45,17 @@ class TestRegionGeometry:
     def test_window_bounds_are_inclusive(self):
         lo, hi = DEFAULT_O2_WINDOW
         hc = 1.2
-        assert oracle_label(REGION, hc, lo)
-        assert oracle_label(REGION, hc, hi)
-        assert not oracle_label(REGION, hc, lo - 1e-9)
-        assert not oracle_label(REGION, hc, hi + 1e-9)
+        assert REGION.contains(hc, lo)
+        assert REGION.contains(hc, hi)
+        assert not REGION.contains(hc, lo - 1e-9)
+        assert not REGION.contains(hc, hi + 1e-9)
 
     def test_membership_examples(self):
-        assert oracle_label(REGION, 1.2, 15.0)       # inside the band
-        assert not oracle_label(REGION, 1.0, 15.0)   # below the lower limit
-        assert not oracle_label(REGION, 1.6, 15.0)   # above the upper limit
-        assert not oracle_label(REGION, 1.2, 11.0)   # outside the window
-        assert oracle_label(REGION, 1.0668, 15.0)    # limits are explosive
-
-    def test_nonpositive_hc_rejected(self):
-        with pytest.raises(ValueError, match="hc must be positive"):
-            oracle_label(REGION, 0.0, 15.0)
+        assert REGION.contains(1.2, 15.0)       # inside the band
+        assert not REGION.contains(1.0, 15.0)   # below the lower limit
+        assert not REGION.contains(1.6, 15.0)   # above the upper limit
+        assert not REGION.contains(1.2, 11.0)   # outside the window
+        assert REGION.contains(1.0668, 15.0)    # limits are explosive
 
     def test_contains_is_vectorized(self):
         flags = REGION.contains([1.2, 1.2, 0.1], [15.0, 11.0, 15.0])
@@ -107,7 +102,7 @@ class TestGenerate:
 
     def test_zero_noise_labels_match_the_oracle(self, oracle_corpus):
         for s in oracle_corpus:
-            assert s.exploded == oracle_label(REGION, s.hc, s.o2)
+            assert s.exploded == REGION.contains(s.hc, s.o2)
 
     def test_noise_flips_a_bounded_share(self):
         clean = generate(REGION, n=400, seed=12, noise=0.0)
