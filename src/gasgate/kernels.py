@@ -210,6 +210,10 @@ class KernelRows:
             idx = nonzero[start:start + step]
             slots = self._slot_of[idx]
             held = slots >= 0
+            if held.all():
+                # the gathered copy is the block itself, laid out as below
+                u += coef[idx] @ self._slab[slots]
+                continue
             block = np.empty((len(idx), n))
             block[held] = self._slab[slots[held]]
             if not held.all():

@@ -196,6 +196,8 @@ def fit_logistic(
     design = _Design(_design(X))
     D = design.matrix
     n, p = D.shape
+    DT = np.ascontiguousarray(D.T)
+    weighted = np.empty_like(D)
     beta = np.zeros(p)
     mask = np.ones(p)
     mask[0] = 0.0  # intercept is never penalized
@@ -211,7 +213,7 @@ def fit_logistic(
             converged = True
             break
         w = probs * (1.0 - probs)
-        hessian = D.T @ (D * w[:, None]) + np.diag(ridge * mask)
+        hessian = _weighted_gram(D, DT, w, weighted) + np.diag(ridge * mask)
         try:
             step = np.linalg.solve(hessian, grad)
             if not np.isfinite(step).all():
@@ -248,6 +250,18 @@ def fit_logistic(
     return LogisticModel(
         beta=beta, normalization=normalization, ridge=ridge, converged=converged
     )
+
+
+def _weighted_gram(D, DT, w, out) -> np.ndarray:
+    """D' diag(w) D, bit for bit ``D.T @ (D * w[:, None])``.
+
+    The products D[i, j] * w[i] go into ``out``, a C-ordered array shaped
+    like D, through its transpose from ``DT``, a contiguous copy of D.T: the
+    same products in the same layout, without NumPy's buffered broadcast
+    over rows a few columns wide.
+    """
+    np.multiply(DT, w, out=out.T)
+    return D.T @ out
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ No n x n Gram matrix is ever formed: SMO reads kernel rows from a
 ``KernelRows`` cache under a byte budget (Chang & Lin 2011, LIBSVM section
 4), and scoring works through the rows in blocks of 512 KiB of kernel
 values, so memory is O(budget + n) in training and bounded in prediction.
+A fit ends without a pass over all support vectors for every sample: as in
+LIBSVM (section 5), the bias is taken from the free multipliers, and only
+their gradient is recomputed exactly, by the same blocks as scoring.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
 #: default budget of the kernel-row cache a fit builds, in MiB
 DEFAULT_CACHE_MB = 256.0
-#: kernel bytes ``SvmModel.decision_values`` holds at once; the block and the
-#: equal-sized scratch of ``kernels._evaluate`` then fit together in a 2 MiB L2
+#: kernel bytes ``_kernel_sums`` holds at once; the block and the equal-sized
+#: scratch of ``kernels._evaluate`` then fit together in a 2 MiB L2
 _SCORE_BLOCK_BYTES = 512 << 10
 #: pair updates between free-set Newton steps in ``fit_svm``
 _NEWTON_EVERY = 30
@@ -77,9 +80,10 @@ class SvmModel:
 
     ``dual_coef[k]`` is alpha_k * y_k, so its sign encodes the support
     vector's class.  ``support_indices`` point back into the training set;
-    they, ``objective_trace`` and ``alpha`` (the multipliers of every
-    training sample, zeros included, which can warm-start a refit) are
-    diagnostics, not part of the serialized form.
+    they, ``objective_trace``, ``alpha`` (the multipliers of every training
+    sample, zeros included, which can warm-start a refit) and
+    ``gradient_drift`` (see ``fit_svm``) are diagnostics, not part of the
+    serialized form.
     """
 
     support_vectors: np.ndarray
@@ -92,6 +96,7 @@ class SvmModel:
     support_indices: np.ndarray | None = None
     objective_trace: np.ndarray | None = None
     alpha: np.ndarray | None = None
+    gradient_drift: float | None = None
 
     def __post_init__(self):
         sv = np.atleast_2d(np.asarray(self.support_vectors, dtype=float))
@@ -114,22 +119,12 @@ class SvmModel:
     def decision_values(self, X) -> np.ndarray:
         """sum_k dual_coef[k] * K(sv_k, x) + bias for each row of X.
 
-        Rows are scored in blocks whose kernel takes 512 KiB, so memory
-        does not grow with the row count and the block stays in a 2 MiB L2
-        cache while it is built; a row's score does not depend on the rows
-        scored with it.  The ufunc buffer is set once for all the blocks
-        (``kernels.unbuffered_blocks``).
+        Rows are scored in blocks of 512 KiB of kernel values
+        (``_kernel_sums``), so memory does not grow with the row count and a
+        row's score does not depend on the rows scored with it.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n_sv = len(self.dual_coef)
-        step = max(1, _SCORE_BLOCK_BYTES // (8 * n_sv))
-        scores = np.empty(X.shape[0])
-        with unbuffered_blocks(n_sv):
-            for start in range(0, X.shape[0], step):
-                K = kernel_matrix(self.kernel, X[start:start + step], self.support_vectors)
-                # einsum sums each row alone; BLAS matrix-vector products round
-                # a row differently depending on its place in the block
-                scores[start:start + step] = np.einsum("ij,j->i", K, self.dual_coef)
+        scores = _kernel_sums(self.kernel, X, self.support_vectors, self.dual_coef)
         scores += self.bias
         return scores
 
@@ -183,6 +178,16 @@ def fit_svm(
     counts as one update against the budget.  ``objective_trace`` holds the
     dual objective of the starting point and then after each update,
     accumulated from the exact gain of each step.
+
+    SMO keeps the gradient F = u - y up to date by increments.  When some
+    multiplier is free, the bias is -mean(F) over the free ones, with F
+    recomputed exactly there alone, from the support vectors in blocks of
+    512 KiB of kernel values, so a fit ends without a pass over all support
+    vectors for every sample and its bias reads no row of the cache.  When
+    none is free, F is recomputed for every sample (``KernelRows.dot``) and
+    the bias is the midpoint of the band the KKT conditions leave open.
+    ``gradient_drift`` records the largest |F incremental - F exact| over
+    the samples recomputed.
 
     SMO reads the Gram matrix only row by row, through a ``KernelRows``
     cache that computes each row when first read and keeps at most
@@ -368,19 +373,26 @@ def fit_svm(
                 objective += gain
                 trace.append(objective)
 
-    # One exact recomputation guards against drift in the incremental u.
-    u = cache.dot(alpha * y)
-    F = u - y
-    bias = _fit_bias(alpha, y, caps, F)
-
     keep = alpha > 1e-12
     if not keep.any():
         raise GasgateError(
             "optimizer made no progress; no support vectors found"
         )
+    coef = alpha * y
+    free = _free(alpha, caps)
+    if free.any():
+        # the bias reads the gradient on the free set alone, so only there is
+        # it recomputed exactly, from the support vectors
+        exact = _kernel_sums(spec, X[free], X[keep], coef[keep]) - y[free]
+        drift = float(np.abs(exact - F[free]).max())
+        bias = float(-exact.mean())
+    else:
+        exact = cache.dot(coef) - y
+        drift = float(np.abs(exact - F).max())
+        bias = _band_bias(exact, *_index_sets(alpha, y, caps))
     return SvmModel(
         support_vectors=X[keep],
-        dual_coef=(alpha * y)[keep],
+        dual_coef=coef[keep],
         bias=bias,
         kernel=spec,
         penalties=penalties,
@@ -389,6 +401,7 @@ def fit_svm(
         support_indices=np.flatnonzero(keep),
         objective_trace=np.array(trace),
         alpha=alpha,
+        gradient_drift=drift,
     )
 
 
@@ -472,12 +485,29 @@ def _free_set_newton(Q, g, y, a, caps):
     return a, total
 
 
-def _fit_bias(alpha, y, caps, F) -> float:
-    """Average -F over free vectors; else the midpoint of the feasible band."""
-    free = _free(alpha, caps)
-    if free.any():
-        return float(-F[free].mean())
-    up, low = _index_sets(alpha, y, caps)
+def _kernel_sums(spec: KernelSpec, X, support_vectors, coef) -> np.ndarray:
+    """sum_k coef[k] * K(x, sv_k) for each row x of X.
+
+    Rows are taken in blocks whose kernel takes 512 KiB, so memory does not
+    grow with the row count and the block stays in a 2 MiB L2 cache while it
+    is built; a row's sum does not depend on the rows summed with it.  The
+    ufunc buffer is set once for all the blocks (``kernels.unbuffered_blocks``).
+    """
+    n_sv = len(coef)
+    step = max(1, _SCORE_BLOCK_BYTES // (8 * n_sv))
+    sums = np.empty(X.shape[0])
+    with unbuffered_blocks(n_sv):
+        for start in range(0, X.shape[0], step):
+            K = kernel_matrix(spec, X[start:start + step], support_vectors)
+            # einsum sums each row alone; BLAS matrix-vector products round
+            # a row differently depending on its place in the block
+            sums[start:start + step] = np.einsum("ij,j->i", K, coef)
+    return sums
+
+
+def _band_bias(F, up, low) -> float:
+    """The midpoint of the feasible bias band [-min F[up], -max F[low]],
+    or its one finite edge; the bias when no multiplier is free."""
     if up.any() and low.any():
         return float(-(F[up].min() + F[low].max()) / 2.0)
     if up.any():

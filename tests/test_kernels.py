@@ -197,6 +197,31 @@ class TestKernelRows:
         monkeypatch.setattr("gasgate.kernels._DOT_BLOCK_BYTES", row_bytes(30, 7))
         assert rows.dot(coef) == pytest.approx(one_block, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("held", [range(60), [*range(25), 40, 47, 53]],
+                             ids=["all held", "some missing"])
+    def test_dot_equals_the_two_buffer_gather_bitwise(self, rng, monkeypatch, held):
+        # reference: every block of 7 rows copied into its own C-ordered
+        # (rows, n) array, then one matrix-vector product per block
+        n = 60
+        X = rng.normal(size=(n, 4))
+        spec = KernelSpec("rbf", gamma=0.5)
+        coef = rng.normal(size=n) * (rng.random(n) < 0.7)
+        rows = KernelRows(spec, X, 1e9)
+        for i in held:
+            rows.row(i)
+        monkeypatch.setattr("gasgate.kernels._DOT_BLOCK_BYTES", row_bytes(n, 7))
+        K = kernel_matrix(spec, X)
+        nonzero = np.flatnonzero(coef)
+        expected = np.zeros(n)
+        for start in range(0, len(nonzero), 7):
+            idx = nonzero[start:start + 7]
+            block = np.empty((len(idx), n))
+            block[:] = K[idx]
+            expected += coef[idx] @ block
+        computed = rows.rows_computed
+        assert np.array_equal(rows.dot(coef), expected)
+        assert rows.rows_computed - computed == len(np.setdiff1d(nonzero, list(held)))
+
     def test_invalid_budget_and_unresolved_gamma(self, rng):
         X = rng.normal(size=(4, 2))
         with pytest.raises(ValueError, match="budget"):

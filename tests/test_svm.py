@@ -302,8 +302,8 @@ class TestKernelRowCache:
         self.assert_same_fit(evicting, fit(X, y, RBF, cache=unbounded))
         assert tiny._slab.shape == (3, n) and max(held) == 3
         assert tiny.rows_computed > 2 * unbounded.rows_computed
-        # every alpha > 0 was read in some pair, so the final recompute of
-        # the gradient found all its rows held
+        # an unbounded cache computes each row once, and the bias, taken
+        # from the free set's exact gradient, reads no row of the cache
         assert unbounded.rows_computed == unbounded.rows_held
 
     def test_tiny_cache_mb_gives_the_same_fit(self, corpus):
@@ -389,6 +389,68 @@ class TestFreeSetNewtonStep:
         model = fit(X, np.where(data.exploded, 1.0, -1.0), RBF)
         assert model.converged
         assert len(model.objective_trace) - 1 <= 2000
+
+
+class TestBiasFromTheFreeSet:
+    """With a free multiplier the bias is -mean(F) over the free set, F
+    recomputed exactly there alone; with none free every sample's F is
+    recomputed by ``KernelRows.dot`` and the bias is the band midpoint."""
+
+    @staticmethod
+    def exact_gradient(model, X, y):
+        return (model.alpha * y) @ kernel_matrix(model.kernel, X) - y
+
+    @pytest.fixture
+    def dot_calls(self, monkeypatch):
+        calls = []
+        dot = KernelRows.dot
+
+        def recording(self, coef):
+            calls.append(len(coef))
+            return dot(self, coef)
+
+        monkeypatch.setattr(KernelRows, "dot", recording)
+        return calls
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL, SIGMOID], ids=lambda k: k.kind)
+    def test_bias_matches_a_full_recompute(self, kernel, rng):
+        for _ in range(5):
+            X, y = random_two_class_problem(rng, n_range=(20, 60), d_range=(2, 4))
+            model = fit(X, y, kernel, pos=3.0, neg=4.0)
+            free = svm._free(model.alpha, np.where(y > 0, 3.0, 4.0))
+            assert free.any()
+            F = self.exact_gradient(model, X, y)
+            assert model.bias == pytest.approx(-F[free].mean(), rel=1e-12, abs=1e-12)
+            assert 0 <= model.gradient_drift <= 1e-9
+
+    def test_cold_fit_with_free_multipliers_takes_no_full_gradient(self, corpus, dot_calls):
+        X, y = corpus
+        model = fit(X, y, RBF)
+        assert svm._free(model.alpha, np.full(len(y), 10.0)).any()
+        assert dot_calls == []
+        # a warm start still recomputes its starting gradient, once
+        fit(X, y, RBF, pos=20.0, init_alpha=model.alpha)
+        assert len(dot_calls) == 1
+
+    def test_every_multiplier_at_its_cap_gives_the_band_midpoint(self, rng, dot_calls):
+        # tiny penalties on overlapping, balanced classes bound every multiplier
+        X = rng.normal(size=(40, 2))
+        y = np.repeat([1.0, -1.0], 20)
+        model = fit(X, y, RBF, pos=1e-3, neg=1e-3)
+        assert np.array_equal(model.alpha, np.full(40, 1e-3))
+        assert len(dot_calls) == 1
+        F = self.exact_gradient(model, X, y)
+        up, low = svm._index_sets(model.alpha, y, np.full(40, 1e-3))
+        midpoint = -(F[up].min() + F[low].max()) / 2.0
+        assert model.bias == pytest.approx(midpoint, rel=1e-12, abs=1e-12)
+        assert 0 <= model.gradient_drift <= 1e-12
+
+    def test_drift_on_the_benchmark_fit_corpus_is_negligible(self):
+        # the fit workload's training corpus: about 1.7e-13
+        data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
+        X = gg.featurize(gg.fit_normalization(data), data)
+        model = fit(X, np.where(data.exploded, 1.0, -1.0), RBF)
+        assert model.gradient_drift <= 1e-9
 
 
 class TestBlockedScoring:
