@@ -510,11 +510,16 @@ def cmd_intervals(args) -> int:
     _require(args, "o2")
     _check(args, bool(args.model_file) != bool(args.data),
            "exactly one of --model-file / --data is required")
-    _check(args, 0.0 < args.hc_min < args.hc_max,
-           "--hc-min/--hc-max must satisfy 0 < min < max")
+    _check(args, 0.0 < args.hc_min < args.hc_max <= 100.0,
+           "--hc-min/--hc-max must satisfy 0 < min < max <= 100")
     _check(args, args.grid_points >= 100, "--grid-points must be >= 100")
     _check(args, args.root_tol > 0, "--root-tol must be positive")
     levels = _parse_float_list(args, "o2", args.o2)
+    for o2 in levels:
+        # false for nan and +-inf too
+        _check(args, o2 >= 0.0 and o2 + args.hc_max <= 100.0,
+               f"--o2: level {o2:g} must be finite and in [0, {100.0 - args.hc_max:g}] "
+               "(o2 + --hc-max <= 100)")
     if args.model_file:
         model = load_model(args.model_file)
         if not isinstance(model, LogisticModel):

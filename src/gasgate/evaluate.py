@@ -361,9 +361,12 @@ def penalty_sweep(
     fold the ratios are solved as a path (Hastie et al. 2004): normalization
     and features are computed once, one kernel-row cache of ``cache_mb`` MiB
     serves every ratio, and the distinct ratios are fitted in ascending
-    order, each starting SMO from the previous ratio's multipliers.  Raising
-    the ratio only raises the positive-class cap, so that start is feasible,
-    and every fit still stops at the same KKT tolerance ``tol`` as a cold one.
+    order, each starting SMO from the previous ratio's multipliers and
+    gradient.  Raising the ratio only raises the positive-class cap, so that
+    start is feasible, and every fit still stops at the same KKT tolerance
+    ``tol`` as a cold one.  Carrying the gradient spares each warm start a
+    pass over the rows of every support vector, which a cache smaller than
+    those rows would have to recompute.
     """
     grid = [float(g) for g in gamma_grid]
     if not grid:
@@ -397,12 +400,12 @@ def _sweep_fold(train, test, penalties, feature_config, kernel, cache_mb, **fit_
     labels = np.where(train.exploded, 1.0, -1.0)
     spec = kernel.resolved(X.shape[1])
     cache = KernelRows(spec, X, cache_mb * 2**20)
-    alpha = None
+    alpha = gradient = None
     path = []
     for pair in penalties:
-        model = fit_svm(X, labels, spec, pair, normalization=params,
-                        init_alpha=alpha, cache=cache, **fit_options)
-        alpha = model.alpha
+        model = fit_svm(X, labels, spec, pair, normalization=params, init_alpha=alpha,
+                        init_gradient=gradient, cache=cache, **fit_options)
+        alpha, gradient = model.alpha, model.gradient
         predicted = model.predict(X_test) == 1
         path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))
     return path

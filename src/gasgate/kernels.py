@@ -146,9 +146,13 @@ class KernelRows:
     Rows live in one preallocated slab of ``capacity`` rows: as many as
     ``budget_bytes`` holds, at least two and at most n.  Once the slab is
     full, the least recently read row gives up its slot.  Slab pages never
-    written are never resident, so memory is O(budget + n) and a budget that
-    exceeds the rows actually read costs nothing.  A row returned by ``row``
-    stays valid until ``capacity - 1`` other rows have been read.
+    written are never resident, so memory is O(budget + n).  A budget larger
+    than the rows read again is still not free: every row read stays
+    resident until the slab is full, and SMO reads few rows twice, so the
+    rows beyond what it re-reads cost memory for nothing.  A row returned by
+    ``row`` stays valid until ``capacity - 1`` other rows have been read; a
+    caller that needs many rows at once copies them, as the SVM's Newton
+    step does with up to 200.
 
     ``diagonal`` holds k(x_i, x_i) for every sample, bitwise equal to the
     same entry of the sample's row.

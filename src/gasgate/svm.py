@@ -43,8 +43,11 @@ from .data import NormalizationParams
 from .errors import GasgateError, SingleClassError
 from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
-#: default budget of the kernel-row cache a fit builds, in MiB
-DEFAULT_CACHE_MB = 256.0
+#: default budget of the kernel-row cache a fit builds, in MiB.  SMO reads few
+#: rows twice: a 4000-row RBF fit computes 1 500 rows with 64 rows held, 1 396
+#: with 524 (16 MiB) and 1 231 with all 4000, while each row read stays
+#: resident, 8n bytes, until the budget is full.
+DEFAULT_CACHE_MB = 16.0
 #: kernel bytes ``_kernel_sums`` holds at once; the block and the equal-sized
 #: scratch of ``kernels._evaluate`` then fit together in a 2 MiB L2
 _SCORE_BLOCK_BYTES = 512 << 10
@@ -81,7 +84,8 @@ class SvmModel:
     ``dual_coef[k]`` is alpha_k * y_k, so its sign encodes the support
     vector's class.  ``support_indices`` point back into the training set;
     they, ``objective_trace``, ``alpha`` (the multipliers of every training
-    sample, zeros included, which can warm-start a refit) and
+    sample, zeros included), ``gradient`` (F = u - y at ``alpha`` for every
+    training sample; with ``alpha`` it warm-starts a refit) and
     ``gradient_drift`` (see ``fit_svm``) are diagnostics, not part of the
     serialized form.
     """
@@ -96,6 +100,7 @@ class SvmModel:
     support_indices: np.ndarray | None = None
     objective_trace: np.ndarray | None = None
     alpha: np.ndarray | None = None
+    gradient: np.ndarray | None = None
     gradient_drift: float | None = None
 
     def __post_init__(self):
@@ -160,6 +165,7 @@ def fit_svm(
     *,
     cache_mb: float = DEFAULT_CACHE_MB,
     init_alpha: np.ndarray | None = None,
+    init_gradient: np.ndarray | None = None,
     cache: KernelRows | None = None,
 ) -> SvmModel:
     """Train on (features, +/-1 labels) by SMO.
@@ -187,20 +193,30 @@ def fit_svm(
     none is free, F is recomputed for every sample (``KernelRows.dot``) and
     the bias is the midpoint of the band the KKT conditions leave open.
     ``gradient_drift`` records the largest |F incremental - F exact| over
-    the samples recomputed.
+    the samples recomputed, and the model's ``gradient`` is F with those
+    samples at their exact values.
 
     SMO reads the Gram matrix only row by row, through a ``KernelRows``
     cache that computes each row when first read and keeps at most
     ``cache_mb`` MiB of rows, evicting the least recently read; memory is
     O(cache_mb + n), not O(n^2).  A smaller budget recomputes evicted rows
-    but gives the same fit, bit for bit.  ``cache`` passes in a cache built
-    on these same ``features`` and the resolved ``kernel``, so refits on the
-    same rows reuse the rows already computed; ``cache_mb`` then goes unused.
+    but gives the same fit, bit for bit.  A budget larger than the rows SMO
+    reads again is not free: every row read stays resident until the budget
+    is full, and few rows are read twice (``DEFAULT_CACHE_MB``).  A Newton
+    step also holds a transient copy of the rows of up to
+    ``_NEWTON_MAX_FREE`` free multipliers.  ``cache`` passes in a cache
+    built on these same ``features`` and the resolved ``kernel``, so refits
+    on the same rows reuse the rows already computed; ``cache_mb`` then goes
+    unused.
 
     ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
     0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
     previous fit's ``alpha`` qualifies when only the caps have grown, as
-    along a rising penalty ratio.  Malformed values raise ``ValueError``.
+    along a rising penalty ratio.  The starting gradient is then computed
+    over every sample with a non-zero multiplier (``KernelRows.dot``),
+    unless ``init_gradient`` supplies it: F = u - y at ``init_alpha``, such
+    as the previous fit's ``gradient``, which spares a pass over rows the
+    cache may no longer hold.  Malformed values raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -232,14 +248,20 @@ def fit_svm(
     second_order = spec.kind != "sigmoid"
 
     if init_alpha is None:
+        if init_gradient is not None:
+            raise ValueError("init_gradient needs the init_alpha it was taken at")
         alpha = np.zeros(n)
         F = -y  # gradient u - y, with u the decision values without bias
         objective = 0.0
     else:
         alpha = _feasible_start(init_alpha, y, caps)
         coef = alpha * y
-        u = cache.dot(coef)
-        F = u - y
+        if init_gradient is None:
+            u = cache.dot(coef)
+            F = u - y
+        else:
+            F = _checked_gradient(init_gradient, y)
+            u = F + y
         objective = float(alpha.sum() - 0.5 * coef @ u)
 
     def masked_gradient():
@@ -386,10 +408,12 @@ def fit_svm(
         exact = _kernel_sums(spec, X[free], X[keep], coef[keep]) - y[free]
         drift = float(np.abs(exact - F[free]).max())
         bias = float(-exact.mean())
+        F[free] = exact
     else:
         exact = cache.dot(coef) - y
         drift = float(np.abs(exact - F).max())
         bias = _band_bias(exact, *_index_sets(alpha, y, caps))
+        F = exact
     return SvmModel(
         support_vectors=X[keep],
         dual_coef=coef[keep],
@@ -401,6 +425,7 @@ def fit_svm(
         support_indices=np.flatnonzero(keep),
         objective_trace=np.array(trace),
         alpha=alpha,
+        gradient=F,
         gradient_drift=drift,
     )
 
@@ -417,6 +442,16 @@ def _feasible_start(init_alpha, y, caps) -> np.ndarray:
     if not abs(alpha @ y) <= 1e-9 * caps.sum():
         raise ValueError(f"init_alpha violates sum(alpha * y) = 0 (got {alpha @ y:.3g})")
     return np.clip(alpha, 0.0, caps, out=alpha)
+
+
+def _checked_gradient(init_gradient, y) -> np.ndarray:
+    """A copy of ``init_gradient`` checked for shape and finiteness."""
+    F = np.array(init_gradient, dtype=float)
+    if F.shape != y.shape:
+        raise ValueError(f"init_gradient must have shape {y.shape}, got {F.shape}")
+    if not np.isfinite(F).all():
+        raise ValueError("init_gradient must be finite")
+    return F
 
 
 def _pair_gain(dj, yj, Fi, Fj, eta):
@@ -454,34 +489,36 @@ def _free_set_newton(Q, g, y, a, caps):
     kkt[:m, :m] = Q
     kkt[:m, m] = kkt[m, :m] = y
     a = a.copy()
-    S = np.arange(m)
+    rows = np.arange(m + 1)  # S, then the border index m
+    rhs = np.append(g, 0.0)  # g on S, then 0 for y'd = 0
     total = 0.0
-    while len(S) >= 2:
-        rows = np.append(S, m)
+    while len(rows) > 2:
         try:
-            d = np.linalg.solve(kkt[np.ix_(rows, rows)], np.append(g[S], 0.0))[:-1]
+            d = np.linalg.solve(kkt[rows[:, None], rows], rhs)[:-1]
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(d).all():
             break
-        a_S = a[S]
-        bound = np.where(d > 0, caps[S], 0.0)
+        S, g_S = rows[:-1], rhs[:-1]
+        a_S, caps_S = a[S], caps[S]
+        bound = np.where(d > 0, caps_S, 0.0)
         reach = np.divide(bound - a_S, d, out=np.full(len(S), np.inf), where=d != 0)
         t = min(1.0, reach.min())
         hit = reach <= t
-        new = np.clip(a_S + t * d, 0.0, caps[S])
+        new = np.minimum(np.maximum(a_S + t * d, 0.0), caps_S)
         new[hit] = bound[hit]
         step = new - a_S
-        Q_step = Q[:, S] @ step
-        gain = g[S] @ step - 0.5 * step @ Q_step[S]
+        Q_step = (Q[:, S] @ step)[S]
+        gain = g_S @ step - 0.5 * step @ Q_step
         if not gain > 0:
             break
         a[S] = new
-        g = g - Q_step
         total += gain
         if t == 1.0:
             break
-        S = S[~hit]
+        g_S -= Q_step
+        keep = np.append(~hit, True)
+        rows, rhs = rows[keep], rhs[keep]
     return a, total
 
 

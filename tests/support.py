@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the
 brute-force grid and the SLSQP solve are alternative routes to the SVM dual
 optimum, the KKT scan re-derives optimality conditions from raw model
-output, and the fold deal and the masked sigmoid are the straightforward
-forms the library's array versions must match bit for bit.
+output, and the fold deal, the masked sigmoid and the free-set Newton solve
+are the straightforward forms the library's versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -139,3 +139,42 @@ def masked_sigmoid(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def reference_free_set_newton(Q, g, y, a, caps):
+    """Active-set Newton steps on max g'd - d'Qd/2, y'd = 0, 0 <= a + d <= caps,
+    each round re-gathering the bordered system and the full gradient."""
+    m = len(a)
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = Q
+    kkt[:m, m] = kkt[m, :m] = y
+    a = a.copy()
+    S = np.arange(m)
+    total = 0.0
+    while len(S) >= 2:
+        rows = np.append(S, m)
+        try:
+            d = np.linalg.solve(kkt[np.ix_(rows, rows)], np.append(g[S], 0.0))[:-1]
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(d).all():
+            break
+        a_S = a[S]
+        bound = np.where(d > 0, caps[S], 0.0)
+        reach = np.divide(bound - a_S, d, out=np.full(len(S), np.inf), where=d != 0)
+        t = min(1.0, reach.min())
+        hit = reach <= t
+        new = np.clip(a_S + t * d, 0.0, caps[S])
+        new[hit] = bound[hit]
+        step = new - a_S
+        Q_step = Q[:, S] @ step
+        gain = g[S] @ step - 0.5 * step @ Q_step[S]
+        if not gain > 0:
+            break
+        a[S] = new
+        g = g - Q_step
+        total += gain
+        if t == 1.0:
+            break
+        S = S[~hit]
+    return a, total

@@ -458,6 +458,27 @@ class TestIntervals:
         rc = main(["intervals", "--data", str(span_csv), "--o2", "sixteen"])
         assert rc == 1
 
+    @pytest.mark.parametrize("level", ["99", "-1", "nan", "inf"])
+    def test_o2_outside_the_input_contract(self, span_csv, workdir, capsys, level):
+        # with the default --hc-max 5 the levels allowed are [0, 95]
+        out = workdir / f"intervals_{level}.csv"
+        rc = main(["intervals", "--data", str(span_csv), "--o2", f"16,{level}",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"--o2: level {level} must be finite and in [0, 95]" in captured.err
+        assert "Traceback" not in captured.err and "row 1" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hc_max", ["101", "inf"])
+    def test_hc_max_above_100_blames_the_range(self, span_csv, capsys, hc_max):
+        rc = main(["intervals", "--data", str(span_csv), "--o2", "16", "--hc-max", hc_max])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--hc-min/--hc-max must satisfy 0 < min < max <= 100" in err
+        assert "--o2" not in err
+
 
 class TestSeedEnv:
     def test_env_seed_matches_explicit_flag(self, workdir, monkeypatch):

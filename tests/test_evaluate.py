@@ -26,7 +26,7 @@ from gasgate.evaluate import (
     sweep_text,
     sweep_tsv,
 )
-from gasgate.kernels import KernelSpec
+from gasgate.kernels import KernelRows, KernelSpec
 from gasgate.svm import PenaltyConfig, fit_svm
 from gasgate.synth import default_region, generate
 
@@ -377,6 +377,32 @@ class TestPenaltySweep:
         report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
         assert len(updates) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
         assert sum(updates) <= 2500
+        assert choose_ratio(report) == 10.0
+
+    def test_warm_starts_carry_their_gradient(self, monkeypatch):
+        # each ratio starts from the previous fit's multipliers and gradient,
+        # so no fit recomputes its starting gradient from the kernel rows
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        dots, starts = [], []
+        dot = KernelRows.dot
+
+        def recording_dot(self, coef):
+            dots.append(len(coef))
+            return dot(self, coef)
+
+        def recording_fit(*args, init_alpha=None, init_gradient=None, **kwargs):
+            model = fit_svm(*args, init_alpha=init_alpha, init_gradient=init_gradient,
+                            **kwargs)
+            starts.append((init_alpha is None, init_gradient is None))
+            return model
+
+        monkeypatch.setattr(KernelRows, "dot", recording_dot)
+        monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
+        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        assert dots == []
+        # per fold: one cold fit, then warm starts with both
+        assert len(starts) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
+        assert starts == [(k % len(DEFAULT_GAMMA_GRID) == 0,) * 2 for k in range(len(starts))]
         assert choose_ratio(report) == 10.0
 
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):

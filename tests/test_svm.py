@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from .support import (
     full_alpha,
     kkt_max_residual,
     random_two_class_problem,
+    reference_free_set_newton,
     slsqp_dual,
 )
 
@@ -25,6 +28,20 @@ POLYNOMIAL = KernelSpec("polynomial", gamma=0.3, coef0=1.0, degree=2)
 
 def fit(X, y, kernel=LINEAR, pos=10.0, neg=10.0, **kw):
     return fit_svm(X, y, kernel, PenaltyConfig(pos, neg), **kw)
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """The length of the coefficients of every ``KernelRows.dot`` call."""
+    calls = []
+    dot = KernelRows.dot
+
+    def recording(self, coef):
+        calls.append(len(coef))
+        return dot(self, coef)
+
+    monkeypatch.setattr(KernelRows, "dot", recording)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +263,47 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="init_alpha"):
             fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha))
 
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
+    def test_carried_gradient_reaches_the_cold_objective(self, kernel, rng, dot_calls):
+        for _ in range(4):
+            X, y = random_two_class_problem(rng, n_range=(30, 60))
+            low = fit(X, y, kernel, pos=1.0, neg=1.0)
+            cold = fit(X, y, kernel, pos=8.0, neg=1.0)
+            calls = len(dot_calls)
+            warm = fit(X, y, kernel, pos=8.0, neg=1.0,
+                       init_alpha=low.alpha, init_gradient=low.gradient)
+            assert cold.converged and warm.converged
+            assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
+            if svm._free(warm.alpha, np.where(y > 0, 8.0, 1.0)).any():
+                assert len(dot_calls) == calls
+
+    def test_restart_with_carried_gradient_makes_no_update(self, rng, dot_calls):
+        X, y = random_two_class_problem(rng, n_range=(30, 60))
+        model = fit(X, y, RBF, pos=3.0, neg=2.0)
+        again = fit(X, y, RBF, pos=3.0, neg=2.0,
+                    init_alpha=model.alpha, init_gradient=model.gradient)
+        assert again.converged and len(again.objective_trace) == 1
+        assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
+        assert np.array_equal(again.alpha, model.alpha)
+        assert dot_calls == []
+
+    @pytest.mark.parametrize(
+        "gradient, alpha",
+        [
+            ([0.0, 0.0], [0.5, 0.5, 0.0]),  # wrong length
+            ([[0.0, 0.0, 0.0]], [0.5, 0.5, 0.0]),  # wrong shape
+            ([np.nan, 0.0, 0.0], [0.5, 0.5, 0.0]),
+            ([0.0, -np.inf, 0.0], [0.5, 0.5, 0.0]),
+            ([0.0, 0.0, 0.0], None),  # no multipliers it was taken at
+        ],
+        ids=["length", "shape", "nan", "inf", "no-init-alpha"],
+    )
+    def test_malformed_init_gradient_rejected(self, gradient, alpha):
+        init_alpha = None if alpha is None else np.array(alpha)
+        with pytest.raises(ValueError, match="init_gradient"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0,
+                init_alpha=init_alpha, init_gradient=np.array(gradient))
+
     def test_rounding_excursions_are_clipped(self):
         # 1e-13 below zero is tolerated and clipped to (0.5, 0.5, 0), whose
         # linear-kernel dual objective is exactly 1 - 1/8
@@ -274,6 +332,20 @@ def corpus():
     data = gg.generate(gg.default_region(), n=300, seed=5, noise=0.05)
     X = gg.featurize(gg.fit_normalization(data), data)
     return X, np.where(data.exploded, 1.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def fit_corpus():
+    """The fit workload's training corpus: 4000 rows, generator seed 1."""
+    data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
+    X = gg.featurize(gg.fit_normalization(data), data)
+    return X, np.where(data.exploded, 1.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def fit_corpus_model(fit_corpus):
+    """The RBF fit of the fit workload, at the default cache budget."""
+    return fit(*fit_corpus, RBF)
 
 
 class TestKernelRowCache:
@@ -325,6 +397,45 @@ class TestKernelRowCache:
             paths.append(path)
         for evicting, unbounded in zip(*paths):
             self.assert_same_fit(evicting, unbounded)
+
+    def test_constant_eviction_gives_the_same_carried_path(self, corpus):
+        X, y = corpus
+        paths = []
+        for budget in (2 * 8 * len(y), 1e9):
+            cache = KernelRows(RBF, X, budget)
+            alpha = gradient = None
+            path = []
+            for ratio in (1.0, 5.0, 20.0):
+                model = fit(X, y, RBF, pos=ratio, neg=1.0, cache=cache,
+                            init_alpha=alpha, init_gradient=gradient)
+                alpha, gradient = model.alpha, model.gradient
+                path.append(model)
+            paths.append(path)
+        for evicting, unbounded in zip(*paths):
+            self.assert_same_fit(evicting, unbounded)
+            assert np.array_equal(evicting.gradient, unbounded.gradient)
+
+    def test_default_budget_bounds_the_benchmark_fit(self, fit_corpus, monkeypatch):
+        # rows read stay resident until the budget is full, so the budget
+        # sets the fit's peak; 16 MiB holds 524 rows of 4000 samples
+        X, y = fit_corpus
+        caches = []
+
+        class Recorded(KernelRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(svm, "KernelRows", Recorded)
+        tracemalloc.start()
+        try:
+            model = fit(X, y, RBF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.capacity for c in caches] == [524]
+        assert peak <= 24 * 2**20
+        self.assert_same_fit(model, fit(X, y, RBF, cache=KernelRows(RBF, X, 1e9)))
 
     @pytest.mark.parametrize("cache_mb", [0.0, -1.0])
     def test_non_positive_budget_rejected(self, corpus, cache_mb):
@@ -381,14 +492,78 @@ class TestFreeSetNewtonStep:
         TestKernelRowCache.assert_same_fit(model, again)
         assert np.array_equal(model.objective_trace, again.objective_trace)
 
-    def test_benchmark_fit_corpus_takes_at_most_2000_updates(self):
+    def test_benchmark_fit_corpus_takes_at_most_2000_updates(self, fit_corpus_model):
         # the fit workload's training corpus: 4468 updates by pair steps
         # alone, under 1400 with the Newton step
-        data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
-        X = gg.featurize(gg.fit_normalization(data), data)
-        model = fit(X, np.where(data.exploded, 1.0, -1.0), RBF)
+        model = fit_corpus_model
         assert model.converged
         assert len(model.objective_trace) - 1 <= 2000
+
+
+class TestNewtonRoundsBitwise:
+    """``_free_set_newton`` keeps one index vector and one right-hand side
+    across its rounds; it gives the bits of the form that rebuilds both each
+    round (``support.reference_free_set_newton``)."""
+
+    @staticmethod
+    def assert_same_solve(Q, g, y, a, caps):
+        got_a, got_gain = svm._free_set_newton(Q, g, y, a, caps)
+        ref_a, ref_gain = reference_free_set_newton(Q, g, y, a, caps)
+        assert np.array_equal(got_a, ref_a)
+        assert got_gain == ref_gain
+        return got_a, got_gain
+
+    @staticmethod
+    def subproblem(rng, kernel, m, d):
+        X = rng.normal(size=(m, d))
+        y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        caps = np.where(y > 0, rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
+        Q = np.outer(y, y) * kernel_matrix(kernel.resolved(d), X)
+        a = rng.uniform(0.0, 1.0, m) * caps
+        return Q, 1.0 - Q @ a + rng.normal(scale=2.0, size=m), y, a, caps
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), d=st.integers(1, 5),
+           kernel=st.sampled_from([LINEAR, RBF, POLYNOMIAL]))
+    def test_random_psd_subproblems(self, seed, m, d, kernel):
+        # a linear kernel with m above d + 1 makes the bordered matrix singular
+        rng = np.random.default_rng(seed)
+        self.assert_same_solve(*self.subproblem(rng, kernel, m, d))
+
+    def test_rounds_that_fix_multipliers_at_their_bounds(self, rng, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(A, b):
+            solves.append(len(b))
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for _ in range(20):
+            self.assert_same_solve(*self.subproblem(rng, RBF, 30, 3))
+        assert len(solves) > 2 * 20  # the reference and the library solve alike
+        assert min(solves) < 31  # some round ran on a smaller active set
+
+    def test_rank_deficient_linear_kernel(self, rng):
+        # eight points in two dimensions: Q has rank 2
+        Q, g, y, a, caps = self.subproblem(rng, LINEAR, 8, 2)
+        assert np.linalg.matrix_rank(Q) == 2
+        self.assert_same_solve(Q, g, y, a, caps)
+
+    def test_singular_system_exits_unchanged(self):
+        Q, y = np.zeros((2, 2)), np.array([1.0, -1.0])
+        kkt = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, -1.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, np.zeros(3))
+        a = np.array([0.5, 0.5])
+        new, gain = self.assert_same_solve(Q, np.array([1.0, 2.0]), y, a, np.ones(2))
+        assert np.array_equal(new, a) and gain == 0.0
+
+    def test_non_finite_step_exits_unchanged(self):
+        Q, y = np.eye(3), np.array([1.0, -1.0, 1.0])
+        a = np.full(3, 0.5)
+        new, gain = self.assert_same_solve(Q, np.array([np.inf, 0.0, 1.0]), y, a, np.ones(3))
+        assert np.array_equal(new, a) and gain == 0.0
 
 
 class TestBiasFromTheFreeSet:
@@ -399,18 +574,6 @@ class TestBiasFromTheFreeSet:
     @staticmethod
     def exact_gradient(model, X, y):
         return (model.alpha * y) @ kernel_matrix(model.kernel, X) - y
-
-    @pytest.fixture
-    def dot_calls(self, monkeypatch):
-        calls = []
-        dot = KernelRows.dot
-
-        def recording(self, coef):
-            calls.append(len(coef))
-            return dot(self, coef)
-
-        monkeypatch.setattr(KernelRows, "dot", recording)
-        return calls
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL, SIGMOID], ids=lambda k: k.kind)
     def test_bias_matches_a_full_recompute(self, kernel, rng):
@@ -445,12 +608,23 @@ class TestBiasFromTheFreeSet:
         assert model.bias == pytest.approx(midpoint, rel=1e-12, abs=1e-12)
         assert 0 <= model.gradient_drift <= 1e-12
 
-    def test_drift_on_the_benchmark_fit_corpus_is_negligible(self):
+    def test_drift_on_the_benchmark_fit_corpus_is_negligible(self, fit_corpus_model):
         # the fit workload's training corpus: about 1.7e-13
-        data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
-        X = gg.featurize(gg.fit_normalization(data), data)
-        model = fit(X, np.where(data.exploded, 1.0, -1.0), RBF)
-        assert model.gradient_drift <= 1e-9
+        assert fit_corpus_model.gradient_drift <= 1e-9
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL, SIGMOID], ids=lambda k: k.kind)
+    def test_gradient_matches_a_full_recompute(self, kernel, rng):
+        for _ in range(5):
+            X, y = random_two_class_problem(rng, n_range=(20, 60), d_range=(2, 4))
+            model = fit(X, y, kernel, pos=3.0, neg=4.0)
+            F = self.exact_gradient(model, X, y)
+            assert np.abs(model.gradient - F).max() <= 1e-12 * np.abs(F).max()
+
+    def test_gradient_holds_the_exact_free_set_values(self, corpus):
+        X, y = corpus
+        model = fit(X, y, RBF)
+        free = svm._free(model.alpha, np.full(len(y), 10.0))
+        assert model.bias == -model.gradient[free].mean()
 
 
 class TestBlockedScoring:
