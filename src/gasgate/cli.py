@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,7 +94,9 @@ def build_parser() -> _Parser:
                        help="slack cost for safe samples")
         p.add_argument("--max-passes", type=int, default=1000)
         p.add_argument("--cache-mb", type=float, default=DEFAULT_CACHE_MB,
-                       help="memory for cached kernel rows, in MiB (default %(default)g)")
+                       help="most memory for cached kernel rows, in MiB; the cache "
+                            "holds what SMO reads again, up to this (default "
+                            "%(default)g; inf for no ceiling)")
 
     def add_lr_flags(p):
         p.add_argument("--ridge", type=float, default=1e-6)
@@ -283,6 +286,11 @@ def _check(args, condition: bool, message: str):
         args._sub.error(message)
 
 
+def _positive_finite(value: float) -> bool:
+    """0 < value < inf; false for nan."""
+    return 0.0 < value < math.inf
+
+
 def _parse_float_list(args, flag: str, text: str) -> list[float]:
     try:
         values = [float(t) for t in text.split(",") if t.strip() != ""]
@@ -302,7 +310,9 @@ def _feature_config(args) -> FeatureConfig:
 
 
 def _kernel_spec(args) -> KernelSpec:
-    _check(args, args.gamma is None or args.gamma > 0, "--gamma must be positive")
+    _check(args, args.gamma is None or _positive_finite(args.gamma),
+           "--gamma must be positive and finite")
+    _check(args, math.isfinite(args.coef0), "--coef0 must be finite")
     _check(args, args.degree >= 1, "--degree must be >= 1")
     try:
         return KernelSpec(
@@ -313,14 +323,16 @@ def _kernel_spec(args) -> KernelSpec:
 
 
 def _penalties(args) -> PenaltyConfig:
-    _check(args, args.penalty_positive > 0, "--penalty-positive must be positive")
-    _check(args, args.penalty_negative > 0, "--penalty-negative must be positive")
+    _check(args, _positive_finite(args.penalty_positive),
+           "--penalty-positive must be positive and finite")
+    _check(args, _positive_finite(args.penalty_negative),
+           "--penalty-negative must be positive and finite")
     return PenaltyConfig(positive=args.penalty_positive, negative=args.penalty_negative)
 
 
 def _svm_learner(args, seed) -> SvmLearner:
     tol = 1e-3 if args.tol is None else args.tol
-    _check(args, tol > 0, "--tol must be positive")
+    _check(args, _positive_finite(tol), "--tol must be positive and finite")
     _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
     _check(args, args.cache_mb > 0, "--cache-mb must be positive")
     return SvmLearner(
@@ -335,8 +347,8 @@ def _svm_learner(args, seed) -> SvmLearner:
 
 def _lr_learner(args) -> LogisticLearner:
     tol = 1e-8 if args.tol is None else args.tol
-    _check(args, tol > 0, "--tol must be positive")
-    _check(args, args.ridge >= 0, "--ridge must be >= 0")
+    _check(args, _positive_finite(tol), "--tol must be positive and finite")
+    _check(args, 0.0 <= args.ridge < math.inf, "--ridge must be finite and >= 0")
     _check(args, args.max_iter >= 1, "--max-iter must be >= 1")
     return LogisticLearner(ridge=args.ridge, tol=tol, max_iter=args.max_iter)
 
@@ -470,17 +482,19 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "data")
     _check(args, args.folds >= 2, "--folds must be >= 2")
-    _check(args, args.base_w2 > 0, "--base-w2 must be positive")
+    _check(args, _positive_finite(args.base_w2), "--base-w2 must be positive and finite")
     grid = _parse_float_list(args, "grid", args.grid)
-    _check(args, all(g >= 1.0 for g in grid), "--grid ratios must all be >= 1")
+    _check(args, all(1.0 <= g < math.inf for g in grid),
+           "--grid ratios must all be finite and >= 1")
     tol = 1e-3 if args.tol is None else args.tol
-    _check(args, tol > 0, "--tol must be positive")
+    _check(args, _positive_finite(tol), "--tol must be positive and finite")
     _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
     _check(args, args.cache_mb > 0, "--cache-mb must be positive")
+    kernel = _kernel_spec(args)
     data = load_csv(args.data)
     report = penalty_sweep(
         data,
-        kernel=_kernel_spec(args),
+        kernel=kernel,
         base_w2=args.base_w2,
         gamma_grid=grid,
         v=args.folds,

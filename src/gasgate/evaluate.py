@@ -359,12 +359,13 @@ def penalty_sweep(
 
     The folds are those of ``cross_validate`` with the same seed.  Within a
     fold the ratios are solved as a path (Hastie et al. 2004): normalization
-    and features are computed once, one kernel-row cache of ``cache_mb`` MiB
-    serves every ratio, and the distinct ratios are fitted in ascending
-    order, each starting SMO from the previous ratio's multipliers and
-    gradient.  Raising the ratio only raises the positive-class cap, so that
-    start is feasible, and every fit still stops at the same KKT tolerance
-    ``tol`` as a cold one.  Carrying the gradient spares each warm start a
+    and features are computed once, one kernel-row cache with a ceiling of
+    ``cache_mb`` MiB serves every ratio, holding as many rows as the largest
+    free set of the fold's fits so far calls for (``fit_svm``), and the
+    distinct ratios are fitted in ascending order, each starting SMO from
+    the previous ratio's multipliers and gradient.  Raising the ratio only
+    raises the positive-class cap, so that start is feasible, and every fit
+    still stops at the same KKT tolerance ``tol`` as a cold one.  Carrying the gradient spares each warm start a
     pass over the rows of every support vector, which a cache smaller than
     those rows would have to recompute.
     """

@@ -38,6 +38,8 @@ _DOT_BLOCK_BYTES = 4 << 20
 _UNBUFFERED_MIN_COLS = 128
 #: NumPy's smallest ufunc buffer, in elements
 _MIN_BUFSIZE = 16
+#: rows ``KernelRows`` holds before its first ``reserve``
+_FIRST_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}; use one of {KERNEL_KINDS}")
+        if self.gamma is not None and not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.uses_gamma and self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not np.isfinite(self.coef0):
+            raise ValueError(f"coef0 must be finite, got {self.coef0}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
 
@@ -144,15 +150,16 @@ class KernelRows:
     """Rows of the Gram matrix of ``X``, each computed when first read.
 
     Rows live in one preallocated slab of ``capacity`` rows: as many as
-    ``budget_bytes`` holds, at least two and at most n.  Once the slab is
-    full, the least recently read row gives up its slot.  Slab pages never
-    written are never resident, so memory is O(budget + n).  A budget larger
-    than the rows read again is still not free: every row read stays
-    resident until the slab is full, and SMO reads few rows twice, so the
-    rows beyond what it re-reads cost memory for nothing.  A row returned by
-    ``row`` stays valid until ``capacity - 1`` other rows have been read; a
-    caller that needs many rows at once copies them, as the SVM's Newton
-    step does with up to 200.
+    ``budget_bytes`` holds, at least two and at most n.  The budget is a
+    ceiling, not a fill target: rows fill the slab's slots in order up to a
+    fill limit, ``limit``, which starts at ``_FIRST_LIMIT`` rows (or
+    ``capacity``, if smaller) and grows only through ``reserve``.  Once
+    ``limit`` rows are held, the least recently read row gives up its slot.
+    The slab is allocated with ``np.empty`` and pages never written are
+    never resident, so memory is O(limit * n) however large the budget; an
+    infinite budget means no ceiling.  A row returned by ``row`` stays valid
+    until ``limit - 1`` other rows have been read; a caller that needs many
+    rows at once copies them, as the SVM's Newton step does with up to 200.
 
     ``diagonal`` holds k(x_i, x_i) for every sample, bitwise equal to the
     same entry of the sample's row.
@@ -167,7 +174,9 @@ class KernelRows:
         self.spec = spec
         self.X = X
         self._cols = tuple(np.ascontiguousarray(X.T))
-        self.capacity = int(min(n, max(2, budget_bytes // (8 * n))))
+        # inf // x is nan, so an unbounded budget is caught before the division
+        self.capacity = n if budget_bytes >= 8 * n * n else int(max(2, budget_bytes // (8 * n)))
+        self.limit = min(self.capacity, _FIRST_LIMIT)
         self._slab = np.empty((self.capacity, n))
         self._slot_of = np.full(n, -1, dtype=np.intp)
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest read first
@@ -178,13 +187,18 @@ class KernelRows:
     def rows_held(self) -> int:
         return len(self._rows)
 
+    def reserve(self, rows: int) -> None:
+        """Let up to ``rows`` rows be held at once, as far as ``capacity``
+        allows; the fill limit never shrinks."""
+        self.limit = max(self.limit, min(int(rows), self.capacity))
+
     def row(self, i: int) -> np.ndarray:
         """Row i of the Gram matrix, a view into the slab."""
         view = self._rows.get(i)
         if view is not None:
             self._rows.move_to_end(i)
             return view
-        if len(self._rows) < self.capacity:
+        if len(self._rows) < self.limit:
             slot = len(self._rows)
             view = self._slab[slot]
         else:

@@ -25,9 +25,10 @@ Joachims 1999).  The stopping test still scans every sample, so each fit
 ends at the same KKT tolerance.
 
 No n x n Gram matrix is ever formed: SMO reads kernel rows from a
-``KernelRows`` cache under a byte budget (Chang & Lin 2011, LIBSVM section
-4), and scoring works through the rows in blocks of 512 KiB of kernel
-values, so memory is O(budget + n) in training and bounded in prediction.
+``KernelRows`` cache (Chang & Lin 2011, LIBSVM section 4) that holds about
+twice as many rows as the largest free set, under a byte ceiling, and
+scoring works through the rows in blocks of 512 KiB of kernel values, so
+memory is O(rows held * n) in training and bounded in prediction.
 A fit ends without a pass over all support vectors for every sample: as in
 LIBSVM (section 5), the bias is taken from the free multipliers, and only
 their gradient is recomputed exactly, by the same blocks as scoring.
@@ -43,10 +44,11 @@ from .data import NormalizationParams
 from .errors import GasgateError, SingleClassError
 from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
-#: default budget of the kernel-row cache a fit builds, in MiB.  SMO reads few
-#: rows twice: a 4000-row RBF fit computes 1 500 rows with 64 rows held, 1 396
-#: with 524 (16 MiB) and 1 231 with all 4000, while each row read stays
-#: resident, 8n bytes, until the budget is full.
+#: default ceiling of the kernel-row cache a fit builds, in MiB.  Below it the
+#: cache holds 2 * (largest free set) + ``_SPARE_ROWS`` rows: a 4000-row RBF
+#: fit holds 126 rows (of 524 that 16 MiB allows) and computes 1 463, against
+#: 1 396 with all 524 held.  At 20 000 rows 16 MiB holds 104 rows, which caps
+#: the cache before the free set does.
 DEFAULT_CACHE_MB = 16.0
 #: kernel bytes ``_kernel_sums`` holds at once; the block and the equal-sized
 #: scratch of ``kernels._evaluate`` then fit together in a 2 MiB L2
@@ -55,6 +57,8 @@ _SCORE_BLOCK_BYTES = 512 << 10
 _NEWTON_EVERY = 30
 #: the most free multipliers a Newton step takes on
 _NEWTON_MAX_FREE = 200
+#: rows the kernel-row cache may hold beyond twice the largest free set
+_SPARE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,9 @@ class PenaltyConfig:
     negative: float = 10.0
 
     def __post_init__(self):
-        if not (self.positive > 0 and self.negative > 0):
+        if not (0 < self.positive < np.inf and 0 < self.negative < np.inf):
             raise ValueError(
-                f"penalties must be positive, got {self.positive}, {self.negative}"
+                f"penalties must be positive and finite, got {self.positive}, {self.negative}"
             )
 
     @property
@@ -129,7 +133,7 @@ class SvmModel:
         row's score does not depend on the rows scored with it.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        scores = _kernel_sums(self.kernel, X, self.support_vectors, self.dual_coef)
+        (scores,) = _kernel_sums(self.kernel, X, self.support_vectors, self.dual_coef)
         scores += self.bias
         return scores
 
@@ -192,22 +196,27 @@ def fit_svm(
     vectors for every sample and its bias reads no row of the cache.  When
     none is free, F is recomputed for every sample (``KernelRows.dot``) and
     the bias is the midpoint of the band the KKT conditions leave open.
-    ``gradient_drift`` records the largest |F incremental - F exact| over
-    the samples recomputed, and the model's ``gradient`` is F with those
-    samples at their exact values.
+    The model's ``gradient`` is F with the recomputed samples at those exact
+    values.  ``gradient_drift`` records the largest |F incremental - F| over
+    the same samples, with F summed in extended precision
+    (``_gradient_drift``), so that it measures SMO's increments and not the
+    rounding of the float64 sums the bias is taken from.
 
     SMO reads the Gram matrix only row by row, through a ``KernelRows``
-    cache that computes each row when first read and keeps at most
-    ``cache_mb`` MiB of rows, evicting the least recently read; memory is
-    O(cache_mb + n), not O(n^2).  A smaller budget recomputes evicted rows
-    but gives the same fit, bit for bit.  A budget larger than the rows SMO
-    reads again is not free: every row read stays resident until the budget
-    is full, and few rows are read twice (``DEFAULT_CACHE_MB``).  A Newton
+    cache that computes each row when first read and evicts the least
+    recently read once it holds its fill limit.  ``cache_mb`` MiB is a
+    ceiling, not a fill target: the rows SMO reads again are mostly those of
+    the free multipliers, so every ``_NEWTON_EVERY`` updates the fit counts
+    the free set (the set a Newton step takes on) and lets the cache hold
+    2 * (largest free set so far) + ``_SPARE_ROWS`` rows
+    (``KernelRows.reserve``), as far as ``cache_mb`` allows; it starts at
+    64.  Memory is O(rows held * n), not O(n^2).  Fewer rows held only
+    recompute evicted rows: the fit is the same, bit for bit.  A Newton
     step also holds a transient copy of the rows of up to
     ``_NEWTON_MAX_FREE`` free multipliers.  ``cache`` passes in a cache
     built on these same ``features`` and the resolved ``kernel``, so refits
-    on the same rows reuse the rows already computed; ``cache_mb`` then goes
-    unused.
+    on the same rows reuse the rows already computed and the fill limit it
+    has reached; ``cache_mb`` then goes unused.
 
     ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
     0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
@@ -332,14 +341,13 @@ def fit_svm(
             g_up[k] = F[k] + jitter[k] if in_up else np.inf
         return _pair_gain(aj_new - aj, yj, Fi, Fj, eta)
 
-    def newton_step() -> float | None:
-        """Maximize the dual exactly over the free multipliers, holding the
-        rest fixed; returns the objective gain, or None on no progress."""
+    def newton_step(W: np.ndarray) -> float | None:
+        """Maximize the dual exactly over the free multipliers ``W``, holding
+        the rest fixed; returns the objective gain, or None on no progress."""
         nonlocal F, g_low, g_up
-        W = np.flatnonzero(_free(alpha, caps))
         if not 2 <= len(W) <= _NEWTON_MAX_FREE:
             return None
-        # a row view lasts only until capacity - 1 more reads, so copy each
+        # a row view lasts only until limit - 1 more reads, so copy each
         K_W = np.empty((len(W), n))
         for k, w in enumerate(W):
             K_W[k] = row(w)
@@ -388,12 +396,16 @@ def fit_svm(
         updates += 1
         objective += gain
         trace.append(objective)
-        if second_order and updates % _NEWTON_EVERY == 0 and updates < max_updates:
-            gain = newton_step()
-            if gain is not None:
-                updates += 1
-                objective += gain
-                trace.append(objective)
+        if updates % _NEWTON_EVERY == 0:
+            # the rows SMO reads again are mostly the free multipliers'
+            W = np.flatnonzero(_free(alpha, caps))
+            cache.reserve(2 * len(W) + _SPARE_ROWS)
+            if second_order and updates < max_updates:
+                gain = newton_step(W)
+                if gain is not None:
+                    updates += 1
+                    objective += gain
+                    trace.append(objective)
 
     keep = alpha > 1e-12
     if not keep.any():
@@ -402,16 +414,20 @@ def fit_svm(
         )
     coef = alpha * y
     free = _free(alpha, caps)
+    sv_coef = coef[keep]
     if free.any():
         # the bias reads the gradient on the free set alone, so only there is
         # it recomputed exactly, from the support vectors
-        exact = _kernel_sums(spec, X[free], X[keep], coef[keep]) - y[free]
-        drift = float(np.abs(exact - F[free]).max())
+        u, reference = _kernel_sums(spec, X[free], X[keep], sv_coef,
+                                    sv_coef.astype(np.longdouble))
+        exact = u - y[free]
+        drift = _gradient_drift(F[free], reference, y[free])
         bias = float(-exact.mean())
         F[free] = exact
     else:
         exact = cache.dot(coef) - y
-        drift = float(np.abs(exact - F).max())
+        (reference,) = _kernel_sums(spec, X, X[keep], sv_coef.astype(np.longdouble))
+        drift = _gradient_drift(F, reference, y)
         bias = _band_bias(exact, *_index_sets(alpha, y, caps))
         F = exact
     return SvmModel(
@@ -522,24 +538,39 @@ def _free_set_newton(Q, g, y, a, caps):
     return a, total
 
 
-def _kernel_sums(spec: KernelSpec, X, support_vectors, coef) -> np.ndarray:
-    """sum_k coef[k] * K(x, sv_k) for each row x of X.
+def _kernel_sums(spec: KernelSpec, X, support_vectors, *coefs) -> list[np.ndarray]:
+    """sum_k coef[k] * K(x, sv_k) for each row x of X, one array per coefficient
+    vector in ``coefs``, summed and returned in that vector's dtype.
 
     Rows are taken in blocks whose kernel takes 512 KiB, so memory does not
     grow with the row count and the block stays in a 2 MiB L2 cache while it
     is built; a row's sum does not depend on the rows summed with it.  The
     ufunc buffer is set once for all the blocks (``kernels.unbuffered_blocks``).
     """
-    n_sv = len(coef)
+    n_sv = len(support_vectors)
     step = max(1, _SCORE_BLOCK_BYTES // (8 * n_sv))
-    sums = np.empty(X.shape[0])
+    sums = [np.empty(X.shape[0], dtype=coef.dtype) for coef in coefs]
     with unbuffered_blocks(n_sv):
         for start in range(0, X.shape[0], step):
             K = kernel_matrix(spec, X[start:start + step], support_vectors)
             # einsum sums each row alone; BLAS matrix-vector products round
             # a row differently depending on its place in the block
-            sums[start:start + step] = np.einsum("ij,j->i", K, coef)
+            for out, coef in zip(sums, coefs):
+                out[start:start + step] = np.einsum("ij,j->i", K, coef)
     return sums
+
+
+def _gradient_drift(F, reference, y) -> float:
+    """max |F - (reference - y)|: how far SMO's incremental gradient F has
+    drifted from u - y, with u = ``reference`` summed in extended precision.
+
+    The float64 sums of ``_kernel_sums`` round by about 1e-14 relative on a
+    thousand support vectors, so a reference taken from them would mix their
+    rounding into the drift.  Where ``np.longdouble`` is the x87 80-bit
+    format (x86-64 Linux) the reference rounds 2 048 times less; where it is
+    float64 the drift includes the reference's own rounding again.
+    """
+    return float(np.abs(F - (reference - y)).max())
 
 
 def _band_bias(F, up, low) -> float:

@@ -410,6 +410,72 @@ class TestCacheBudget:
         assert "--cache-mb must be positive" in capsys.readouterr().err
 
 
+    def test_infinite_budget_means_no_ceiling(self, corpus_csv, workdir, capsys):
+        models = []
+        for budget in ("16", "inf"):
+            model = workdir / f"budget-{budget}.json"
+            assert main(["train", "--model", "svm", "--gamma", "0.5", "--cache-mb", budget,
+                         "--data", str(corpus_csv), "--out", str(model)]) == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+
+class TestNonFiniteFlags:
+    """A non-finite number is a usage error naming its flag, raised before
+    any file is read or written."""
+
+    COMMANDS = {
+        "train-svm": ["train", "--model", "svm", "--kernel", "sigmoid", "--gamma", "0.5"],
+        "train-lr": ["train", "--model", "lr"],
+        "cv-svm": ["cv", "--model", "svm", "--kernel", "sigmoid"],
+        "cv-lr": ["cv", "--model", "lr"],
+        "sweep": ["sweep", "--kernel", "sigmoid", "--grid", "1,8", "--folds", "2"],
+        "intervals": ["intervals", "--o2", "16"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train-svm", "--gamma", "inf"),
+        ("train-svm", "--gamma", "nan"),
+        ("train-svm", "--coef0", "nan"),
+        ("train-svm", "--coef0", "inf"),
+        ("train-svm", "--penalty-positive", "inf"),
+        ("train-svm", "--penalty-negative", "inf"),
+        ("train-svm", "--tol", "inf"),
+        ("train-lr", "--ridge", "inf"),
+        ("train-lr", "--tol", "inf"),
+        ("cv-svm", "--penalty-positive", "inf"),
+        ("cv-svm", "--tol", "inf"),
+        ("cv-lr", "--ridge", "inf"),
+        ("sweep", "--base-w2", "inf"),
+        ("sweep", "--grid", "5,inf"),
+        ("sweep", "--grid", "nan"),
+        ("sweep", "--gamma", "inf"),
+        ("sweep", "--coef0", "-inf"),
+        ("sweep", "--tol", "inf"),
+        ("intervals", "--ridge", "inf"),
+        ("intervals", "--tol", "inf"),
+    ])
+    def test_rejected_before_any_file(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        # the data file does not exist either: the flag is checked first
+        rc = main([*self.COMMANDS[command], f"{flag}={value}",
+                   "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {flag} " in err and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_value_rejected_too(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"penalty-positive": Infinity}')
+        out = tmp_path / "model.json"
+        rc = main(["train", "--model", "svm", "--config", str(config),
+                   "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
+        assert rc == 1
+        assert "--penalty-positive must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIntervals:
     def test_fit_and_query(self, span_csv, workdir, capsys):
         out = workdir / "intervals.csv"

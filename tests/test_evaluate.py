@@ -405,6 +405,39 @@ class TestPenaltySweep:
         assert starts == [(k % len(DEFAULT_GAMMA_GRID) == 0,) * 2 for k in range(len(starts))]
         assert choose_ratio(report) == 10.0
 
+    def test_fold_caches_grow_with_the_free_set_across_the_path(self, monkeypatch):
+        # the sweep workload's corpus: 400 training rows per fold, all of
+        # which 16 MiB would hold; the fold's fits call for about 120
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        caches, limits = [], []
+
+        class Recorded(KernelRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        class HoldingAll(KernelRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.reserve(self.capacity)
+
+        def recording_fit(*args, cache, **kwargs):
+            model = fit_svm(*args, cache=cache, **kwargs)
+            limits.append((len(caches), cache.limit))
+            return model
+
+        monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
+        monkeypatch.setattr("gasgate.evaluate.KernelRows", Recorded)
+        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        assert len(caches) == DEFAULT_FOLDS
+        for fold, cache in enumerate(caches, start=1):
+            fold_limits = [limit for k, limit in limits if k == fold]
+            assert len(fold_limits) == len(DEFAULT_GAMMA_GRID)
+            assert fold_limits == sorted(fold_limits)  # carried from fit to fit
+            assert cache.rows_held <= cache.limit < cache.capacity == 400
+        monkeypatch.setattr("gasgate.evaluate.KernelRows", HoldingAll)
+        assert penalty_sweep(data, KernelSpec("rbf", gamma=0.5)) == report
+
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         grid = (20.0, 1.0, 60.0, 1.0, 5.0)

@@ -38,6 +38,18 @@ class TestSpec:
         with pytest.raises(ValueError, match="gamma"):
             KernelSpec("rbf", gamma=gamma)
 
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gamma(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            KernelSpec(kind, gamma=gamma)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "polynomial", "linear"])
+    @pytest.mark.parametrize("coef0", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coef0(self, kind, coef0):
+        with pytest.raises(ValueError, match="coef0 must be finite"):
+            KernelSpec(kind, gamma=1.0, coef0=coef0)
+
     def test_degree_validated(self):
         with pytest.raises(ValueError, match="degree"):
             KernelSpec("polynomial", gamma=1.0, degree=0)
@@ -156,6 +168,43 @@ class TestKernelRows:
         assert KernelRows(spec, X, row_bytes(10, 3) + 79).capacity == 3
         assert KernelRows(spec, X, 1).capacity == 2  # a pair always fits
         assert KernelRows(spec, X, 1e12).capacity == 10
+        assert KernelRows(spec, X, np.inf).capacity == 10  # no ceiling
+
+    def test_reserve_never_shrinks_the_limit_nor_passes_capacity(self, rng):
+        spec = KernelSpec("linear")
+        rows = KernelRows(spec, rng.normal(size=(200, 2)), row_bytes(200, 150))
+        assert (rows.capacity, rows.limit) == (150, 64)
+        for asked, limit in [(10, 64), (100, 100), (64, 100), (0, 100),
+                             (149, 149), (151, 150), (10**9, 150), (100, 150)]:
+            rows.reserve(asked)
+            assert rows.limit == limit
+        small = KernelRows(spec, rng.normal(size=(200, 2)), row_bytes(200, 3))
+        assert small.limit == 3
+        small.reserve(100)
+        assert small.limit == 3
+
+    def test_rows_fill_up_to_the_limit_then_evict(self, rng):
+        n = 200
+        X = rng.normal(size=(n, 2))
+        spec = KernelSpec("rbf", gamma=0.5)
+        rows = KernelRows(spec, X, 1e9)
+        assert rows.capacity == n
+        for i in range(64):
+            rows.row(i)
+        assert rows.rows_held == 64
+        rows.row(64)  # row 0, the least recently read, gives up its slot
+        assert (rows.rows_held, rows.rows_computed) == (64, 65)
+        rows.row(1)
+        assert rows.rows_computed == 65
+        rows.row(0)
+        assert rows.rows_computed == 66
+        rows.reserve(100)
+        for i in range(100, 150):
+            rows.row(i)
+        assert (rows.rows_held, rows.rows_computed) == (100, 116)
+        # only the first ``limit`` slots of the slab were ever written
+        assert rows._slot_of.max() == 99
+        assert np.array_equal(rows.row(120), kernel_matrix(spec, X)[120])
 
     def test_least_recently_read_row_is_evicted(self, rng):
         X = rng.normal(size=(6, 2))

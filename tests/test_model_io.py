@@ -147,6 +147,31 @@ class TestErrors:
         with pytest.raises(DataFormatError, match="JSON object"):
             load_model(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("kernel", "gamma", float("inf")),
+        ("kernel", "coef0", float("nan")),
+        ("penalties", "positive", float("inf")),
+        ("penalties", "negative", float("-inf")),
+    ])
+    def test_non_finite_parameters_rejected_on_load(self, tmp_path, section, key, value):
+        obj = {
+            "format_version": 1,
+            "kind": "svm",
+            "kernel": {"kind": "sigmoid", "gamma": 0.5, "coef0": 0.0, "degree": 3},
+            "penalties": {"positive": 1.0, "negative": 1.0},
+            "normalization": None,
+            "support_vectors": [[0.0]],
+            "dual_coef": [0.5],
+            "bias": 0.0,
+            "converged": True,
+        }
+        model_from_obj(obj)  # loads as it stands
+        obj[section][key] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(obj))  # Python's json writes NaN and Infinity
+        with pytest.raises(DataFormatError, match="malformed model object.*finite"):
+            load_model(path)
+
     def test_out_of_box_coefficients_rejected_on_load(self, tmp_path):
         obj = {
             "format_version": 1,

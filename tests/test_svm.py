@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -371,6 +372,7 @@ class TestKernelRowCache:
         tiny.row = checked_read
         evicting = fit(X, y, RBF, cache=tiny)
         unbounded = KernelRows(RBF, X, 1e9)
+        unbounded.reserve(n)  # hold every row read, not only what SMO reserves
         self.assert_same_fit(evicting, fit(X, y, RBF, cache=unbounded))
         assert tiny._slab.shape == (3, n) and max(held) == 3
         assert tiny.rows_computed > 2 * unbounded.rows_computed
@@ -436,6 +438,76 @@ class TestKernelRowCache:
         assert [c.capacity for c in caches] == [524]
         assert peak <= 24 * 2**20
         self.assert_same_fit(model, fit(X, y, RBF, cache=KernelRows(RBF, X, 1e9)))
+
+    @staticmethod
+    def recorded_caches(monkeypatch):
+        """Every ``KernelRows`` that ``fit_svm`` builds, in order."""
+        caches = []
+
+        class Recorded(KernelRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(svm, "KernelRows", Recorded)
+        return caches
+
+    def test_cache_holds_what_the_free_set_calls_for(self, fit_corpus, monkeypatch):
+        # 16 MiB allows 524 rows of 4000 samples; the free set, at most 31
+        # multipliers at any check, calls for 126
+        X, y = fit_corpus
+        caches = self.recorded_caches(monkeypatch)
+        free_sizes = []
+        free = svm._free
+
+        def counting(alpha, caps):
+            mask = free(alpha, caps)
+            free_sizes.append(int(mask.sum()))
+            return mask
+
+        monkeypatch.setattr(svm, "_free", counting)
+        model = fit(X, y, RBF)
+        (cache,) = caches
+        assert cache.capacity == 524
+        assert cache.rows_held <= cache.limit <= 2 * max(free_sizes) + 64 <= 128
+        assert cache.rows_computed <= 1500
+        every_row = KernelRows(RBF, X, 1e9)
+        every_row.reserve(len(y))
+        held_all = fit(X, y, RBF, cache=every_row)
+        self.assert_same_fit(model, held_all)
+        assert np.array_equal(model.gradient, held_all.gradient)
+
+    def test_large_free_set_computes_about_what_a_full_budget_does(self, fit_corpus):
+        # gamma 5, C 100: up to 107 free multipliers, so the cache grows to
+        # 278 rows and computes 1 412; with all 524 rows of 16 MiB held it
+        # computes 1 243, and a fixed 128-row cache 1 807
+        X, y = fit_corpus
+        spec = KernelSpec("rbf", gamma=5.0)
+        demand = KernelRows(spec, X, svm.DEFAULT_CACHE_MB * 2**20)
+        model = fit(X, y, spec, pos=100.0, neg=100.0, cache=demand)
+        filled = KernelRows(spec, X, svm.DEFAULT_CACHE_MB * 2**20)
+        filled.reserve(filled.capacity)
+        self.assert_same_fit(model, fit(X, y, spec, pos=100.0, neg=100.0, cache=filled))
+        assert filled.rows_held == filled.capacity == 524
+        assert 128 < demand.limit < filled.capacity
+        assert demand.rows_computed <= 1.15 * filled.rows_computed
+
+    def test_sigmoid_counts_its_free_set_without_a_newton_step(self, corpus, monkeypatch):
+        X, y = corpus
+        caches = self.recorded_caches(monkeypatch)
+        reserved = []
+        reserve = KernelRows.reserve
+
+        def recording(self, rows):
+            reserved.append(rows)
+            reserve(self, rows)
+
+        monkeypatch.setattr(KernelRows, "reserve", recording)
+        model = fit(X, y, SIGMOID)
+        (cache,) = caches
+        assert len(reserved) == (len(model.objective_trace) - 1) // svm._NEWTON_EVERY
+        assert all(rows >= 64 and rows % 2 == 0 for rows in reserved)
+        assert cache.limit == min(cache.capacity, max(64, *reserved))
 
     @pytest.mark.parametrize("cache_mb", [0.0, -1.0])
     def test_non_positive_budget_rejected(self, corpus, cache_mb):
@@ -609,8 +681,44 @@ class TestBiasFromTheFreeSet:
         assert 0 <= model.gradient_drift <= 1e-12
 
     def test_drift_on_the_benchmark_fit_corpus_is_negligible(self, fit_corpus_model):
-        # the fit workload's training corpus: about 1.7e-13
+        # the fit workload's training corpus: about 2e-14
         assert fit_corpus_model.gradient_drift <= 1e-9
+
+    def test_drift_is_measured_against_an_exact_sum(self, fit_corpus, monkeypatch):
+        # the reference sums the products of each kernel value and
+        # coefficient exactly (Veltkamp splitting, then math.fsum), so the
+        # drift left is SMO's alone
+        X, y = fit_corpus
+        calls = []
+        drift = svm._gradient_drift
+
+        def recording(*args):
+            calls.append(args)
+            return drift(*args)
+
+        monkeypatch.setattr(svm, "_gradient_drift", recording)
+        model = fit(X, y, RBF)
+        ((F, _, _),) = calls
+        free = svm._free(model.alpha, np.full(len(y), 10.0))
+        assert not np.array_equal(F, model.gradient[free])  # the incremental F
+
+        def split(a):
+            c = 134217729.0 * a  # 2**27 + 1
+            hi = c - (c - a)
+            return hi, a - hi
+
+        y_free = y[free]
+        K_hi, K_lo = split(kernel_matrix(model.kernel, X[free], model.support_vectors))
+        c_hi, c_lo = split(model.dual_coef)
+        gaps = [
+            abs(math.fsum([*(K_hi[i] * c_hi), *(K_hi[i] * c_lo), *(K_lo[i] * c_hi),
+                           *(K_lo[i] * c_lo), -y_free[i], -F[i]]))
+            for i in range(len(F))
+        ]
+        assert model.gradient_drift == pytest.approx(max(gaps), rel=1e-6)
+        # measured against the float64 sums the bias is taken from, the drift
+        # would read 2.4e-13: their rounding, not SMO's
+        assert np.abs(F - model.gradient[free]).max() > 5 * model.gradient_drift
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL, SIGMOID], ids=lambda k: k.kind)
     def test_gradient_matches_a_full_recompute(self, kernel, rng):
@@ -680,6 +788,12 @@ class TestValidation:
     @pytest.mark.parametrize("pos,neg", [(0.0, 1.0), (1.0, -2.0)])
     def test_penalties_must_be_positive(self, pos, neg):
         with pytest.raises(ValueError, match="penalties"):
+            PenaltyConfig(pos, neg)
+
+    @pytest.mark.parametrize("pos,neg", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0),
+                                         (1.0, np.nan)])
+    def test_penalties_must_be_finite(self, pos, neg):
+        with pytest.raises(ValueError, match="penalties must be positive and finite"):
             PenaltyConfig(pos, neg)
 
     def test_penalty_ratio(self):
