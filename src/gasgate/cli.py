@@ -88,15 +88,18 @@ def build_parser() -> _Parser:
                        help="kernel width (default 1/n_features)")
         p.add_argument("--coef0", type=float, default=0.0)
         p.add_argument("--degree", type=int, default=3)
-        p.add_argument("--penalty-positive", type=float, default=10.0,
-                       help="slack cost for explosive samples")
-        p.add_argument("--penalty-negative", type=float, default=10.0,
-                       help="slack cost for safe samples")
         p.add_argument("--max-passes", type=int, default=1000)
         p.add_argument("--cache-mb", type=float, default=DEFAULT_CACHE_MB,
                        help="most memory for cached kernel rows, in MiB; the cache "
                             "holds what SMO reads again, up to this (default "
                             "%(default)g; inf for no ceiling)")
+
+    def add_penalty_flags(p):
+        # not on sweep, whose penalties are ratio x --base-w2
+        p.add_argument("--penalty-positive", type=float, default=10.0,
+                       help="slack cost for explosive samples")
+        p.add_argument("--penalty-negative", type=float, default=10.0,
+                       help="slack cost for safe samples")
 
     def add_lr_flags(p):
         p.add_argument("--ridge", type=float, default=1e-6)
@@ -115,6 +118,7 @@ def build_parser() -> _Parser:
     add_common(p)
     add_features(p)
     add_svm_flags(p)
+    add_penalty_flags(p)
     add_lr_flags(p)
     p.add_argument("--model", choices=["svm", "lr"])
     p.add_argument("--data", help="input CSV")
@@ -136,6 +140,7 @@ def build_parser() -> _Parser:
     add_common(p)
     add_features(p)
     add_svm_flags(p)
+    add_penalty_flags(p)
     add_lr_flags(p)
     p.add_argument("--model", choices=["svm", "lr"])
     p.add_argument("--data", help="input CSV")
@@ -171,8 +176,6 @@ def build_parser() -> _Parser:
     p.add_argument("--o2", help="comma list of oxygen levels, e.g. 15,16,18,20")
     p.add_argument("--hc-min", type=float, default=0.1)
     p.add_argument("--hc-max", type=float, default=5.0)
-    p.add_argument("--grid-points", type=int, default=2000)
-    p.add_argument("--root-tol", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_intervals, _sub=p)
@@ -526,8 +529,6 @@ def cmd_intervals(args) -> int:
            "exactly one of --model-file / --data is required")
     _check(args, 0.0 < args.hc_min < args.hc_max <= 100.0,
            "--hc-min/--hc-max must satisfy 0 < min < max <= 100")
-    _check(args, args.grid_points >= 100, "--grid-points must be >= 100")
-    _check(args, args.root_tol > 0, "--root-tol must be positive")
     levels = _parse_float_list(args, "o2", args.o2)
     for o2 in levels:
         # false for nan and +-inf too
@@ -546,13 +547,7 @@ def cmd_intervals(args) -> int:
         model = learner.fit(featurize(params, data), data.exploded,
                             normalization=params)
     results = [
-        explosion_interval(
-            model,
-            o2,
-            hc_range=(args.hc_min, args.hc_max),
-            grid_points=args.grid_points,
-            root_tol=args.root_tol,
-        )
+        explosion_interval(model, o2, hc_range=(args.hc_min, args.hc_max))
         for o2 in levels
     ]
     for iv in results:

@@ -4,25 +4,24 @@ The model gives p(explosion | x) = sigmoid(beta' (1, x)).  Because the
 feature set contains both HC and the O2/HC ratio, the linear score at a
 fixed oxygen level is affine in HC and 1/HC, so the p = 0.5 level set can
 carve out a bounded HC interval: the explosive concentration range at that
-oxygen level.  ``explosion_interval`` recovers it by grid scan plus
-bisection.
+oxygen level.  With CO = CO2 = 0 the logit there is g(hc) = A + B hc + C / hc,
+so ``explosion_interval`` finds the limits in closed form, as the positive
+roots of B hc^2 + A hc + C = 0.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    GasSample,
-    NormalizationParams,
-    apply_normalization,
-    featurize,
-)
-from .errors import IntervalSolverError, PerfectSeparationError, SingleClassError
+from .data import RATIO_HC_OVER_O2, NormalizationParams
+# unused here, but perfbench/layers.py wraps logistic.apply_normalization by name
+from .data import apply_normalization  # noqa: F401
+from .errors import DataFormatError, IntervalSolverError
+from .errors import PerfectSeparationError, SingleClassError
 
 SEPARATION_NORM = 1e3
 
@@ -266,7 +265,7 @@ def _weighted_gram(D, DT, w, out) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExplosionInterval:
-    """Explosive HC range at one oxygen level; absent when p never reaches 0.5."""
+    """Explosive HC range at one oxygen level; absent when p never exceeds 0.5."""
 
     o2: float
     lower: float
@@ -286,86 +285,79 @@ def explosion_interval(
     model: LogisticModel,
     o2: float,
     hc_range: tuple[float, float] = (0.1, 5.0),
-    grid_points: int = 2000,
-    root_tol: float = 1e-6,
 ) -> ExplosionInterval:
-    """Explosive HC interval at fixed oxygen: the {p >= 0.5} slice.
+    """Explosive HC interval at fixed oxygen: the {p > 0.5} slice, in closed form.
 
-    Scans ``grid_points`` HC values across ``hc_range`` (featurized in one
-    call from their raw concentrations through the model's stored
-    normalization), brackets the sign changes of p - 0.5 and polishes both
-    endpoints by bisection, one point at a time, until |p - 0.5| <= root_tol.
-    Exactly one explosive region must lie strictly inside the range; several
-    regions, or a region touching the range edge, raise
-    ``IntervalSolverError``.
+    For hc > 0 the logit g = A + B hc + C / hc has the sign of
+    B hc^2 + A hc + C, whose roots inside ``hc_range`` cut it into pieces; a
+    piece is explosive when g > 0 at its midpoint.  None is: the interval
+    is absent.  One reaching an end of the range raises
+    ``IntervalSolverError``.  Otherwise exactly one piece, strictly inside
+    the range, is explosive, since a quadratic has at most two roots.
     """
     if model.normalization is None:
         raise ValueError("model carries no normalization parameters")
     low, high = float(hc_range[0]), float(hc_range[1])
     if not 0.0 < low < high:
         raise ValueError(f"hc_range must satisfy 0 < low < high, got {hc_range}")
-    if grid_points < 100:
-        raise ValueError(f"grid_points must be >= 100, got {grid_points}")
-    if not root_tol > 0:
-        raise ValueError(f"root_tol must be positive, got {root_tol}")
-    if o2 < 0 or o2 + high > 100.0:
+    if not (o2 >= 0.0 and o2 + high <= 100.0):
         raise ValueError(f"o2={o2} with hc up to {high} violates the input contract")
 
-    def prob(hc: float) -> float:
-        features = apply_normalization(
-            model.normalization, GasSample(hc, o2, 0.0, 0.0, False)
-        )
-        return float(model.predict_proba(features))
-
-    hcs = np.linspace(low, high, grid_points)
-    zeros = np.zeros(grid_points)
-    grid = Dataset.from_columns(hcs, np.full(grid_points, o2), zeros, zeros, zeros)
-    probs = model.predict_proba(featurize(model.normalization, grid))
-    if not np.isfinite(probs).all():
-        raise IntervalSolverError(f"non-finite probability on the grid at o2={o2}")
-
-    above = probs > 0.5
-    if not above.any():
+    a, b, c = _logit_coefficients(model, o2)
+    if not all(math.isfinite(v) for v in (a, b, c)):
+        raise IntervalSolverError(f"non-finite logit coefficients at o2={o2}")
+    cuts = [low, *sorted({r for r in _quadratic_roots(a, b, c) if low < r < high}), high]
+    explosive = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        if a + b * mid + c / mid > 0.0:
+            explosive.append((lo, hi))
+    if not explosive:
         return ExplosionInterval(o2, float("nan"), float("nan"), present=False)
-    if above[0] or above[-1]:
+    if explosive[0][0] == low or explosive[-1][1] == high:
         raise IntervalSolverError(
             f"explosive region at o2={o2} touches the hc_range edge; "
             "widen hc_range"
         )
-    edges = np.diff(above.astype(int))
-    rises = np.flatnonzero(edges == 1)
-    falls = np.flatnonzero(edges == -1)
-    if len(rises) > 1:
-        pairs = [
-            (round(float(hcs[r]), 6), round(float(hcs[f + 1]), 6))
-            for r, f in zip(rises, falls)
-        ]
-        raise IntervalSolverError(
-            f"{len(rises)} disjoint explosive regions at o2={o2}: {pairs}"
-        )
-
-    lower = _bisect_half_crossing(prob, hcs[rises[0]], hcs[rises[0] + 1], root_tol)
-    upper = _bisect_half_crossing(prob, hcs[falls[0]], hcs[falls[0] + 1], root_tol)
-    if prob(0.5 * (lower + upper)) <= 0.5:
-        raise IntervalSolverError(
-            f"interval interior at o2={o2} fell back below p = 0.5"
-        )
+    (lower, upper), = explosive
     return ExplosionInterval(o2, lower, upper, present=True)
 
 
-def _bisect_half_crossing(prob, a: float, b: float, root_tol: float) -> float:
-    """Bisect [a, b] (with p - 0.5 changing sign) down to |p - 0.5| <= root_tol."""
-    fa = prob(a) - 0.5
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = prob(mid) - 0.5
-        if abs(fm) <= root_tol or (b - a) <= 1e-14 * max(1.0, abs(mid)):
-            return float(mid)
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return float(0.5 * (a + b))
+def _logit_coefficients(model: LogisticModel, o2: float) -> tuple[float, float, float]:
+    """(A, B, C) of the logit A + B hc + C / hc at ``o2`` with CO = CO2 = 0.
+
+    There each attribute's raw value is ra + rb hc + rc / hc, which the
+    min-max map sends to ((2 ra - hi - lo) + 2 rb hc + 2 rc / hc) / (hi - lo),
+    or to 0 for a constant attribute, as ``transform`` does.
+    """
+    params = model.normalization
+    forms = {"hc": (0.0, 1.0, 0.0), "o2": (o2, 0.0, 0.0), "co": (0.0, 0.0, 0.0),
+             "co2": (0.0, 0.0, 0.0), "ratio": (0.0, 0.0, o2)}
+    if "ratio" in params.attributes and params.feature_config.ratio == RATIO_HC_OVER_O2:
+        if o2 == 0:
+            raise DataFormatError("undefined ratio: o2 is 0")
+        forms["ratio"] = (0.0, 1.0 / o2, 0.0)
+    beta = model.beta.tolist()
+    a, b, c = beta[0], 0.0, 0.0
+    for coef, name, lo, hi in zip(beta[1:], params.attributes, params.mins, params.maxs):
+        if hi != lo:
+            ra, rb, rc = forms[name]
+            a += coef * (2.0 * ra - hi - lo) / (hi - lo)
+            b += coef * 2.0 * rb / (hi - lo)
+            c += coef * 2.0 * rc / (hi - lo)
+    return a, b, c
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of b x^2 + a x + c without cancellation: q / b and c / q
+    with q = -(a + sign(a) sqrt(a^2 - 4bc)) / 2 (Numerical Recipes, 5.6)."""
+    if b == 0.0:
+        return [-c / a] if a != 0.0 else []
+    disc = a * a - 4.0 * b * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (a + math.copysign(math.sqrt(disc), a))
+    return [q / b, c / q] if q != 0.0 else []  # q == 0: a double root at 0
 
 
 def intervals_csv(intervals) -> str:

@@ -353,6 +353,24 @@ class TestSweep:
     def test_missing_data(self):
         assert main(["sweep", "--grid", "1,8"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--penalty-positive", "--penalty-negative"])
+    def test_fixed_penalty_flags_are_unknown(self, corpus_csv, capsys, flag):
+        # a sweep's penalties are ratio x --base-w2
+        rc = main(["sweep", "--data", str(corpus_csv), "--grid", "1,8", flag, "5"])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    def test_fixed_penalty_config_key_is_accepted_and_ignored(self, corpus_csv, workdir, capsys):
+        # a config key valid for any subcommand is accepted
+        config = workdir / "sweep_penalty.json"
+        config.write_text('{"penalty-positive": 5}')
+        base = ["sweep", "--data", str(corpus_csv), "--grid", "1,8", "--folds", "2",
+                "--gamma", "0.5"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestFoldedZeroRatio:
     """A zero ratio denominator fails CV and the sweep naming its row in the
@@ -544,6 +562,22 @@ class TestIntervals:
         err = capsys.readouterr().err
         assert "--hc-min/--hc-max must satisfy 0 < min < max <= 100" in err
         assert "--o2" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--grid-points", "2000"), ("--root-tol", "1e-6")])
+    def test_grid_and_tolerance_flags_are_unknown(self, span_csv, capsys, flag, value):
+        # the limits are closed-form roots: there is no grid or tolerance
+        rc = main(["intervals", "--data", str(span_csv), "--o2", "16", flag, value])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_hc_over_o2_at_zero_oxygen_is_a_data_error(self, span_csv, workdir, capsys):
+        out = workdir / "intervals_zero_o2.csv"
+        rc = main(["intervals", "--data", str(span_csv), "--ratio", "hc_over_o2",
+                   "--o2", "0", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gasgate: error: undefined ratio: o2 is 0\n"
+        assert not out.exists()
 
 
 class TestSeedEnv:

@@ -8,6 +8,9 @@ from scipy import optimize
 
 import gasgate.logistic
 from gasgate.data import (
+    RATIO_HC_OVER_O2,
+    RATIO_O2_OVER_HC,
+    Dataset,
     FeatureConfig,
     GasSample,
     NormalizationParams,
@@ -16,6 +19,7 @@ from gasgate.data import (
     fit_normalization,
 )
 from gasgate.errors import (
+    DataFormatError,
     IntervalSolverError,
     PerfectSeparationError,
     SingleClassError,
@@ -367,6 +371,35 @@ def interval_model(beta):
     return LogisticModel(np.asarray(beta, dtype=float), normalization=IDENTITY_NORM)
 
 
+def model_with_roots(r1, r2, o2, mins=(-1.0,) * 3, maxs=(1.0,) * 3, steepness=3.0):
+    """A model over (hc, o2, o2/hc) whose logit at ``o2`` is
+    -k (hc - r1)(hc - r2) / hc, i.e. A + B hc + C / hc with A = k (r1 + r2),
+    B = -k and C = -k r1 r2; the coefficients undo the min-max map.
+    A negative ``steepness`` flips the sign: explosive outside (r1, r2)."""
+    a, b, c = steepness * (r1 + r2), -steepness, -steepness * r1 * r2
+    (l1, _, l3), (h1, _, h3) = mins, maxs
+    s1, s3 = h1 - l1, h3 - l3
+    beta1 = b * s1 / 2.0
+    beta3 = c * s3 / (2.0 * o2)
+    beta0 = a + beta1 * (h1 + l1) / s1 + beta3 * (h3 + l3) / s3
+    params = NormalizationParams(FeatureConfig(), mins, maxs)
+    return LogisticModel(beta=[beta0, beta1, 0.0, beta3], normalization=params)
+
+
+def half_probability_gap(model, hc, o2):
+    """|p - 0.5| at one point, featurized one sample at a time."""
+    x = apply_normalization(model.normalization, GasSample(hc, o2, 0.0, 0.0, False))
+    return abs(model.predict_proba(x) - 0.5)
+
+
+def fitted_model(corpus, attributes=("hc", "o2", "ratio"), ratio=RATIO_O2_OVER_HC):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="constant attribute")
+        params = fit_normalization(corpus, FeatureConfig(attributes, ratio=ratio))
+    return fit_logistic(featurize(params, corpus), corpus.exploded.astype(float),
+                        ridge=0.1, normalization=params)
+
+
 class TestIntervalInversion:
     def test_analytic_interval_is_recovered(self):
         # score(hc) = 3 - hc - 2/hc at o2 = 16: positive exactly on (1, 2)
@@ -377,45 +410,114 @@ class TestIntervalInversion:
         assert iv.upper == pytest.approx(2.0, abs=1e-4)
         assert iv.width == pytest.approx(1.0, abs=2e-4)
 
+    @pytest.mark.parametrize(
+        "r1, r2, o2, mins, maxs",
+        [
+            (1.0, 2.0, 16.0, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),  # identity scaling
+            (0.8, 2.5, 18.0, (0.2, 12.0, 3.0), (4.0, 21.0, 105.0)),
+            (1.1, 1.3, 15.0, (0.2, 12.0, 3.0), (4.0, 21.0, 105.0)),  # narrow interval
+        ],
+    )
+    def test_known_roots_are_recovered(self, r1, r2, o2, mins, maxs):
+        iv = explosion_interval(model_with_roots(r1, r2, o2, mins, maxs), o2)
+        assert iv.present
+        assert iv.lower == pytest.approx(r1, rel=1e-12, abs=0)
+        assert iv.upper == pytest.approx(r2, rel=1e-12, abs=0)
+
+    def test_interval_narrower_than_a_grid_step_is_found(self):
+        # 1e-3 vol % wide, under the 2.45e-3 step of a 2000-point grid over
+        # (0.1, 5): a grid scan can miss it
+        iv = explosion_interval(model_with_roots(1.5, 1.501, 16.0), 16.0)
+        assert iv.present
+        assert iv.lower == pytest.approx(1.5, rel=1e-12, abs=0)
+        assert iv.upper == pytest.approx(1.501, rel=1e-12, abs=0)
+
     def test_endpoints_sit_on_the_half_probability_contour(self):
         model = interval_model([3.0, -1.0, 0.0, -0.125])
-        iv = explosion_interval(model, o2=16.0, root_tol=1e-6)
+        iv = explosion_interval(model, o2=16.0)
         for hc in (iv.lower, iv.upper):
-            x = apply_normalization(IDENTITY_NORM, GasSample(hc, 16.0, 0.0, 0.0, False))
-            assert abs(model.predict_proba(x) - 0.5) <= 1e-6 + 1e-12
+            assert half_probability_gap(model, hc, 16.0) <= 1e-12
 
-    @pytest.mark.parametrize("o2", [15.0, 16.5, 20.0])
-    def test_grid_probabilities_match_per_point_probabilities(
-        self, span_corpus, monkeypatch, o2
+    @pytest.mark.parametrize(
+        "attributes, o2",
+        [
+            (("hc", "o2", "ratio"), 15.0),
+            (("hc", "o2", "ratio"), 16.5),
+            (("hc", "o2", "ratio"), 20.0),
+            # co is constant in the corpus (pinned to 0); co2 is not, so its
+            # offset at co2 = 0 enters the intercept
+            (("hc", "o2", "co", "co2", "ratio"), 15.0),
+            (("hc", "o2", "co", "co2", "ratio"), 18.0),
+        ],
+    )
+    def test_fitted_endpoints_sit_on_the_half_probability_contour(
+        self, span_corpus, attributes, o2
     ):
-        params = fit_normalization(span_corpus)
-        model = fit_logistic(featurize(params, span_corpus),
-                             span_corpus.exploded.astype(float), ridge=0.1,
-                             normalization=params)
-        grids = []
+        model = fitted_model(span_corpus, attributes)
+        iv = explosion_interval(model, o2)
+        assert iv.present
+        for hc in (iv.lower, iv.upper):
+            assert half_probability_gap(model, hc, o2) <= 1e-12
 
-        def recording(params, data):
-            X = featurize(params, data)
-            grids.append((data, X))
-            return X
+    @pytest.mark.parametrize("ratio", [RATIO_O2_OVER_HC, RATIO_HC_OVER_O2])
+    def test_outcome_matches_dense_probabilities(self, rng, ratio):
+        """Random models: on a dense grid featurized as a dataset, p > 0.5
+        holds exactly inside the interval (away from its endpoints), nowhere
+        when it is absent, and at an end of the range when that is raised."""
+        hcs = np.linspace(0.1, 5.0, 4001)
+        zeros = np.zeros_like(hcs)
+        outcomes = set()
+        for _ in range(150):
+            o2 = float(rng.uniform(0.5, 30.0))
+            mins = tuple(rng.uniform(0.0, 5.0, 3))
+            maxs = tuple(np.add(mins, rng.uniform(0.5, 50.0, 3)))
+            params = NormalizationParams(FeatureConfig(ratio=ratio), mins, maxs)
+            if ratio == RATIO_O2_OVER_HC:
+                r1, r2 = np.sort(rng.uniform(0.05, 6.0, 2))
+                k = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0)
+                beta = model_with_roots(r1, r2, o2, mins, maxs, k).beta.copy()
+                beta[2] = rng.normal()  # an o2 term moves A, hence the roots
+            else:
+                beta = rng.normal(0.0, 3.0, 4)
+            model = LogisticModel(beta, normalization=params)
+            grid = Dataset.from_columns(hcs, np.full_like(hcs, o2), zeros, zeros, zeros)
+            above = model.predict_proba(featurize(params, grid)) > 0.5
+            try:
+                iv = explosion_interval(model, o2)
+            except IntervalSolverError as exc:
+                assert "touches the hc_range edge" in str(exc)
+                assert above[0] or above[-1]
+                outcomes.add("edge")
+                continue
+            if iv.present:
+                clear = np.minimum(abs(hcs - iv.lower), abs(hcs - iv.upper)) > 1e-9
+                inside = (hcs > iv.lower) & (hcs < iv.upper)
+                assert (above == inside)[clear].all()
+                outcomes.add("present")
+            else:
+                assert not above.any()
+                outcomes.add("absent")
+        assert outcomes == ({"present", "absent", "edge"} if ratio == RATIO_O2_OVER_HC
+                            else {"absent", "edge"})
 
-        monkeypatch.setattr(gasgate.logistic, "featurize", recording)
-        explosion_interval(model, o2=o2)
-        (grid, X), = grids
-        assert len(grid) == 2000
-        assert (grid.o2 == o2).all() and not grid.co.any() and not grid.co2.any()
-        point = np.array([
-            model.predict_proba(apply_normalization(params, GasSample(hc, o2, 0.0, 0.0, False)))
-            for hc in grid.hc.tolist()
-        ])
-        assert np.abs(model.predict_proba(X) - point).max() <= 1e-15
+    @pytest.mark.parametrize("o2", [15.0, 16.5, 18.0, 20.0])
+    def test_hc_over_o2_never_bounds_an_interval(self, span_corpus, o2):
+        # o2 and hc/o2 are both affine in hc at fixed oxygen, so the logit is
+        # affine in hc: its positive side always reaches an end of the range
+        model = fitted_model(span_corpus, ratio=RATIO_HC_OVER_O2)
+        try:
+            iv = explosion_interval(model, o2)
+        except IntervalSolverError as exc:
+            assert "touches the hc_range edge" in str(exc)
+        else:
+            assert not iv.present
 
-    def test_tighter_root_tol_tightens_endpoints(self):
-        model = interval_model([3.0, -1.0, 0.0, -0.125])
-        loose = explosion_interval(model, o2=16.0, root_tol=1e-3)
-        tight = explosion_interval(model, o2=16.0, root_tol=1e-9)
-        assert abs(tight.lower - 1.0) <= abs(loose.lower - 1.0) + 1e-9
-        assert abs(tight.upper - 2.0) <= 1e-7
+    def test_hc_over_o2_at_zero_oxygen_is_undefined(self):
+        params = NormalizationParams(
+            FeatureConfig(ratio=RATIO_HC_OVER_O2), (-1.0,) * 3, (1.0,) * 3)
+        model = LogisticModel(np.array([3.0, -1.0, 0.0, -0.125]), normalization=params)
+        with pytest.raises(DataFormatError, match=r"^undefined ratio: o2 is 0$"):
+            explosion_interval(model, o2=0.0)
 
     def test_absent_region(self):
         iv = explosion_interval(interval_model([-5.0, 0.0, 0.0, 0.0]), o2=16.0)
@@ -423,20 +525,35 @@ class TestIntervalInversion:
         assert math.isnan(iv.lower) and math.isnan(iv.upper)
         assert iv.width == 0.0
 
+    def test_half_probability_everywhere_is_absent(self):
+        # explosive means p > 0.5; a logit that is 0 throughout never exceeds it
+        assert not explosion_interval(interval_model([0.0, 0.0, 0.0, 0.0]), o2=16.0).present
+
+    @pytest.mark.parametrize("hc_range, edge", [((0.1, 5.0), True), ((2.5, 5.0), False)])
+    def test_logit_without_an_hc_term_has_one_root(self, hc_range, edge):
+        # -1 + 2/hc at o2 = 16 (B = 0): explosive below hc = 2 only
+        model = interval_model([-1.0, 0.0, 0.0, 0.125])
+        if edge:
+            with pytest.raises(IntervalSolverError, match="touches the hc_range edge"):
+                explosion_interval(model, o2=16.0, hc_range=hc_range)
+        else:
+            assert not explosion_interval(model, o2=16.0, hc_range=hc_range).present
+
     def test_region_touching_range_edge_raises(self):
         with pytest.raises(IntervalSolverError, match="touches the hc_range edge"):
             explosion_interval(interval_model([5.0, 0.0, 0.0, 0.0]), o2=16.0)
 
-    def test_multiple_regions_raise_with_locations(self):
-        class TwoBump(LogisticModel):
-            def predict_proba(self, X):
-                hc = np.atleast_1d(np.asarray(X))[..., 0]
-                inside = ((hc > 1.0) & (hc < 1.5)) | ((hc > 2.5) & (hc < 3.0))
-                p = np.where(inside, 0.9, 0.1)
-                return float(p) if np.ndim(X) == 1 else p
+    def test_upward_quadratic_with_both_roots_inside_touches_both_edges(self):
+        # explosive on (0.1, 1) and (2, 5): two regions, each at an edge
+        model = model_with_roots(1.0, 2.0, 16.0, steepness=-3.0)
+        with pytest.raises(IntervalSolverError, match="touches the hc_range edge"):
+            explosion_interval(model, o2=16.0)
 
-        model = TwoBump(np.zeros(4), normalization=IDENTITY_NORM)
-        with pytest.raises(IntervalSolverError, match="2 disjoint explosive regions"):
+    def test_non_finite_coefficients_raise(self):
+        # a span of 1e-300 scales the hc coefficient past the float range
+        tiny = NormalizationParams(FeatureConfig(), (0.0, 0.0, 0.0), (1e-300, 1.0, 1.0))
+        model = LogisticModel(np.array([0.0, 1e10, 0.0, 0.0]), normalization=tiny)
+        with pytest.raises(IntervalSolverError, match="non-finite"):
             explosion_interval(model, o2=16.0)
 
     def test_missing_normalization_rejected(self):
@@ -449,8 +566,8 @@ class TestIntervalInversion:
         [
             {"hc_range": (0.0, 5.0)},
             {"hc_range": (2.0, 1.0)},
-            {"grid_points": 10},
-            {"root_tol": 0.0},
+            {"o2": -1.0},
+            {"o2": math.nan},
             {"o2": 97.0},
         ],
     )
