@@ -5,7 +5,9 @@ Exit codes form a stable scripting contract: 0 success, 1 usage error
 rows, solver failures).  Every command is deterministic given identical
 flags; the env var ``GASGATE_SEED`` supplies the seed when ``--seed`` is
 absent.  A ``--config`` JSON file may supply any flag by its long name
-(dashes or underscores); explicit flags override the file.
+(dashes or underscores).  Each value is read as ``--name=value`` placed
+before the command line's own flags, so argparse checks it as it checks a
+typed flag and an explicit flag overrides it.
 """
 
 from __future__ import annotations
@@ -60,9 +62,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# subcommand names and help; the config reader finds its keys by these names
+COMMANDS = {
+    "gen": "generate a synthetic labeled corpus",
+    "train": "fit a model on a full CSV and save JSON",
+    "predict": "apply a saved model to a CSV",
+    "cv": "stratified v-fold cross-validation",
+    "sweep": "penalty-ratio sweep of the class-weighted SVM",
+    "intervals": "explosive HC intervals at fixed oxygen levels",
+}
+
+
 def build_parser() -> _Parser:
-    # allow_abbrev=False keeps argv tokens literal, which lets the config
-    # merge tell explicitly-passed flags apart from defaulted ones
+    # allow_abbrev=False: a prefix of a flag is not that flag, so adding a
+    # flag later never changes what an existing script's command line means
     parser = _Parser(
         prog="gasgate",
         description="Explosion-risk prediction from gas-concentration measurements.",
@@ -70,10 +83,13 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func):
+        p = sub.add_parser(name, allow_abbrev=False, help=COMMANDS[name])
         p.add_argument("--config", help="JSON file supplying flags by long name")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
+        p.set_defaults(func=func, _sub=p)
+        return p
 
     def add_features(p):
         p.add_argument("--features", default="hc,o2,ratio",
@@ -105,17 +121,14 @@ def build_parser() -> _Parser:
         p.add_argument("--ridge", type=float, default=1e-6)
         p.add_argument("--max-iter", type=int, default=200)
 
-    p = sub.add_parser("gen", allow_abbrev=False, help="generate a synthetic labeled corpus")
-    add_common(p)
+    p = command("gen", cmd_gen)
     p.add_argument("--n", type=int, default=500, help="number of rows (>= 10)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="label-flip probability in [0, 0.5)")
     p.add_argument("--positive-fraction", type=float, default=0.78)
     p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_gen, _sub=p)
 
-    p = sub.add_parser("train", allow_abbrev=False, help="fit a model on a full CSV and save JSON")
-    add_common(p)
+    p = command("train", cmd_train)
     add_features(p)
     add_svm_flags(p)
     add_penalty_flags(p)
@@ -125,19 +138,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output model JSON path")
     p.add_argument("--tol", type=float, default=None,
                    help="solver tolerance (default: svm 1e-3, lr 1e-8)")
-    p.set_defaults(func=cmd_train, _sub=p)
 
-    p = sub.add_parser("predict", allow_abbrev=False, help="apply a saved model to a CSV")
-    add_common(p)
+    p = command("predict", cmd_predict)
     p.add_argument("--model-file", help="model JSON from train")
     p.add_argument("--data", help="input CSV")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--scores", action="store_true",
                    help="append the raw decision score / linear score column")
-    p.set_defaults(func=cmd_predict, _sub=p)
 
-    p = sub.add_parser("cv", allow_abbrev=False, help="stratified v-fold cross-validation")
-    add_common(p)
+    p = command("cv", cmd_cv)
     add_features(p)
     add_svm_flags(p)
     add_penalty_flags(p)
@@ -149,10 +158,8 @@ def build_parser() -> _Parser:
                    help="number of repeated runs (seeds seed, seed+1, ...)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", help="report CSV path")
-    p.set_defaults(func=cmd_cv, _sub=p)
 
-    p = sub.add_parser("sweep", allow_abbrev=False, help="penalty-ratio sweep of the class-weighted SVM")
-    add_common(p)
+    p = command("sweep", cmd_sweep)
     add_features(p)
     add_svm_flags(p)
     p.add_argument("--data", help="input CSV")
@@ -164,11 +171,8 @@ def build_parser() -> _Parser:
                    help="negative-class slack cost; positive cost is ratio times this")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", help="report TSV path")
-    p.set_defaults(func=cmd_sweep, _sub=p)
 
-    p = sub.add_parser("intervals", allow_abbrev=False,
-                       help="explosive HC intervals at fixed oxygen levels")
-    add_common(p)
+    p = command("intervals", cmd_intervals)
     add_features(p)
     add_lr_flags(p)
     p.add_argument("--model-file", help="saved logistic model JSON")
@@ -178,51 +182,17 @@ def build_parser() -> _Parser:
     p.add_argument("--hc-max", type=float, default=5.0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_intervals, _sub=p)
 
     return parser
 
 
-def _valid_dests(parser) -> set[str]:
-    dests = set()
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            elif action.dest != argparse.SUPPRESS:
-                dests.add(action.dest)
-    return dests
+def _config_tokens(parser, args) -> list[str]:
+    """The ``--config`` file of ``args`` as ``--name=value`` tokens.
 
-
-def _action_for(parser, dest):
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            elif action.dest == dest:
-                return action
-    return None
-
-
-def _explicitly_passed(action, argv) -> bool:
-    """True when one of the action's option strings appears in argv."""
-    for opt in action.option_strings:
-        for token in argv:
-            if token == opt or token.startswith(opt + "="):
-                return True
-    return False
-
-
-def _apply_config(parser, args, argv) -> None:
-    """Overlay config-file values onto parsed args; explicit flags win.
-
-    Precedence is defaults < config file < explicit argv flags.  Keys are
-    long flag names (dashes or underscores); a key valid for any subcommand
-    is accepted, ones valid for none are usage errors.
+    Keys are long flag names (dashes or underscores).  A key no subcommand
+    takes is a usage error; a key only other subcommands take is skipped, as
+    is ``config``.  JSON ``true`` passes a switch and ``false`` leaves it
+    unset; a string or number is passed as the flag's text.
     """
     path = args.config
     try:
@@ -232,38 +202,22 @@ def _apply_config(parser, args, argv) -> None:
         parser.exit(1, f"gasgate: error: cannot read config {path}: {exc}\n")
     if not isinstance(obj, dict):
         parser.exit(1, f"gasgate: error: config {path} must hold a JSON object\n")
-    known = _valid_dests(parser)
+    known = set().union(*(vars(parser.parse_args([name])) for name in COMMANDS))
+    tokens = []
     for key, value in obj.items():
         dest = key.replace("-", "_")
-        if dest == "config":
-            continue
         if dest not in known:
             parser.exit(1, f"gasgate: error: unknown config key {key!r}\n")
-        action = _action_for(args._sub, dest) or _action_for(parser, dest)
-        if action is None:
+        if dest == "config" or dest not in vars(args) or value is False:
             continue
-        if _explicitly_passed(action, argv):
-            continue
-        if action.type is not None and isinstance(value, str):
-            try:
-                value = action.type(value)
-            except (TypeError, ValueError):
-                parser.exit(
-                    1, f"gasgate: error: config key {key!r}: bad value {value!r}\n"
-                )
-        elif (
-            action.type in (int, float)
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-        ):
-            value = action.type(value)
-        if action.choices is not None and value not in action.choices:
-            parser.exit(
-                1,
-                f"gasgate: error: config key {key!r}: {value!r} is not one of "
-                f"{tuple(action.choices)}\n",
-            )
-        setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            parser.exit(1, f"gasgate: error: config key {key!r}: bad value {value!r}\n")
+    return tokens
 
 
 def _resolve_seed(args) -> int:
@@ -333,11 +287,17 @@ def _penalties(args) -> PenaltyConfig:
     return PenaltyConfig(positive=args.penalty_positive, negative=args.penalty_negative)
 
 
-def _svm_learner(args, seed) -> SvmLearner:
+def _smo_tol(args) -> float:
+    """Check the SMO flags of train, cv and sweep; return the tolerance."""
     tol = 1e-3 if args.tol is None else args.tol
     _check(args, _positive_finite(tol), "--tol must be positive and finite")
     _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
     _check(args, args.cache_mb > 0, "--cache-mb must be positive")
+    return tol
+
+
+def _svm_learner(args, seed) -> SvmLearner:
+    tol = _smo_tol(args)
     return SvmLearner(
         kernel=_kernel_spec(args),
         penalties=_penalties(args),
@@ -489,10 +449,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_float_list(args, "grid", args.grid)
     _check(args, all(1.0 <= g < math.inf for g in grid),
            "--grid ratios must all be finite and >= 1")
-    tol = 1e-3 if args.tol is None else args.tol
-    _check(args, _positive_finite(tol), "--tol must be positive and finite")
-    _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
-    _check(args, args.cache_mb > 0, "--cache-mb must be positive")
+    tol = _smo_tol(args)
     kernel = _kernel_spec(args)
     data = load_csv(args.data)
     report = penalty_sweep(
@@ -571,7 +528,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(parser, args, argv)
+            # argv[0] is the command; the last occurrence of a flag wins, so
+            # defaults < config file < explicit flags
+            tokens = _config_tokens(parser, args)
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -75,6 +75,20 @@ class TestParsing:
     def test_unknown_flag(self):
         assert main(["gen", "--frobnicate", "1"]) == 1
 
+    def test_abbreviated_flag_rejected(self, workdir):
+        # a prefix of a flag is not that flag, so adding a flag never
+        # changes what an existing command line means
+        out = workdir / "abbrev.csv"
+        assert main(["gen", "--se", "3", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "train", "predict", "cv", "sweep", "intervals"]
+    )
+    def test_help_exits_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: gasgate {command} ")
+
 
 class TestGen:
     def test_writes_corpus_with_exact_class_split(self, corpus_csv, capsys):
@@ -660,6 +674,87 @@ class TestConfig:
 
     def test_missing_config_file(self, workdir):
         assert main(["gen", "--config", str(workdir / "absent.json")]) == 1
+
+    def test_explicit_equals_flag_overrides_config(self, workdir):
+        out = workdir / "override_eq.csv"
+        config = self.write_config(
+            workdir, "gen_n20_eq.json", {"n": 20, "seed": 7, "out": str(out)}
+        )
+        assert main(["gen", "--config", str(config), "--n=40"]) == 0
+        assert len(load_csv(out)) == 40
+
+    @pytest.mark.parametrize("obj, command", [
+        ({"kernel": "foo"}, ["train", "--model", "svm"]),
+        ({"model": "foo"}, ["train"]),
+    ], ids=["kernel", "model"])
+    def test_value_outside_choices_rejected(self, tmp_path, capsys, obj, command):
+        config = self.write_config(tmp_path, "choice.json", obj)
+        out = tmp_path / "model.json"
+        rc = main([*command, "--config", str(config),
+                   "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
+        assert rc == 1
+        assert "'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scores", [True, False])
+    def test_boolean_switch(self, workdir, svm_model, corpus_csv, capsys, scores):
+        base = ["predict", "--model-file", str(svm_model), "--data", str(corpus_csv)]
+        assert main(base + (["--scores"] if scores else [])) == 0
+        direct = capsys.readouterr().out
+        config = self.write_config(workdir, f"scores_{scores}.json", {"scores": scores})
+        assert main(base + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == direct
+        assert direct.startswith("row,prediction,score\n" if scores else "row,prediction\n")
+
+    def test_config_key_in_the_file_is_ignored(self, workdir):
+        out = workdir / "nested_config.csv"
+        config = self.write_config(
+            workdir, "nested.json",
+            {"config": str(workdir / "absent.json"), "n": 40, "out": str(out)},
+        )
+        assert main(["gen", "--config", str(config)]) == 0
+        assert len(load_csv(out)) == 40
+
+    def test_config_seed_beats_env(self, workdir, monkeypatch):
+        a, b, c = (workdir / f"seed_{name}.csv" for name in ("config", "flag", "env"))
+        monkeypatch.setenv("GASGATE_SEED", "1")
+        config = self.write_config(
+            workdir, "seed7.json", {"n": 40, "seed": 7, "out": str(a)}
+        )
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["gen", "--n", "40", "--out", str(c)]) == 0
+        monkeypatch.delenv("GASGATE_SEED")
+        assert main(["gen", "--n", "40", "--seed", "7", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("obj, key, shown", [
+        ({"n": None}, "n", "None"),
+        ({"out": ["x"]}, "out", "['x']"),
+        ({"out": {"path": "x"}}, "out", "{'path': 'x'}"),
+    ], ids=["null", "array", "object"])
+    def test_non_scalar_value_rejected(self, tmp_path, capsys, obj, key, shown):
+        config = self.write_config(
+            tmp_path, "bad.json", {"n": 40, "out": str(tmp_path / "o.csv"), **obj}
+        )
+        assert main(["gen", "--config", str(config)]) == 1
+        assert f"gasgate: error: config key {key!r}: bad value {shown}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("n", [40.5, 40.0])
+    def test_integer_flag_needs_json_integer(self, tmp_path, capsys, n):
+        # as --n=40.5 on the command line: no silent truncation
+        out = tmp_path / "o.csv"
+        config = self.write_config(tmp_path, "float_n.json", {"n": n, "out": str(out)})
+        assert main(["gen", "--config", str(config)]) == 1
+        assert f"--n: invalid int value: '{n!r}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_subcommands_value_is_not_checked(self, corpus_csv, workdir, capsys):
+        # sweep takes no --penalty-positive, so its value is never read
+        config = self.write_config(workdir, "sweep_bad_penalty.json",
+                                   {"penalty-positive": "abc"})
+        assert main(["sweep", "--data", str(corpus_csv), "--grid", "1,8", "--folds", "2",
+                     "--gamma", "0.5", "--config", str(config)]) == 0
 
 
 class TestInputsUntouched:
