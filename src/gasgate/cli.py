@@ -24,6 +24,7 @@ from .data import (
     FeatureConfig,
     RATIO_HC_OVER_O2,
     RATIO_O2_OVER_HC,
+    column_blocks,
     featurize,
     fit_normalization,
     load_csv,
@@ -221,15 +222,19 @@ def _config_tokens(parser, args) -> list[str]:
 
 
 def _resolve_seed(args) -> int:
+    """``--seed`` (flag or config), else ``$GASGATE_SEED``, else 0; never negative."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        args._sub.error(f"${SEED_ENV} must be an integer, got {env!r}")
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return 0
+        try:
+            seed, source = int(env), f"${SEED_ENV}"
+        except ValueError:
+            args._sub.error(f"${SEED_ENV} must be an integer, got {env!r}")
+    _check(args, seed >= 0, f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _require(args, *names):
@@ -376,29 +381,34 @@ def cmd_predict(args) -> int:
     header = "row,prediction" + (",probability" if is_lr else "")
     if args.scores:
         header += ",score"
-    lines = [header]
     # Score once and derive labels (and probabilities) from the scores, as
     # the models' own predict methods do.
     if is_lr:
         scores = model.scores(features)
         probabilities = sigmoid(scores)
-        labels = np.where(probabilities >= 0.5, 1, 0)
+        columns = [np.where(probabilities >= 0.5, 1, 0), probabilities]
     else:
         scores = model.decision_values(features)
-        labels = np.where(scores >= 0, 1, -1)
-    fields = [map(str, range(1, len(data) + 1)), map(str, labels.tolist())]
-    if is_lr:
-        fields.append(map(repr, probabilities.tolist()))
+        columns = [np.where(scores >= 0, 1, -1)]
     if args.scores:
-        fields.append(map(repr, scores.tolist()))
-    lines.extend(map(",".join, zip(*fields)))
-    text = "\n".join(lines) + "\n"
+        columns.append(scores)
+    chunks = _prediction_chunks(header, columns)
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_text(args.out, chunks)
         print(f"wrote {args.out}: {len(data)} predictions")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
+
+
+def _prediction_chunks(header: str, columns):
+    """The prediction CSV, one chunk per block of rows: the 1-based row
+    number, then the columns' values (repr of each Python scalar)."""
+    yield f"{header}\n"
+    for start, block in column_blocks(columns):
+        rows = map(str, range(start + 1, start + 1 + len(block[0])))
+        lines = map(",".join, zip(rows, *(map(repr, values) for values in block)))
+        yield "\n".join(lines) + "\n"
 
 
 def cmd_cv(args) -> int:

@@ -4,10 +4,12 @@ A record holds the averaged concentrations (volume percent) of total
 hydrocarbon (HC), oxygen, carbon monoxide and carbon dioxide together with a
 binary explosion outcome.  A ``Dataset`` stores its records as five
 read-only NumPy columns, so loading, featurizing and fold subsetting are
-array operations; ``GasSample`` objects exist only where a caller asks for
-one row at a time.  The default feature set for both classifiers is
-(HC, O2, O2/HC), each scaled to [-1, 1] by an affine map fitted on training
-data only.
+array operations.  Rows become Python objects only ``BLOCK_ROWS`` at a
+time: iterating a dataset builds ``GasSample`` rows block by block and
+keeps none of them, and ``write_csv`` formats and writes one block of rows
+at a time, so neither holds more than one block beyond the columns.  The
+default feature set for both classifiers is (HC, O2, O2/HC), each scaled to
+[-1, 1] by an affine map fitted on training data only.
 """
 
 from __future__ import annotations
@@ -65,6 +67,20 @@ class GasSample:
 #: Column names of a Dataset, in CSV order.
 COLUMNS = (*RAW_COLUMNS, "exploded")
 
+#: Rows turned into Python objects at a time when a dataset is iterated or
+#: a CSV is written, so the memory this takes does not grow with the rows.
+BLOCK_ROWS = 4096
+
+
+def column_blocks(columns):
+    """Yield ``(start, values)`` for each block of ``BLOCK_ROWS`` rows.
+
+    ``columns`` are equal-length arrays; ``values`` holds each column's rows
+    ``start:start + BLOCK_ROWS`` as a list of Python scalars.
+    """
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        yield start, [c[start:start + BLOCK_ROWS].tolist() for c in columns]
+
 
 class Dataset:
     """Ordered, immutable table of measurements with a free-text source tag.
@@ -73,11 +89,12 @@ class Dataset:
     float64 arrays and ``exploded`` a bool array, all of one length and all
     read-only, so a dataset shared across CV folds cannot be changed through
     them.  ``Dataset(samples)`` builds the columns from ``GasSample`` rows and
-    ``Dataset.from_columns`` from arrays.  Iteration and ``.samples``
-    materialise ``GasSample`` rows on demand, at most once per dataset.
+    ``Dataset.from_columns`` from arrays; both check every row.  Iteration
+    yields ``GasSample`` rows built ``BLOCK_ROWS`` at a time and caches none
+    of them, so each pass builds its rows afresh.
     """
 
-    __slots__ = (*COLUMNS, "provenance", "_samples")
+    __slots__ = (*COLUMNS, "provenance")
 
     def __init__(self, samples, provenance: str = ""):
         samples = tuple(samples)
@@ -87,7 +104,6 @@ class Dataset:
                    np.array([s.co2 for s in samples], dtype=float),
                    np.array([s.exploded for s in samples], dtype=bool)]
         self._adopt(columns, provenance)
-        object.__setattr__(self, "_samples", samples)
 
     @classmethod
     def from_columns(cls, hc, o2, co, co2, exploded, provenance: str = "") -> "Dataset":
@@ -117,7 +133,6 @@ class Dataset:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_samples", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -126,15 +141,14 @@ class Dataset:
         return len(self.exploded)
 
     def __iter__(self):
-        return iter(self.samples)
-
-    @property
-    def samples(self) -> tuple[GasSample, ...]:
-        """The rows as ``GasSample`` objects, built on first access."""
-        if self._samples is None:
-            rows = zip(*(getattr(self, name).tolist() for name in COLUMNS))
-            object.__setattr__(self, "_samples", tuple(GasSample(*r) for r in rows))
-        return self._samples
+        # every row was checked when the dataset was built, so the rows skip
+        # GasSample.__post_init__; tolist already gives float and bool
+        new = object.__new__
+        for _, block in column_blocks([getattr(self, name) for name in COLUMNS]):
+            for hc, o2, co, co2, exploded in zip(*block):
+                sample = new(GasSample)
+                sample.__dict__.update(hc=hc, o2=o2, co=co, co2=co2, exploded=exploded)
+                yield sample
 
     def class_counts(self) -> tuple[int, int]:
         """(number exploded, number not exploded)."""
@@ -306,6 +320,9 @@ _PLAIN_BYTES = b"0123456789.,+-eE\n"
 #: what deleting the plain bytes leaves of the header line
 _HEADER_REST = _HEADER_LINE.translate(None, _PLAIN_BYTES)
 
+#: bytes whose line ends ``_parse_plain`` checks at a time
+_SCAN_BYTES = 1 << 20
+
 
 def _parse_plain(raw: bytes) -> list[np.ndarray] | None:
     """The columns of a file in ``write_csv``'s plain form; None for any other.
@@ -324,20 +341,26 @@ def _parse_plain(raw: bytes) -> list[np.ndarray] | None:
     if not (raw.startswith(_HEADER_LINE) and len(raw) > start
             and raw.translate(None, _PLAIN_BYTES) == _HEADER_REST):
         return None
+    # every newline after the header ends a ",0" or ",1"; checked a slice at
+    # a time, so the mask does not grow with the file
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf[start:] == ord("\n")) + start
-    flags = buf[ends - 1]
-    if not ((buf[ends - 2] == ord(",")).all()
-            and ((flags == ord("0")) | (flags == ord("1"))).all()):
-        return None
+    lines = 0
+    for lo in range(start, len(buf), _SCAN_BYTES):
+        ends = np.flatnonzero(buf[lo:lo + _SCAN_BYTES] == ord("\n")) + lo
+        flags = buf[ends - 1]
+        if not ((buf[ends - 2] == ord(",")).all()
+                and ((flags == ord("0")) | (flags == ord("1"))).all()):
+            return None
+        lines += ends.size
     try:
         table = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
                            comments=None)
     except ValueError:
         return None
-    if table.shape != (len(ends), 5):  # also catches a last line with no newline
+    if table.shape != (lines, 5):  # also catches a last line with no newline
         return None
-    return [*table[:, :4].T.copy(), flags == ord("1")]
+    # with five fields, the line-end check leaves the fifth exactly "0" or "1"
+    return [*table[:, :4].T.copy(), table[:, 4] == 1.0]
 
 
 def _parse_lines(raw: bytes, path) -> Dataset:
@@ -412,23 +435,34 @@ def _parse_concentration(token: str) -> float:
 
 
 def write_csv(data: Dataset, path) -> None:
-    """Write a Dataset in the ingestion format (atomic: temp file + rename)."""
-    rows = zip(*(getattr(data, name).tolist() for name in COLUMNS))
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{hc!r},{o2!r},{co!r},{co2!r},{1 if exploded else 0}"
-        for hc, o2, co, co2, exploded in rows
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a Dataset in the ingestion format (atomic: temp file + rename).
+
+    Rows are formatted and written one block of ``BLOCK_ROWS`` at a time.
+    """
+    atomic_write_text(path, _csv_chunks(data))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory plus rename."""
+def _csv_chunks(data: Dataset):
+    yield f"{CSV_HEADER}\n"
+    for _, block in column_blocks([getattr(data, name) for name in COLUMNS]):
+        yield "".join(
+            f"{hc!r},{o2!r},{co!r},{co2!r},{1 if exploded else 0}\n"
+            for hc, o2, co, co2, exploded in zip(*block)
+        )
+
+
+def atomic_write_text(path, text) -> None:
+    """Write text to path via a temp file in the same directory plus rename.
+
+    ``text`` is a ``str`` or an iterable of ``str`` chunks, written in
+    order.  If anything fails before the rename, including the iterable
+    raising, the temp file is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gasgate-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

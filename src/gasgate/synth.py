@@ -123,7 +123,8 @@ def generate(
     o2_low = max(0.0, region.o2_window[0] - o2_margin)
     o2_high = region.o2_window[1] + o2_margin
 
-    pos, neg = [], []  # accepted (hc, o2) columns, in draw order
+    # accepted HC and O2 values, one array per batch, in draw order
+    pos_hc, pos_o2, neg_hc, neg_o2 = [], [], [], []
     have_pos = have_neg = 0
     draws = 0
     max_draws = 100 * n
@@ -139,18 +140,20 @@ def generate(
         o2 = rng.uniform(o2_low, o2_high, size=batch)
         inside = region.contains(hc, o2)
         draws += batch
-        points = np.stack([hc, o2])
         take_pos = np.flatnonzero(inside)[: n_pos - have_pos]
         take_neg = np.flatnonzero(~inside)[: n_neg - have_neg]
-        pos.append(points[:, take_pos])
-        neg.append(points[:, take_neg])
+        pos_hc.append(hc[take_pos])
+        pos_o2.append(o2[take_pos])
+        neg_hc.append(hc[take_neg])
+        neg_o2.append(o2[take_neg])
         have_pos += take_pos.size
         have_neg += take_neg.size
 
     # positives first, then negatives; one shuffle, then the label flips
     order = rng.permutation(n)
     flip = rng.random(n) < noise
-    hc, o2 = np.concatenate(pos + neg, axis=1)[:, order]
+    hc = np.concatenate(pos_hc + neg_hc)[order]
+    o2 = np.concatenate(pos_o2 + neg_o2)[order]
     exploded = (order < n_pos) ^ flip
     co2 = np.maximum(0.0, 33.0 - o2) if co2_policy == "oxygen-complement" else np.zeros(n)
     return Dataset.from_columns(

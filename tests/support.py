@@ -5,9 +5,12 @@ brute-force grid and the SLSQP solve are alternative routes to the SVM dual
 optimum, the KKT scan re-derives optimality conditions from raw model
 output, and the fold deal, the masked sigmoid and the free-set Newton solve
 are the straightforward forms the library's versions must match bit for bit.
+``traced_peak_mb`` measures what a call allocates, for memory bounds.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 from scipy import optimize
@@ -178,3 +181,13 @@ def reference_free_set_newton(Q, g, y, a, caps):
             break
         S = S[~hit]
     return a, total
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory traced while ``fn()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from gasgate.cli import main
-from gasgate.data import Dataset, GasSample, load_csv, write_csv
+from gasgate.data import BLOCK_ROWS, Dataset, GasSample, featurize, load_csv, write_csv
 from gasgate.evaluate import choose_ratio, penalty_sweep, sweep_text
 from gasgate.kernels import KernelSpec
-from gasgate.logistic import LogisticModel
+from gasgate.logistic import LogisticModel, sigmoid
 from gasgate.model_io import load_model, save_model
 from gasgate.svm import SvmModel
+from gasgate.synth import default_region, generate
+
+from .support import traced_peak_mb
 
 pytestmark = pytest.mark.filterwarnings("ignore:separation suspected")
 
@@ -270,6 +273,55 @@ class TestPredict:
         rc = main(["predict", "--model-file", str(path), "--data", str(corpus_csv)])
         assert rc == 2
         assert "normalization" in capsys.readouterr().err
+
+
+def reference_predictions(model_path, data_path, scores: bool) -> bytes:
+    """The bytes ``predict`` writes, formatted here row by row."""
+    model = load_model(model_path)
+    features = featurize(model.normalization, load_csv(data_path))
+    if isinstance(model, LogisticModel):
+        raw = model.scores(features)
+        prob = sigmoid(raw)
+        header = "row,prediction,probability"
+        rows = [[int(p >= 0.5), p] for p in prob.tolist()]
+    else:
+        raw = model.decision_values(features)
+        header = "row,prediction"
+        rows = [[1 if v >= 0 else -1] for v in raw.tolist()]
+    if scores:
+        header += ",score"
+        rows = [[*row, v] for row, v in zip(rows, raw.tolist())]
+    lines = [",".join(map(repr, [i, *row])) for i, row in enumerate(rows, start=1)]
+    return "\n".join([header, *lines, ""]).encode()
+
+
+class TestPredictBlocks:
+    """``predict`` formats and writes one block of rows at a time."""
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_bytes_across_block_edges(self, tmp_path, capsys, lr_model, svm_model, n):
+        data = tmp_path / "rows.csv"
+        write_csv(generate(default_region(), n=n, seed=n, noise=0.05), data)
+        out = tmp_path / "pred.csv"
+        for model in (lr_model, svm_model):
+            for scores in ([], ["--scores"]):
+                want = reference_predictions(model, data, bool(scores))
+                argv = ["predict", "--model-file", str(model), "--data", str(data), *scores]
+                assert main([*argv, "--out", str(out)]) == 0
+                assert out.read_bytes() == want
+                capsys.readouterr()
+                assert main(argv) == 0
+                assert capsys.readouterr().out.encode() == want
+
+    def test_memory_beyond_loading_is_one_block(self, tmp_path, lr_model):
+        data, out = tmp_path / "big.csv", tmp_path / "pred.csv"
+        write_csv(generate(default_region(), n=100_000, seed=5, noise=0.05), data)
+        argv = ["predict", "--model-file", str(lr_model), "--data", str(data),
+                "--scores", "--out", str(out)]
+        # loading peaks at 13 MB here; formatted whole, predict took 33 MB
+        loading = traced_peak_mb(lambda: load_csv(data))
+        assert traced_peak_mb(lambda: main(argv)) < loading + 3.0
 
 
 def load_model_normalization(workdir):
@@ -615,6 +667,44 @@ class TestSeedEnv:
         monkeypatch.setenv("GASGATE_SEED", "many")
         rc = main(["gen", "--n", "40", "--out", str(workdir / "never2.csv")])
         assert rc == 1
+
+
+class TestNegativeSeed:
+    """A negative seed is a usage error that names where it came from."""
+
+    @staticmethod
+    def argv(command, corpus_csv, out):
+        data = ["--data", str(corpus_csv)]
+        return {"gen": ["gen", "--n", "40"],
+                "train": ["train", "--model", "svm", *data],
+                "cv": ["cv", "--model", "svm", *data],
+                "sweep": ["sweep", *data]}[command] + ["--out", str(out)]
+
+    COMMANDS = pytest.mark.parametrize("command", ["gen", "train", "cv", "sweep"])
+
+    @COMMANDS
+    def test_flag(self, corpus_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(self.argv(command, corpus_csv, out) + ["--seed=-3"]) == 1
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @COMMANDS
+    def test_env(self, corpus_csv, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "out"
+        monkeypatch.setenv("GASGATE_SEED", "-2")
+        assert main(self.argv(command, corpus_csv, out)) == 1
+        assert "$GASGATE_SEED must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @COMMANDS
+    def test_config(self, corpus_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": -3}))
+        assert main(self.argv(command, corpus_csv, out) + ["--config", str(config)]) == 1
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfig:

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gasgate.data
 from gasgate.data import (
+    BLOCK_ROWS,
     COLUMNS,
     CSV_HEADER,
     Dataset,
@@ -14,6 +15,7 @@ from gasgate.data import (
     GasSample,
     NormalizationParams,
     RATIO_HC_OVER_O2,
+    RAW_COLUMNS,
     apply_normalization,
     atomic_write_text,
     featurize,
@@ -23,6 +25,8 @@ from gasgate.data import (
 )
 from gasgate.errors import DataFormatError
 from gasgate.synth import default_region, generate
+
+from .support import traced_peak_mb
 
 
 def make_dataset(rows):
@@ -65,9 +69,9 @@ class TestDataset:
         assert SIMPLE.exploded.tolist() == [True, False, False, True]
 
     def test_subset_preserves_order(self):
-        sub = SIMPLE.subset([3, 0])
-        assert sub.samples[0].hc == 3.0
-        assert sub.samples[1].hc == 1.84
+        first, second = SIMPLE.subset([3, 0])
+        assert first.hc == 3.0
+        assert second.hc == 1.84
 
 
 class TestColumns:
@@ -90,13 +94,12 @@ class TestColumns:
         sub = data.subset(np.array(idx))
         assert sub.exploded.tolist() == [self.ROWS[i][4] for i in idx]
         assert sub.hc.tolist() == [self.ROWS[i][0] for i in idx]
-        assert sub.samples == tuple(GasSample(*self.ROWS[i]) for i in idx)
-        assert list(sub) == list(sub.samples)
-        assert sub.samples is sub.samples  # materialised once
+        assert tuple(sub) == tuple(GasSample(*self.ROWS[i]) for i in idx)
+        assert tuple(sub) == tuple(sub)  # each pass builds the same rows afresh
 
     def test_from_columns_round_trips_to_samples(self):
         data = Dataset.from_columns(*zip(*self.ROWS), provenance="cols")
-        assert data.samples == tuple(GasSample(*row) for row in self.ROWS)
+        assert tuple(data) == tuple(GasSample(*row) for row in self.ROWS)
         assert data.provenance == "cols"
 
     def test_from_columns_copies_its_inputs(self):
@@ -212,7 +215,7 @@ class TestNormalization:
 
     def test_apply_normalization_single_sample(self):
         params = fit_normalization(SIMPLE)
-        vec = apply_normalization(params, SIMPLE.samples[0])
+        vec = apply_normalization(params, next(iter(SIMPLE)))
         assert vec.shape == (3,)
         assert vec.tolist() == featurize(params, SIMPLE)[0].tolist()
 
@@ -251,8 +254,9 @@ class TestCsv:
             f"{CSV_HEADER}\n1.84,15.6,0.05,18.4,1\n1.81,15.3,0.61,13.3,0\n"
         )
         data = load_csv(path)
-        assert data.samples[0] == GasSample(1.84, 15.6, 0.05, 18.4, True)
-        assert data.samples[1].exploded is False
+        first, second = data
+        assert first == GasSample(1.84, 15.6, 0.05, 18.4, True)
+        assert second.exploded is False
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -346,13 +350,73 @@ class TestCsv:
     def test_fields_are_stripped(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(f"{CSV_HEADER}\n 1.0 , 15.0 ,0.05, 10.0 , 1 \n")
-        assert load_csv(path).samples == (GasSample(1.0, 15.0, 0.05, 10.0, True),)
+        assert tuple(load_csv(path)) == (GasSample(1.0, 15.0, 0.05, 10.0, True),)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "hello\n")
         assert path.read_text() == "hello\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_atomic_write_takes_chunks(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, iter(["a,", "b\n", "", "c\n"]))
+        assert path.read_text() == "a,b\nc\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_chunk_source_failing_mid_write_leaves_the_old_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new,row\n" * 100_000  # past any write buffer: on disk already
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def reference_csv(data) -> bytes:
+    """``write_csv``'s bytes, formatted here row by row."""
+    rows = zip(*(getattr(data, name).tolist() for name in COLUMNS))
+    lines = [f"{hc!r},{o2!r},{co!r},{co2!r},{int(e)}" for hc, o2, co, co2, e in rows]
+    return "\n".join([CSV_HEADER, *lines, ""]).encode()
+
+
+class TestBlocks:
+    """Iteration and ``write_csv`` build Python rows one block at a time."""
+
+    EDGES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_written_bytes_across_block_edges(self, tmp_path, n):
+        data = generate(default_region(), n=n, seed=n, noise=0.1)
+        path = tmp_path / "edge.csv"
+        write_csv(data, path)
+        assert path.read_bytes() == reference_csv(data)
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_iteration_across_block_edges(self, n):
+        data = generate(default_region(), n=n, seed=n, noise=0.1)
+        rows = tuple(data)
+        columns = zip(*(getattr(data, name).tolist() for name in COLUMNS))
+        assert rows == tuple(GasSample(*row) for row in columns)
+        assert {type(getattr(s, name)) for s in rows for name in RAW_COLUMNS} == {float}
+        assert {type(s.exploded) for s in rows} == {bool}
+
+    @pytest.fixture(scope="class")
+    def corpus_100k(self):
+        return generate(default_region(), n=100_000, seed=5, noise=0.05)
+
+    def test_write_memory_is_one_block(self, tmp_path, corpus_100k):
+        # the 9 MB file took 33 MB when formatted whole
+        assert traced_peak_mb(lambda: write_csv(corpus_100k, tmp_path / "big.csv")) < 4.0
+
+    def test_iteration_keeps_no_rows(self, corpus_100k):
+        # 24.5 MB when every row stayed cached on the dataset
+        assert traced_peak_mb(lambda: sum(1 for _ in corpus_100k)) < 4.0
 
 
 def parse_outcome(load, path):
@@ -404,7 +468,7 @@ class TestPlainFastPath:
         with pytest.raises(ValueError, match="read-only"):
             back.hc[0] = 1.0
 
-    @pytest.mark.parametrize("body, fast, message", [
+    CASES = [
         # plain form: the C parser reads it and the row checks name line k + 2
         (f"{GOOD}1e400,15.0,0.05,10.0,0\n{GOOD}", True,
          "line 3: hc must be finite, got inf"),
@@ -441,7 +505,20 @@ class TestPlainFastPath:
         (f"{GOOD}--1,15.0,0.05,10.0,1\n", False, "line 3: malformed number '--1'"),
         # loadtxt reads 1.0 here; str.splitlines breaks the line at \x1c
         (f"{GOOD}1.0\x1c,15.0,0.05,10.0,1\n", False, "line 3: expected 5 fields, got 1"),
-    ])
+        # the same faults on a last line without a newline, whose end the
+        # line-end check does not see
+        (f"{GOOD}1.0,15.0,0.05,10.0,2", False,
+         "line 3: exploded must be 0 or 1, got '2'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,1.0", False,
+         "line 3: exploded must be 0 or 1, got '1.0'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,01", False,
+         "line 3: exploded must be 0 or 1, got '01'"),
+        (f"{GOOD}1.0,15.0,0.05,10.0,1,0", False, "line 3: expected 5 fields, got 6"),
+        (f"{GOOD}\n1.0,15.0,0.05,10.0,2\n", False,
+         "line 4: exploded must be 0 or 1, got '2'"),
+    ]
+
+    @pytest.mark.parametrize("body, fast, message", CASES)
     def test_fast_path_matches_the_line_parser(self, tmp_path, body, fast, message):
         path = tmp_path / "case.csv"
         path.write_bytes(f"{CSV_HEADER}\n{body}".encode())
@@ -451,6 +528,19 @@ class TestPlainFastPath:
             assert not isinstance(outcome, str), outcome
         else:
             assert outcome == message
+
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 64])
+    def test_line_ends_checked_in_slices(self, tmp_path, monkeypatch, scan_bytes):
+        # each case, and a written corpus, behaves as when one slice covers it
+        monkeypatch.setattr(gasgate.data, "_SCAN_BYTES", scan_bytes)
+        path = tmp_path / "case.csv"
+        for body, fast, message in self.CASES:
+            path.write_bytes(f"{CSV_HEADER}\n{body}".encode())
+            assert (gasgate.data._parse_plain(path.read_bytes()) is not None) == fast
+            outcome = assert_matches_strict_parser(path)
+            assert outcome == message if message else not isinstance(outcome, str)
+        write_csv(generate(default_region(), n=300, seed=4, noise=0.1), path)
+        assert gasgate.data._parse_plain(path.read_bytes()) is not None
 
     def test_byte_order_mark_is_not_stripped(self, tmp_path):
         path = tmp_path / "bom.csv"

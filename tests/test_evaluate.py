@@ -200,7 +200,7 @@ class TestStratifiedKfold:
 
 def tweak_dataset(data: Dataset, test_idx, new_hc: float) -> Dataset:
     """Replace the held-out rows with altered measurements."""
-    rows = list(data.samples)
+    rows = list(data)
     for i in test_idx:
         s = rows[i]
         rows[i] = GasSample(new_hc, s.o2, s.co, s.co2, not s.exploded)
