@@ -31,6 +31,7 @@ from .errors import (
     IntervalSolverError,
     PerfectSeparationError,
     SingleClassError,
+    TooFewSamplesError,
 )
 from .evaluate import (
     ConfusionCounts,
@@ -89,6 +90,7 @@ __all__ = [
     "SvmModel",
     "SweepReport",
     "SweepRow",
+    "TooFewSamplesError",
     "apply_normalization",
     "choose_ratio",
     "cross_validate",

@@ -305,9 +305,12 @@ def load_csv(path) -> Dataset:
             raw = fh.read()
     except FileNotFoundError:
         raise DataFormatError(f"no such file: {path}") from None
-    columns = _parse_plain(raw)
-    if columns is None:
+    table = _parse_plain(raw)
+    if table is None:
         return _parse_lines(raw, path)
+    del raw  # the file's bytes need not outlive the copy below
+    # with five fields, the line-end check leaves the fifth exactly "0" or "1"
+    columns = [*table[:, :4].T.copy(), table[:, 4] == 1.0]
     _check_rows(*columns[:4], lambda k: f"line {k + 2}")
     return Dataset._wrap(columns, provenance=str(path))
 
@@ -324,8 +327,9 @@ _HEADER_REST = _HEADER_LINE.translate(None, _PLAIN_BYTES)
 _SCAN_BYTES = 1 << 20
 
 
-def _parse_plain(raw: bytes) -> list[np.ndarray] | None:
-    """The columns of a file in ``write_csv``'s plain form; None for any other.
+def _parse_plain(raw: bytes) -> np.ndarray | None:
+    """The (rows, 5) table of a file in ``write_csv``'s plain form; None for
+    any other.
 
     Plain form: the exact header line, then only the bytes of
     ``_PLAIN_BYTES``, with every line holding five fields and ending in
@@ -359,8 +363,7 @@ def _parse_plain(raw: bytes) -> list[np.ndarray] | None:
         return None
     if table.shape != (lines, 5):  # also catches a last line with no newline
         return None
-    # with five fields, the line-end check leaves the fifth exactly "0" or "1"
-    return [*table[:, :4].T.copy(), table[:, 4] == 1.0]
+    return table
 
 
 def _parse_lines(raw: bytes, path) -> Dataset:

@@ -13,6 +13,11 @@ class SingleClassError(GasgateError):
     """A classifier fit was attempted on data containing only one class."""
 
 
+class TooFewSamplesError(GasgateError, ValueError):
+    """The data has fewer rows than asked of it, such as one per fold; also a
+    ``ValueError``, as an out-of-range argument is."""
+
+
 class PerfectSeparationError(GasgateError):
     """Unregularized logistic fit diverged because the classes are separable."""
 

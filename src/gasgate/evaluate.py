@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureConfig, featurize, fit_normalization
-from .errors import SingleClassError
+from .errors import SingleClassError, TooFewSamplesError
 from .kernels import KernelRows, KernelSpec
 from .logistic import fit_logistic
 from .svm import DEFAULT_CACHE_MB, PenaltyConfig, fit_svm
@@ -245,7 +245,7 @@ def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
     if v < 2:
         raise ValueError(f"need at least 2 folds, got {v}")
     if v > n:
-        raise ValueError(f"{v} folds exceed {n} samples")
+        raise TooFewSamplesError(f"{v} folds exceed {n} samples")
     if exploded.all() or (~exploded).all():
         raise SingleClassError("dataset contains a single class")
     rng = np.random.default_rng(seed)

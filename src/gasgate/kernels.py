@@ -32,8 +32,6 @@ import numpy as np
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
-#: bytes of kernel rows gathered for one matrix-vector product in ``KernelRows.dot``
-_DOT_BLOCK_BYTES = 4 << 20
 #: the narrowest kernel block, in columns, evaluated with the smallest ufunc buffer
 _UNBUFFERED_MIN_COLS = 128
 #: NumPy's smallest ufunc buffer, in elements
@@ -161,6 +159,11 @@ class KernelRows:
     until ``limit - 1`` other rows have been read; a caller that needs many
     rows at once copies them, as the SVM's Newton step does with up to 200.
 
+    The cache only serves rows; it takes no sums over them.  Every
+    sum_k coef[k] * K(x, x_k) the SVM needs, a starting or final gradient
+    included, is taken from the support vectors in scoring blocks
+    (``svm._kernel_sums``), and reads no row of the cache.
+
     ``diagonal`` holds k(x_i, x_i) for every sample, bitwise equal to the
     same entry of the sample's row.
     """
@@ -178,7 +181,6 @@ class KernelRows:
         self.capacity = n if budget_bytes >= 8 * n * n else int(max(2, budget_bytes // (8 * n)))
         self.limit = min(self.capacity, _FIRST_LIMIT)
         self._slab = np.empty((self.capacity, n))
-        self._slot_of = np.full(n, -1, dtype=np.intp)
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest read first
         self.rows_computed = 0
         self.diagonal = _evaluate(spec, self._cols, self._cols, np.empty(n))
@@ -199,47 +201,10 @@ class KernelRows:
             self._rows.move_to_end(i)
             return view
         if len(self._rows) < self.limit:
-            slot = len(self._rows)
-            view = self._slab[slot]
+            view = self._slab[len(self._rows)]
         else:
-            victim, view = self._rows.popitem(last=False)
-            slot = self._slot_of[victim]
-            self._slot_of[victim] = -1
+            _, view = self._rows.popitem(last=False)  # the least recently read
         self.rows_computed += 1
         _evaluate(self.spec, self.X[i], self._cols, view)
-        self._slot_of[i] = slot
         self._rows[i] = view
         return view
-
-    def dot(self, coef: np.ndarray) -> np.ndarray:
-        """``coef @ K``, summed over the rows whose coefficient is non-zero.
-
-        The rows are taken in sample order, a fixed number per
-        matrix-vector product, so the rounding does not depend on which rows
-        the slab holds.  Rows it lacks are computed for the sum, one call
-        per block, and not kept.
-        """
-        coef = np.asarray(coef, dtype=float)
-        n = self.X.shape[0]
-        nonzero = np.flatnonzero(coef)
-        step = max(1, _DOT_BLOCK_BYTES // (8 * n))
-        u = np.zeros(n)
-        for start in range(0, len(nonzero), step):
-            idx = nonzero[start:start + step]
-            slots = self._slot_of[idx]
-            held = slots >= 0
-            if held.all():
-                # the gathered copy is the block itself, laid out as below
-                u += coef[idx] @ self._slab[slots]
-                continue
-            block = np.empty((len(idx), n))
-            block[held] = self._slab[slots[held]]
-            if not held.all():
-                missing = idx[~held]
-                self.rows_computed += len(missing)
-                with unbuffered_blocks(n):
-                    values = _evaluate(self.spec, self.X[missing].T[:, :, None],
-                                       self._cols, np.empty((len(missing), n)))
-                block[~held] = values
-            u += coef[idx] @ block
-        return u

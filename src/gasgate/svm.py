@@ -31,7 +31,10 @@ scoring works through the rows in blocks of 512 KiB of kernel values, so
 memory is O(rows held * n) in training and bounded in prediction.
 A fit ends without a pass over all support vectors for every sample: as in
 LIBSVM (section 5), the bias is taken from the free multipliers, and only
-their gradient is recomputed exactly, by the same blocks as scoring.
+their gradient is recomputed exactly, by the same blocks as scoring.  Those
+blocks (``_kernel_sums``) take every kernel sum the SVM needs; the row cache
+has no ``dot``.  A fit with no free multiplier recomputes u once, for every
+sample, through them, and so does a warm start given no gradient.
 """
 
 from __future__ import annotations
@@ -189,18 +192,19 @@ def fit_svm(
     dual objective of the starting point and then after each update,
     accumulated from the exact gain of each step.
 
-    SMO keeps the gradient F = u - y up to date by increments.  When some
-    multiplier is free, the bias is -mean(F) over the free ones, with F
-    recomputed exactly there alone, from the support vectors in blocks of
-    512 KiB of kernel values, so a fit ends without a pass over all support
-    vectors for every sample and its bias reads no row of the cache.  When
-    none is free, F is recomputed for every sample (``KernelRows.dot``) and
-    the bias is the midpoint of the band the KKT conditions leave open.
-    The model's ``gradient`` is F with the recomputed samples at those exact
-    values.  ``gradient_drift`` records the largest |F incremental - F| over
-    the same samples, with F summed in extended precision
-    (``_gradient_drift``), so that it measures SMO's increments and not the
-    rounding of the float64 sums the bias is taken from.
+    SMO keeps the gradient F = u - y up to date by increments.  A fit ends
+    with one call of ``_kernel_sums``, which recomputes F exactly from the
+    support vectors in blocks of 512 KiB of kernel values and reads no row
+    of the cache.  When some multiplier is free, it covers the free ones
+    alone, so a fit ends without a pass over all support vectors for every
+    sample, and the bias is -mean(F) over them.  When none is free, it
+    covers every sample once, and the bias is the midpoint of the band the
+    KKT conditions leave open.  The model's ``gradient`` is F with the
+    recomputed samples at those exact values.  ``gradient_drift`` records
+    the largest |F incremental - F| over the same samples, with F summed in
+    extended precision by the same call (``_gradient_drift``), so that it
+    measures SMO's increments and not the rounding of the float64 sums the
+    bias is taken from.
 
     SMO reads the Gram matrix only row by row, through a ``KernelRows``
     cache that computes each row when first read and evicts the least
@@ -221,9 +225,9 @@ def fit_svm(
     ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
     0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
     previous fit's ``alpha`` qualifies when only the caps have grown, as
-    along a rising penalty ratio.  The starting gradient is then computed
-    over every sample with a non-zero multiplier (``KernelRows.dot``),
-    unless ``init_gradient`` supplies it: F = u - y at ``init_alpha``, such
+    along a rising penalty ratio.  The starting gradient is then summed
+    over every sample with a non-zero multiplier (``_kernel_sums``), unless
+    ``init_gradient`` supplies it: F = u - y at ``init_alpha``, such
     as the previous fit's ``gradient``, which spares a pass over rows the
     cache may no longer hold.  Malformed values raise ``ValueError``.
     """
@@ -266,7 +270,8 @@ def fit_svm(
         alpha = _feasible_start(init_alpha, y, caps)
         coef = alpha * y
         if init_gradient is None:
-            u = cache.dot(coef)
+            support = alpha > 0
+            (u,) = _kernel_sums(spec, X, X[support], coef[support])
             F = u - y
         else:
             F = _checked_gradient(init_gradient, y)
@@ -414,22 +419,18 @@ def fit_svm(
         )
     coef = alpha * y
     free = _free(alpha, caps)
+    # the bias reads F on the free set alone, so only there is it recomputed
+    # exactly, from the support vectors; with none free, the band reads all
+    exact = free if free.any() else np.ones(n, dtype=bool)
     sv_coef = coef[keep]
+    u, reference = _kernel_sums(spec, X[exact], X[keep], sv_coef,
+                                sv_coef.astype(np.longdouble))
+    drift = _gradient_drift(F[exact], reference, y[exact])
+    F[exact] = u - y[exact]
     if free.any():
-        # the bias reads the gradient on the free set alone, so only there is
-        # it recomputed exactly, from the support vectors
-        u, reference = _kernel_sums(spec, X[free], X[keep], sv_coef,
-                                    sv_coef.astype(np.longdouble))
-        exact = u - y[free]
-        drift = _gradient_drift(F[free], reference, y[free])
-        bias = float(-exact.mean())
-        F[free] = exact
+        bias = float(-F[free].mean())
     else:
-        exact = cache.dot(coef) - y
-        (reference,) = _kernel_sums(spec, X, X[keep], sv_coef.astype(np.longdouble))
-        drift = _gradient_drift(F, reference, y)
-        bias = _band_bias(exact, *_index_sets(alpha, y, caps))
-        F = exact
+        bias = _band_bias(F, *_index_sets(alpha, y, caps))
     return SvmModel(
         support_vectors=X[keep],
         dual_coef=coef[keep],
@@ -548,7 +549,7 @@ def _kernel_sums(spec: KernelSpec, X, support_vectors, *coefs) -> list[np.ndarra
     ufunc buffer is set once for all the blocks (``kernels.unbuffered_blocks``).
     """
     n_sv = len(support_vectors)
-    step = max(1, _SCORE_BLOCK_BYTES // (8 * n_sv))
+    step = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, n_sv)))
     sums = [np.empty(X.shape[0], dtype=coef.dtype) for coef in coefs]
     with unbuffered_blocks(n_sv):
         for start in range(0, X.shape[0], step):

@@ -468,6 +468,23 @@ class TestFoldedZeroRatio:
         assert f"undefined ratio: {column} is 0 in row 151" in captured.err
 
 
+class TestFoldsAboveTheRowCount:
+    """More folds than rows is a data error: exit 2 and one line, no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["cv", "--model", "lr", "--ridge", "0.1"],
+        ["sweep", "--grid", "1,8", "--gamma", "0.5"],
+    ], ids=lambda c: c[0])
+    def test_one_error_line(self, workdir, capsys, command):
+        path = workdir / "corpus20.csv"
+        assert main(["gen", "--n", "20", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main([*command, "--data", str(path), "--folds", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gasgate: error: 50 folds exceed 20 samples\n"
+
+
 class TestCacheBudget:
     """``--cache-mb`` bounds kernel-row memory without changing any output."""
 

@@ -27,6 +27,7 @@ from gasgate.evaluate import (
     sweep_tsv,
 )
 from gasgate.kernels import KernelRows, KernelSpec
+from gasgate import svm
 from gasgate.svm import PenaltyConfig, fit_svm
 from gasgate.synth import default_region, generate
 
@@ -161,6 +162,11 @@ class TestStratifiedKfold:
     def test_single_class_dataset_rejected(self):
         with pytest.raises(SingleClassError):
             stratified_kfold_indices(np.array([True] * 10), 5, seed=0)
+
+    def test_more_folds_than_samples_is_a_value_error(self):
+        exploded = np.array([True, False] * 10)
+        with pytest.raises(ValueError, match="^50 folds exceed 20 samples$"):
+            stratified_kfold_indices(exploded, 50, seed=0)
 
     def test_singleton_class_rejected(self):
         exploded = np.array([True] + [False] * 9)
@@ -381,25 +387,27 @@ class TestPenaltySweep:
 
     def test_warm_starts_carry_their_gradient(self, monkeypatch):
         # each ratio starts from the previous fit's multipliers and gradient,
-        # so no fit recomputes its starting gradient from the kernel rows
+        # so no fit sums a starting gradient: its one kernel sum is its last
         data = generate(default_region(), n=500, seed=3, noise=0.05)
-        dots, starts = [], []
-        dot = KernelRows.dot
+        sums, sums_per_fit, starts = [], [], []
+        kernel_sums = svm._kernel_sums
 
-        def recording_dot(self, coef):
-            dots.append(len(coef))
-            return dot(self, coef)
+        def recording_sums(*args):
+            sums.append(args)
+            return kernel_sums(*args)
 
         def recording_fit(*args, init_alpha=None, init_gradient=None, **kwargs):
+            before = len(sums)
             model = fit_svm(*args, init_alpha=init_alpha, init_gradient=init_gradient,
                             **kwargs)
+            sums_per_fit.append(len(sums) - before)
             starts.append((init_alpha is None, init_gradient is None))
             return model
 
-        monkeypatch.setattr(KernelRows, "dot", recording_dot)
+        monkeypatch.setattr(svm, "_kernel_sums", recording_sums)
         monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
         report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
-        assert dots == []
+        assert sums_per_fit == [1] * len(starts)
         # per fold: one cold fit, then warm starts with both
         assert len(starts) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
         assert starts == [(k % len(DEFAULT_GAMMA_GRID) == 0,) * 2 for k in range(len(starts))]

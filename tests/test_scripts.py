@@ -24,6 +24,7 @@ def load_script(name):
     ("compare_learners", ["--n", "60", "--repeats", "1", "--folds", "3"]),
     ("penalty_tradeoff", ["--n", "60", "--grid", "1,4", "--folds", "3"]),
     ("limit_curves", ["--n", "150", "--levels", "16,18"]),
+    ("output_digests", ["--workload", "sweep", "--seed", "1"]),
 ])
 def test_script_runs(name, argv, capsys):
     assert load_script(name).main(argv) == 0

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,17 +34,23 @@ def fit(X, y, kernel=LINEAR, pos=10.0, neg=10.0, **kw):
 
 
 @pytest.fixture
-def dot_calls(monkeypatch):
-    """The length of the coefficients of every ``KernelRows.dot`` call."""
+def kernel_sum_rows(monkeypatch):
+    """The row count of every ``svm._kernel_sums`` call."""
     calls = []
-    dot = KernelRows.dot
+    kernel_sums = svm._kernel_sums
 
-    def recording(self, coef):
-        calls.append(len(coef))
-        return dot(self, coef)
+    def recording(spec, X, *args):
+        calls.append(len(X))
+        return kernel_sums(spec, X, *args)
 
-    monkeypatch.setattr(KernelRows, "dot", recording)
+    monkeypatch.setattr(svm, "_kernel_sums", recording)
     return calls
+
+
+def recomputed_rows(model, y, caps) -> int:
+    """The rows the end of a fit recomputes: the free ones, else every one."""
+    free = svm._free(model.alpha, caps)
+    return int(free.sum()) if free.any() else len(y)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +166,65 @@ class TestOptimality:
         )
 
 
+def fit_svm_line(snippet: str) -> int:
+    """The line number of the last line of ``snippet``, which occurs once in
+    ``fit_svm``'s source."""
+    lines, first = inspect.getsourcelines(svm.fit_svm)
+    text = "".join(lines)
+    assert text.count(snippet) == 1
+    return first + text[:text.index(snippet) + len(snippet)].count("\n")
+
+
+def count_lines(numbers, call):
+    """``call()`` and how often each line of ``fit_svm`` in ``numbers`` ran."""
+    counts = dict.fromkeys(numbers, 0)
+    code = svm.fit_svm.__code__
+
+    def in_fit(frame, event, arg):
+        if event == "line" and frame.f_lineno in counts:
+            counts[frame.f_lineno] += 1
+        return in_fit
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_fit if frame.f_code is code else None)
+    try:
+        return call(), counts
+    finally:
+        sys.settrace(previous)
+
+
+class TestStallFallbacks:
+    """A pair that makes no progress falls back to the maximal violating pair
+    (the ``j_min`` retry), then to a walk over the 16 most violating
+    candidates of each index set; SMO stops unconverged only when the walk
+    finds no pair either.  Refitting at tol 1e-12 from a tol-1e-3 solution
+    under huge penalties reaches both."""
+
+    RETRY = "gain = take_step(i, j_min)"
+    WALK = "low_order = np.argsort(-g_low)[:16]"
+    NO_PAIR = "            if gain is None:\n                break"
+
+    @pytest.mark.parametrize("penalty", [1e6, 1e9])
+    def test_fallbacks_keep_the_objective_rising(self, penalty):
+        lines = [fit_svm_line(s) for s in (self.RETRY, self.WALK, self.NO_PAIR)]
+        totals = np.zeros(3, dtype=int)
+        for seed in range(4):  # 60 points each; seed 0 alone reaches both
+            rng = np.random.default_rng(seed)
+            X, y = rng.normal(size=(60, 2)), rng.choice([-1.0, 1.0], 60)
+            start = fit(X, y, RBF, pos=penalty, neg=penalty)
+            model, counts = count_lines(lines, lambda: fit(
+                X, y, RBF, pos=penalty, neg=penalty, tol=1e-12,
+                init_alpha=start.alpha, init_gradient=start.gradient))
+            no_pair = counts[lines[2]]
+            assert np.all(np.diff(model.objective_trace) >= 0)
+            assert len(model.objective_trace) - 1 < 1000 * len(y)  # not the budget
+            assert model.converged == (no_pair == 0)
+            totals += [counts[k] for k in lines]
+        retries, walks, no_pairs = totals
+        assert retries >= 1
+        assert walks > no_pairs  # some walk found a pair
+
+
 class TestStructure:
     def test_label_flip_with_penalty_swap_mirrors_decision(self, rng):
         X, y = random_two_class_problem(rng, n_range=(15, 30))
@@ -265,28 +332,37 @@ class TestWarmStart:
             fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha))
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
-    def test_carried_gradient_reaches_the_cold_objective(self, kernel, rng, dot_calls):
+    def test_carried_gradient_reaches_the_cold_objective(self, kernel, rng, kernel_sum_rows):
         for _ in range(4):
             X, y = random_two_class_problem(rng, n_range=(30, 60))
             low = fit(X, y, kernel, pos=1.0, neg=1.0)
             cold = fit(X, y, kernel, pos=8.0, neg=1.0)
-            calls = len(dot_calls)
+            del kernel_sum_rows[:]
             warm = fit(X, y, kernel, pos=8.0, neg=1.0,
                        init_alpha=low.alpha, init_gradient=low.gradient)
             assert cold.converged and warm.converged
             assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
-            if svm._free(warm.alpha, np.where(y > 0, 8.0, 1.0)).any():
-                assert len(dot_calls) == calls
+            # no starting sum, only the one at the end
+            assert kernel_sum_rows == [recomputed_rows(warm, y, np.where(y > 0, 8.0, 1.0))]
 
-    def test_restart_with_carried_gradient_makes_no_update(self, rng, dot_calls):
+    def test_restart_with_carried_gradient_makes_no_update(self, rng, kernel_sum_rows):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
         model = fit(X, y, RBF, pos=3.0, neg=2.0)
+        del kernel_sum_rows[:]
         again = fit(X, y, RBF, pos=3.0, neg=2.0,
                     init_alpha=model.alpha, init_gradient=model.gradient)
         assert again.converged and len(again.objective_trace) == 1
         assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
         assert np.array_equal(again.alpha, model.alpha)
-        assert dot_calls == []
+        assert kernel_sum_rows == [recomputed_rows(again, y, np.where(y > 0, 3.0, 2.0))]
+
+    def test_start_at_zero_is_the_cold_start(self, rng):
+        # no multiplier to sum over: the starting u is 0
+        X, y = random_two_class_problem(rng, n_range=(30, 60))
+        cold = fit(X, y, RBF)
+        zero = fit(X, y, RBF, init_alpha=np.zeros(len(y)))
+        assert np.array_equal(zero.alpha, cold.alpha)
+        assert zero.bias == cold.bias
 
     @pytest.mark.parametrize(
         "gradient, alpha",
@@ -639,9 +715,10 @@ class TestNewtonRoundsBitwise:
 
 
 class TestBiasFromTheFreeSet:
-    """With a free multiplier the bias is -mean(F) over the free set, F
-    recomputed exactly there alone; with none free every sample's F is
-    recomputed by ``KernelRows.dot`` and the bias is the band midpoint."""
+    """A fit ends with one ``_kernel_sums`` call.  With a free multiplier the
+    bias is -mean(F) over the free set, F recomputed exactly there alone;
+    with none free every sample's F is recomputed and the bias is the band
+    midpoint."""
 
     @staticmethod
     def exact_gradient(model, X, y):
@@ -658,22 +735,25 @@ class TestBiasFromTheFreeSet:
             assert model.bias == pytest.approx(-F[free].mean(), rel=1e-12, abs=1e-12)
             assert 0 <= model.gradient_drift <= 1e-9
 
-    def test_cold_fit_with_free_multipliers_takes_no_full_gradient(self, corpus, dot_calls):
+    def test_cold_fit_with_free_multipliers_takes_no_full_gradient(
+            self, corpus, kernel_sum_rows):
         X, y = corpus
         model = fit(X, y, RBF)
-        assert svm._free(model.alpha, np.full(len(y), 10.0)).any()
-        assert dot_calls == []
-        # a warm start still recomputes its starting gradient, once
-        fit(X, y, RBF, pos=20.0, init_alpha=model.alpha)
-        assert len(dot_calls) == 1
+        free = svm._free(model.alpha, np.full(len(y), 10.0))
+        assert kernel_sum_rows == [free.sum()] and 0 < free.sum() < len(y)
+        # a warm start with no gradient sums its starting one over every row
+        del kernel_sum_rows[:]
+        warm = fit(X, y, RBF, pos=20.0, init_alpha=model.alpha)
+        caps = np.where(y > 0, 20.0, 10.0)
+        assert kernel_sum_rows == [len(y), recomputed_rows(warm, y, caps)]
 
-    def test_every_multiplier_at_its_cap_gives_the_band_midpoint(self, rng, dot_calls):
+    def test_every_multiplier_at_its_cap_gives_the_band_midpoint(self, rng, kernel_sum_rows):
         # tiny penalties on overlapping, balanced classes bound every multiplier
         X = rng.normal(size=(40, 2))
         y = np.repeat([1.0, -1.0], 20)
         model = fit(X, y, RBF, pos=1e-3, neg=1e-3)
         assert np.array_equal(model.alpha, np.full(40, 1e-3))
-        assert len(dot_calls) == 1
+        assert kernel_sum_rows == [40]  # every row, once
         F = self.exact_gradient(model, X, y)
         up, low = svm._index_sets(model.alpha, y, np.full(40, 1e-3))
         midpoint = -(F[up].min() + F[low].max()) / 2.0
@@ -757,6 +837,34 @@ class TestBlockedScoring:
         monkeypatch.setattr("gasgate.svm.kernel_matrix", recording_kernel)
         assert np.array_equal(model.decision_values(X), one_shot)
         assert max(blocks) <= 8 and sum(blocks) == rows
+
+
+class TestBatchIndependence:
+    """A row's kernel sums have the same bits in any batch: the full one, a
+    shuffled one, or alone.  ``predict``'s determinism, the free-set bias and
+    the end-of-fit recompute rely on it."""
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, POLYNOMIAL, SIGMOID], ids=lambda k: k.kind)
+    def test_every_row_sums_the_same_in_any_batch(self, kernel, rng):
+        # 1 500 support vectors: 43 rows a 512 KiB block, so 120 rows take 3
+        n_sv, rows = 1500, 120
+        sv = rng.normal(size=(n_sv, 4))
+        coef = rng.uniform(0.1, 1.0, n_sv) * rng.choice([-1.0, 1.0], n_sv)
+        coefs = (coef, coef.astype(np.longdouble))
+        X = rng.normal(size=(rows, 4))
+        full = svm._kernel_sums(kernel, X, sv, *coefs)
+        order = rng.permutation(rows)
+        shuffled = svm._kernel_sums(kernel, X[order], sv, *coefs)
+        for batch, sums in zip(full, shuffled):
+            assert np.array_equal(sums, batch[order])
+        for i in range(rows):
+            alone = svm._kernel_sums(kernel, X[i:i + 1], sv, *coefs)
+            assert [sums[0] for sums in alone] == [batch[i] for batch in full]
+        model = SvmModel(sv, coef, 0.25, kernel, PenaltyConfig(1.0, 1.0))
+        scores = model.decision_values(X)
+        assert np.array_equal(scores, full[0] + 0.25)
+        assert np.array_equal(model.decision_values(X[order]), scores[order])
+        assert [model.decision_value(x) for x in X] == scores.tolist()
 
 
 class TestValidation:
