@@ -4,10 +4,12 @@ Exit codes form a stable scripting contract: 0 success, 1 usage error
 (bad flags or config), 2 runtime/data error (missing files, malformed
 rows, solver failures).  Every command is deterministic given identical
 flags; the env var ``GASGATE_SEED`` supplies the seed when ``--seed`` is
-absent.  A ``--config`` JSON file may supply any flag by its long name
-(dashes or underscores).  Each value is read as ``--name=value`` placed
-before the command line's own flags, so argparse checks it as it checks a
-typed flag and an explicit flag overrides it.
+absent.  A flag's argparse ``type`` checks its range at parse time, whether
+or not the chosen ``--model`` reads it.  A ``--config`` JSON file may
+supply any flag by its long name (dashes or underscores).  Each value is
+read as ``--name=value`` placed before the command line's own flags, so
+argparse checks it as it checks a typed flag and an explicit flag
+overrides it.  Library warnings print as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .evaluate import (
 from .kernels import KERNEL_KINDS, KernelSpec
 from .logistic import LogisticModel, explosion_interval, intervals_csv, sigmoid
 from .model_io import load_model, save_model
-from .svm import DEFAULT_CACHE_MB, PenaltyConfig, SvmModel
+from .svm import DEFAULT_CACHE_MB, PenaltyConfig
 from .synth import default_region, generate
 
 SEED_ENV = "GASGATE_SEED"
@@ -61,6 +64,41 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(kind, rule: str, ok):
+    """argparse ``type``: read ``kind`` (int or float), then require
+    ``ok(value)``, else refuse with "must be <rule>"."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return convert
+
+
+def _at_least(low: int):
+    return _ranged(int, f">= {low}", lambda v: v >= low)
+
+
+def _listed(item):
+    """argparse ``type``: a non-empty comma list, each entry read by ``item``."""
+    def convert(text):
+        values = [item(t) for t in text.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+    convert.__name__ = "comma list"
+    return convert
+
+
+_SEED = _at_least(0)
+_FINITE = _ranged(float, "finite", math.isfinite)
+# comparisons with nan are false, so these refuse it
+_POSITIVE = _ranged(float, "positive", lambda v: v > 0.0)
+_POSITIVE_FINITE = _ranged(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE_FINITE = _ranged(float, "finite and >= 0", lambda v: 0.0 <= v < math.inf)
 
 
 # subcommand names and help; the config reader finds its keys by these names
@@ -87,7 +125,7 @@ def build_parser() -> _Parser:
     def command(name, func):
         p = sub.add_parser(name, allow_abbrev=False, help=COMMANDS[name])
         p.add_argument("--config", help="JSON file supplying flags by long name")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_SEED, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
         p.set_defaults(func=func, _sub=p)
         return p
@@ -101,32 +139,36 @@ def build_parser() -> _Parser:
 
     def add_svm_flags(p):
         p.add_argument("--kernel", default="rbf", choices=list(KERNEL_KINDS))
-        p.add_argument("--gamma", type=float, default=None,
+        p.add_argument("--gamma", type=_POSITIVE_FINITE, default=None,
                        help="kernel width (default 1/n_features)")
-        p.add_argument("--coef0", type=float, default=0.0)
-        p.add_argument("--degree", type=int, default=3)
-        p.add_argument("--max-passes", type=int, default=1000)
-        p.add_argument("--cache-mb", type=float, default=DEFAULT_CACHE_MB,
+        p.add_argument("--coef0", type=_FINITE, default=0.0)
+        p.add_argument("--degree", type=_at_least(1), default=3)
+        p.add_argument("--max-passes", type=_at_least(1), default=1000)
+        p.add_argument("--cache-mb", type=_POSITIVE, default=DEFAULT_CACHE_MB,
                        help="most memory for cached kernel rows, in MiB; the cache "
                             "holds what SMO reads again, up to this (default "
                             "%(default)g; inf for no ceiling)")
 
     def add_penalty_flags(p):
         # not on sweep, whose penalties are ratio x --base-w2
-        p.add_argument("--penalty-positive", type=float, default=10.0,
+        p.add_argument("--penalty-positive", type=_POSITIVE_FINITE, default=10.0,
                        help="slack cost for explosive samples")
-        p.add_argument("--penalty-negative", type=float, default=10.0,
+        p.add_argument("--penalty-negative", type=_POSITIVE_FINITE, default=10.0,
                        help="slack cost for safe samples")
 
     def add_lr_flags(p):
-        p.add_argument("--ridge", type=float, default=1e-6)
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--ridge", type=_NON_NEGATIVE_FINITE, default=1e-6)
+        p.add_argument("--max-iter", type=_at_least(1), default=200)
+
+    def add_tol(p, default=None, help=None):
+        p.add_argument("--tol", type=_POSITIVE_FINITE, default=default, help=help)
 
     p = command("gen", cmd_gen)
-    p.add_argument("--n", type=int, default=500, help="number of rows (>= 10)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="label-flip probability in [0, 0.5)")
-    p.add_argument("--positive-fraction", type=float, default=0.78)
+    p.add_argument("--n", type=_at_least(10), default=500, help="number of rows (>= 10)")
+    p.add_argument("--noise", type=_ranged(float, "in [0, 0.5)", lambda v: 0.0 <= v < 0.5),
+                   default=0.0, help="label-flip probability in [0, 0.5)")
+    p.add_argument("--positive-fraction", default=0.78,
+                   type=_ranged(float, "in (0, 1)", lambda v: 0.0 < v < 1.0))
     p.add_argument("--out", help="output CSV path")
 
     p = command("train", cmd_train)
@@ -137,8 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=["svm", "lr"])
     p.add_argument("--data", help="input CSV")
     p.add_argument("--out", help="output model JSON path")
-    p.add_argument("--tol", type=float, default=None,
-                   help="solver tolerance (default: svm 1e-3, lr 1e-8)")
+    add_tol(p, help="solver tolerance (default: svm 1e-3, lr 1e-8)")
 
     p = command("predict", cmd_predict)
     p.add_argument("--model-file", help="model JSON from train")
@@ -154,23 +195,25 @@ def build_parser() -> _Parser:
     add_lr_flags(p)
     p.add_argument("--model", choices=["svm", "lr"])
     p.add_argument("--data", help="input CSV")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--folds", type=_at_least(2), default=5)
+    p.add_argument("--repeats", type=_at_least(1), default=1,
                    help="number of repeated runs (seeds seed, seed+1, ...)")
-    p.add_argument("--tol", type=float, default=None)
+    add_tol(p)
     p.add_argument("--out", help="report CSV path")
 
     p = command("sweep", cmd_sweep)
     add_features(p)
     add_svm_flags(p)
     p.add_argument("--data", help="input CSV")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_at_least(2), default=5)
     p.add_argument("--grid",
+                   type=_listed(_ranged(float, "finite and >= 1",
+                                        lambda v: 1.0 <= v < math.inf)),
                    default=",".join(str(int(g)) for g in DEFAULT_GAMMA_GRID),
                    help="comma list of penalty ratios (all >= 1)")
-    p.add_argument("--base-w2", type=float, default=1.0,
+    p.add_argument("--base-w2", type=_POSITIVE_FINITE, default=1.0,
                    help="negative-class slack cost; positive cost is ratio times this")
-    p.add_argument("--tol", type=float, default=None)
+    add_tol(p, default=1e-3)
     p.add_argument("--out", help="report TSV path")
 
     p = command("intervals", cmd_intervals)
@@ -178,10 +221,11 @@ def build_parser() -> _Parser:
     add_lr_flags(p)
     p.add_argument("--model-file", help="saved logistic model JSON")
     p.add_argument("--data", help="CSV to fit a logistic model on")
-    p.add_argument("--o2", help="comma list of oxygen levels, e.g. 15,16,18,20")
+    p.add_argument("--o2", type=_listed(float),
+                   help="comma list of oxygen levels, e.g. 15,16,18,20")
     p.add_argument("--hc-min", type=float, default=0.1)
     p.add_argument("--hc-max", type=float, default=5.0)
-    p.add_argument("--tol", type=float, default=None)
+    add_tol(p)
     p.add_argument("--out", help="output CSV path")
 
     return parser
@@ -224,17 +268,16 @@ def _config_tokens(parser, args) -> list[str]:
 def _resolve_seed(args) -> int:
     """``--seed`` (flag or config), else ``$GASGATE_SEED``, else 0; never negative."""
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        env = os.environ.get(SEED_ENV)
-        if env is None:
-            return 0
-        try:
-            seed, source = int(env), f"${SEED_ENV}"
-        except ValueError:
-            args._sub.error(f"${SEED_ENV} must be an integer, got {env!r}")
-    _check(args, seed >= 0, f"{source} must be >= 0, got {seed}")
-    return seed
+        return args.seed
+    env = os.environ.get(SEED_ENV)
+    if env is None:
+        return 0
+    try:
+        return _SEED(env)
+    except ValueError:
+        args._sub.error(f"${SEED_ENV} must be an integer, got {env!r}")
+    except argparse.ArgumentTypeError as exc:
+        args._sub.error(f"${SEED_ENV} {exc}")
 
 
 def _require(args, *names):
@@ -248,21 +291,6 @@ def _check(args, condition: bool, message: str):
         args._sub.error(message)
 
 
-def _positive_finite(value: float) -> bool:
-    """0 < value < inf; false for nan."""
-    return 0.0 < value < math.inf
-
-
-def _parse_float_list(args, flag: str, text: str) -> list[float]:
-    try:
-        values = [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        args._sub.error(f"--{flag}: expected a comma list of numbers, got {text!r}")
-    if not values:
-        args._sub.error(f"--{flag}: empty list")
-    return values
-
-
 def _feature_config(args) -> FeatureConfig:
     names = tuple(t.strip() for t in args.features.split(",") if t.strip())
     try:
@@ -272,41 +300,19 @@ def _feature_config(args) -> FeatureConfig:
 
 
 def _kernel_spec(args) -> KernelSpec:
-    _check(args, args.gamma is None or _positive_finite(args.gamma),
-           "--gamma must be positive and finite")
-    _check(args, math.isfinite(args.coef0), "--coef0 must be finite")
-    _check(args, args.degree >= 1, "--degree must be >= 1")
-    try:
-        return KernelSpec(
-            kind=args.kernel, gamma=args.gamma, coef0=args.coef0, degree=args.degree
-        )
-    except ValueError as exc:
-        args._sub.error(str(exc))
+    return KernelSpec(kind=args.kernel, gamma=args.gamma, coef0=args.coef0,
+                      degree=args.degree)
 
 
-def _penalties(args) -> PenaltyConfig:
-    _check(args, _positive_finite(args.penalty_positive),
-           "--penalty-positive must be positive and finite")
-    _check(args, _positive_finite(args.penalty_negative),
-           "--penalty-negative must be positive and finite")
-    return PenaltyConfig(positive=args.penalty_positive, negative=args.penalty_negative)
-
-
-def _smo_tol(args) -> float:
-    """Check the SMO flags of train, cv and sweep; return the tolerance."""
-    tol = 1e-3 if args.tol is None else args.tol
-    _check(args, _positive_finite(tol), "--tol must be positive and finite")
-    _check(args, args.max_passes >= 1, "--max-passes must be >= 1")
-    _check(args, args.cache_mb > 0, "--cache-mb must be positive")
-    return tol
-
-
-def _svm_learner(args, seed) -> SvmLearner:
-    tol = _smo_tol(args)
+def _learner(args, seed):
+    """The ``--model`` learner; every flag it reads was checked by its type."""
+    if args.model == "lr":
+        return _lr_learner(args)
     return SvmLearner(
         kernel=_kernel_spec(args),
-        penalties=_penalties(args),
-        tol=tol,
+        penalties=PenaltyConfig(positive=args.penalty_positive,
+                                negative=args.penalty_negative),
+        tol=1e-3 if args.tol is None else args.tol,
         max_passes=args.max_passes,
         seed=seed,
         cache_mb=args.cache_mb,
@@ -315,19 +321,12 @@ def _svm_learner(args, seed) -> SvmLearner:
 
 def _lr_learner(args) -> LogisticLearner:
     tol = 1e-8 if args.tol is None else args.tol
-    _check(args, _positive_finite(tol), "--tol must be positive and finite")
-    _check(args, 0.0 <= args.ridge < math.inf, "--ridge must be finite and >= 0")
-    _check(args, args.max_iter >= 1, "--max-iter must be >= 1")
     return LogisticLearner(ridge=args.ridge, tol=tol, max_iter=args.max_iter)
 
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "out")
-    _check(args, args.n >= 10, "--n must be >= 10")
-    _check(args, 0.0 <= args.noise < 0.5, "--noise must be in [0, 0.5)")
-    _check(args, 0.0 < args.positive_fraction < 1.0,
-           "--positive-fraction must be in (0, 1)")
     data = generate(
         default_region(),
         n=args.n,
@@ -347,9 +346,9 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "model", "data", "out")
-    learner = _svm_learner(args, seed) if args.model == "svm" else _lr_learner(args)
-    data = load_csv(args.data)
+    learner = _learner(args, seed)
     config = _feature_config(args)
+    data = load_csv(args.data)
     params = fit_normalization(data, config)
     features = featurize(params, data)
     model = learner.fit(features, data.exploded, normalization=params)
@@ -414,11 +413,9 @@ def _prediction_chunks(header: str, columns):
 def cmd_cv(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "model", "data")
-    _check(args, args.folds >= 2, "--folds must be >= 2")
-    _check(args, args.repeats >= 1, "--repeats must be >= 1")
-    learner = _svm_learner(args, seed) if args.model == "svm" else _lr_learner(args)
-    data = load_csv(args.data)
+    learner = _learner(args, seed)
     config = _feature_config(args)
+    data = load_csv(args.data)
     if args.repeats == 1:
         report = cross_validate(data, learner, v=args.folds, seed=seed,
                                 feature_config=config)
@@ -454,24 +451,18 @@ def cmd_cv(args) -> int:
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "data")
-    _check(args, args.folds >= 2, "--folds must be >= 2")
-    _check(args, _positive_finite(args.base_w2), "--base-w2 must be positive and finite")
-    grid = _parse_float_list(args, "grid", args.grid)
-    _check(args, all(1.0 <= g < math.inf for g in grid),
-           "--grid ratios must all be finite and >= 1")
-    tol = _smo_tol(args)
-    kernel = _kernel_spec(args)
+    config = _feature_config(args)
     data = load_csv(args.data)
     report = penalty_sweep(
         data,
-        kernel=kernel,
+        kernel=_kernel_spec(args),
         base_w2=args.base_w2,
-        gamma_grid=grid,
+        gamma_grid=args.grid,
         v=args.folds,
         seed=seed,
-        tol=tol,
+        tol=args.tol,
         max_passes=args.max_passes,
-        feature_config=_feature_config(args),
+        feature_config=config,
         cache_mb=args.cache_mb,
     )
     stalled = {r.gamma: r.unconverged for r in report.rows if r.unconverged}
@@ -496,26 +487,24 @@ def cmd_intervals(args) -> int:
            "exactly one of --model-file / --data is required")
     _check(args, 0.0 < args.hc_min < args.hc_max <= 100.0,
            "--hc-min/--hc-max must satisfy 0 < min < max <= 100")
-    levels = _parse_float_list(args, "o2", args.o2)
-    for o2 in levels:
+    for o2 in args.o2:
         # false for nan and +-inf too
         _check(args, o2 >= 0.0 and o2 + args.hc_max <= 100.0,
                f"--o2: level {o2:g} must be finite and in [0, {100.0 - args.hc_max:g}] "
                "(o2 + --hc-max <= 100)")
+    config = _feature_config(args)
     if args.model_file:
         model = load_model(args.model_file)
         if not isinstance(model, LogisticModel):
             raise GasgateError("interval queries require a logistic model")
     else:
-        learner = _lr_learner(args)
         data = load_csv(args.data)
-        config = _feature_config(args)
         params = fit_normalization(data, config)
-        model = learner.fit(featurize(params, data), data.exploded,
-                            normalization=params)
+        model = _lr_learner(args).fit(featurize(params, data), data.exploded,
+                                      normalization=params)
     results = [
         explosion_interval(model, o2, hc_range=(args.hc_min, args.hc_max))
-        for o2 in levels
+        for o2 in args.o2
     ]
     for iv in results:
         if iv.present:
@@ -531,18 +520,25 @@ def cmd_intervals(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # argv[0] is the command; the last occurrence of a flag wins, so
-            # defaults < config file < explicit flags
-            tokens = _config_tokens(parser, args)
-            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
-        return args.func(args)
+        with warnings.catch_warnings():  # restores showwarning on return
+            warnings.showwarning = _show_warning
+            args = parser.parse_args(argv)
+            if args.config:
+                # argv[0] is the command; the last occurrence of a flag wins,
+                # so defaults < config file < explicit flags
+                tokens = _config_tokens(parser, args)
+                args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except GasgateError as exc:

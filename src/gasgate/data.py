@@ -4,12 +4,15 @@ A record holds the averaged concentrations (volume percent) of total
 hydrocarbon (HC), oxygen, carbon monoxide and carbon dioxide together with a
 binary explosion outcome.  A ``Dataset`` stores its records as five
 read-only NumPy columns, so loading, featurizing and fold subsetting are
-array operations.  Rows become Python objects only ``BLOCK_ROWS`` at a
-time: iterating a dataset builds ``GasSample`` rows block by block and
-keeps none of them, and ``write_csv`` formats and writes one block of rows
-at a time, so neither holds more than one block beyond the columns.  The
-default feature set for both classifiers is (HC, O2, O2/HC), each scaled to
-[-1, 1] by an affine map fitted on training data only.
+array operations.  The row rules (each concentration finite and >= 0, their
+sum at most 100 vol %) are checked once, on the columns, where rows enter:
+in ``Dataset.from_columns`` and ``load_csv``.  Rows become Python objects
+only ``BLOCK_ROWS`` at a time: iterating a dataset yields plain
+``GasSample`` records block by block and keeps none of them, and
+``write_csv`` formats and writes one block of rows at a time, so neither
+holds more than one block beyond the columns.  The default feature set for
+both classifiers is (HC, O2, O2/HC), each scaled to [-1, 1] by an affine
+map fitted on training data only.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,31 +41,17 @@ RATIO_O2_OVER_HC = "o2_over_hc"
 RATIO_HC_OVER_O2 = "hc_over_o2"
 
 
-@dataclass(frozen=True)
-class GasSample:
-    """One averaged measurement: concentrations in vol % plus the outcome."""
+class GasSample(NamedTuple):
+    """One averaged measurement: concentrations in vol % plus the outcome.
+
+    A plain record; the rows of a ``Dataset`` were checked when it was built.
+    """
 
     hc: float
     o2: float
     co: float
     co2: float
     exploded: bool
-
-    def __post_init__(self):
-        for name in RAW_COLUMNS:
-            # coerce numpy scalars so repr-based serialization stays clean
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise DataFormatError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise DataFormatError(f"{name} must be >= 0, got {value!r}")
-        object.__setattr__(self, "exploded", bool(self.exploded))
-        total = self.hc + self.o2 + self.co + self.co2
-        if total > 100.0 + 1e-9:
-            raise DataFormatError(
-                f"concentrations sum to {total:.6g} vol %, above 100"
-            )
 
 
 #: Column names of a Dataset, in CSV order.
@@ -88,29 +78,21 @@ class Dataset:
     The columns are the storage: ``hc``, ``o2``, ``co`` and ``co2`` are
     float64 arrays and ``exploded`` a bool array, all of one length and all
     read-only, so a dataset shared across CV folds cannot be changed through
-    them.  ``Dataset(samples)`` builds the columns from ``GasSample`` rows and
-    ``Dataset.from_columns`` from arrays; both check every row.  Iteration
-    yields ``GasSample`` rows built ``BLOCK_ROWS`` at a time and caches none
-    of them, so each pass builds its rows afresh.
+    them.  A dataset is built from columns, never from rows:
+    ``Dataset.from_columns`` checks every row of the arrays it is given, and
+    ``load_csv`` and ``subset`` build one too.  Iteration yields
+    ``GasSample`` records built ``BLOCK_ROWS`` at a time and caches none of
+    them, so each pass builds its rows afresh.
     """
 
     __slots__ = (*COLUMNS, "provenance")
-
-    def __init__(self, samples, provenance: str = ""):
-        samples = tuple(samples)
-        columns = [np.array([s.hc for s in samples], dtype=float),
-                   np.array([s.o2 for s in samples], dtype=float),
-                   np.array([s.co for s in samples], dtype=float),
-                   np.array([s.co2 for s in samples], dtype=float),
-                   np.array([s.exploded for s in samples], dtype=bool)]
-        self._adopt(columns, provenance)
 
     @classmethod
     def from_columns(cls, hc, o2, co, co2, exploded, provenance: str = "") -> "Dataset":
         """Dataset over copies of the given columns.
 
-        Every row is checked as ``GasSample`` checks it; the first offending
-        row is reported with its 1-based index.
+        Every row is checked (``_check_rows``); the first offending row is
+        reported with its 1-based index.
         """
         values = [np.array(c, dtype=float) for c in (hc, o2, co, co2)]
         flags = np.array(exploded, dtype=bool)
@@ -122,17 +104,14 @@ class Dataset:
     @classmethod
     def _wrap(cls, columns, provenance: str) -> "Dataset":
         """Adopt columns that are already valid, without copying them."""
-        data = object.__new__(cls)
-        data._adopt(columns, provenance)
-        return data
-
-    def _adopt(self, columns, provenance: str) -> None:
         if len(columns[-1]) == 0:
             raise DataFormatError("empty dataset")
+        data = object.__new__(cls)
         for name, column in zip(COLUMNS, columns):
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "provenance", provenance)
+            object.__setattr__(data, name, column)
+        object.__setattr__(data, "provenance", provenance)
+        return data
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -141,14 +120,9 @@ class Dataset:
         return len(self.exploded)
 
     def __iter__(self):
-        # every row was checked when the dataset was built, so the rows skip
-        # GasSample.__post_init__; tolist already gives float and bool
-        new = object.__new__
+        # tolist gives Python float and bool
         for _, block in column_blocks([getattr(self, name) for name in COLUMNS]):
-            for hc, o2, co, co2, exploded in zip(*block):
-                sample = new(GasSample)
-                sample.__dict__.update(hc=hc, o2=o2, co=co, co2=co2, exploded=exploded)
-                yield sample
+            yield from map(GasSample._make, zip(*block))
 
     def class_counts(self) -> tuple[int, int]:
         """(number exploded, number not exploded)."""
@@ -164,22 +138,30 @@ class Dataset:
 
 
 def _check_rows(hc, o2, co, co2, where) -> None:
-    """Raise ``GasSample``'s error for the first row it would reject.
+    """Raise ``DataFormatError`` for the first row that breaks a row rule.
 
-    The vectorised tests match ``GasSample.__post_init__``; the offending row
-    is then rebuilt as a ``GasSample`` so the message is the one it gives.
-    ``where(k)`` names the 0-based row ``k``, e.g. by its line in a file.
+    The rules: each concentration finite and >= 0, and their sum at most
+    100 vol % (within 1e-9).  The message names the row's first broken rule
+    in column order, after ``where(k)``, which names the 0-based row ``k``,
+    e.g. by its line in a file.
     """
+    columns = (hc, o2, co, co2)
     with np.errstate(invalid="ignore", over="ignore"):
         bad = hc + o2 + co + co2 > 100.0 + 1e-9
-        for column in (hc, o2, co, co2):
+        for column in columns:
             bad |= ~np.isfinite(column) | (column < 0)
-    if bad.any():
-        k = int(bad.argmax())
-        try:
-            GasSample(hc[k], o2[k], co[k], co2[k], False)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{where(k)}: {exc}") from None
+    if not bad.any():
+        return
+    k = int(bad.argmax())
+    values = [float(column[k]) for column in columns]
+    for name, value in zip(RAW_COLUMNS, values):
+        if not math.isfinite(value):
+            raise DataFormatError(f"{where(k)}: {name} must be finite, got {value!r}")
+        if value < 0:
+            raise DataFormatError(f"{where(k)}: {name} must be >= 0, got {value!r}")
+    raise DataFormatError(
+        f"{where(k)}: concentrations sum to {sum(values):.6g} vol %, above 100"
+    )
 
 
 @dataclass(frozen=True)
@@ -194,9 +176,11 @@ class FeatureConfig:
         if not self.attributes:
             raise ValueError("at least one feature attribute is required")
         valid = set(RAW_COLUMNS) | {"ratio"}
-        for name in self.attributes:
+        for k, name in enumerate(self.attributes):
             if name not in valid:
                 raise ValueError(f"unknown attribute {name!r}")
+            if name in self.attributes[:k]:
+                raise ValueError(f"attribute {name!r} is repeated")
         if self.ratio not in (RATIO_O2_OVER_HC, RATIO_HC_OVER_O2):
             raise ValueError(f"unknown ratio orientation {self.ratio!r}")
 

@@ -75,9 +75,18 @@ def model_to_obj(model) -> dict:
 
 
 def model_from_obj(obj):
-    """Rebuild a model from ``model_to_obj`` output; schema errors raise."""
+    """Rebuild a model from ``model_to_obj`` output.
+
+    Schema errors, a ``format_version`` other than ``FORMAT_VERSION`` among
+    them, raise ``DataFormatError``.
+    """
     try:
         kind = obj["kind"]
+        if kind not in MODEL_KINDS:
+            raise DataFormatError(f"unknown model kind {kind!r}; expected {MODEL_KINDS}")
+        version = obj["format_version"]
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
         if kind == "svm":
             k = obj["kernel"]
             return SvmModel(
@@ -97,16 +106,14 @@ def model_from_obj(obj):
                 normalization=_normalization_from_obj(obj["normalization"]),
                 converged=obj["converged"],
             )
-        if kind == "logistic":
-            return LogisticModel(
-                beta=obj["beta"],
-                normalization=_normalization_from_obj(obj["normalization"]),
-                ridge=obj["ridge"],
-                converged=obj["converged"],
-            )
+        return LogisticModel(
+            beta=obj["beta"],
+            normalization=_normalization_from_obj(obj["normalization"]),
+            ridge=obj["ridge"],
+            converged=obj["converged"],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed model object: {exc}") from None
-    raise DataFormatError(f"unknown model kind {obj.get('kind')!r}; expected {MODEL_KINDS}")
 
 
 def save_model(model, path) -> None:

@@ -119,6 +119,10 @@ class SvmModel:
             raise ValueError("a model needs at least one support vector")
         if sv.shape[0] != dc.shape[0]:
             raise ValueError("support vector and coefficient counts differ")
+        # a nan or inf here would score every row the same, e.g. all "safe"
+        if not (np.isfinite(sv).all() and np.isfinite(dc).all()
+                and np.isfinite(self.bias)):
+            raise ValueError("support vectors, dual coefficients and bias must be finite")
         alpha = np.abs(dc)
         caps = np.where(dc > 0, self.penalties.positive, self.penalties.negative)
         if (alpha <= 0).any() or (alpha > caps * (1 + 1e-9)).any():

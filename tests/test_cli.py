@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestTrain:
             GasSample(3.5, 15.8, 0.05, 10.0, True),
         ]
         path = workdir / "separable.csv"
-        write_csv(Dataset(tuple(rows)), path)
+        write_csv(Dataset.from_columns(*zip(*rows)), path)
         rc = main(
             ["train", "--model", "lr", "--ridge", "0", "--features", "hc",
              "--data", str(path), "--out", str(workdir / "never.json")]
@@ -214,6 +215,26 @@ class TestPredict:
         row, label, prob = lines[1].split(",")
         assert row == "1" and label in ("0", "1")
         assert 0.0 <= float(prob) <= 1.0
+
+    @pytest.mark.parametrize("field", ["bias", "dual_coef", "support_vectors"])
+    def test_non_finite_svm_model_is_refused(self, svm_model, corpus_csv, tmp_path,
+                                             capsys, field):
+        # such a model once labelled every row -1, "safe"
+        obj = json.loads(svm_model.read_text())
+        if field == "bias":
+            obj["bias"] = float("nan")
+        elif field == "dual_coef":
+            obj["dual_coef"][0] = float("nan")
+        else:
+            obj["support_vectors"][0][0] = float("inf")
+        model, out = tmp_path / "bad.json", tmp_path / "pred.csv"
+        model.write_text(json.dumps(obj))
+        rc = main(["predict", "--model-file", str(model), "--data", str(corpus_csv),
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_svm_output_has_no_probability(self, svm_model, corpus_csv, capsys):
         rc = main(["predict", "--model-file", str(svm_model), "--data", str(corpus_csv)])
@@ -508,7 +529,7 @@ class TestCacheBudget:
     def test_non_positive_budget_rejected(self, corpus_csv, capsys, command, budget):
         rc = main([*command, "--data", str(corpus_csv), "--cache-mb", budget])
         assert rc == 1
-        assert "--cache-mb must be positive" in capsys.readouterr().err
+        assert "argument --cache-mb: must be positive, got" in capsys.readouterr().err
 
 
     def test_infinite_budget_means_no_ceiling(self, corpus_csv, workdir, capsys):
@@ -563,7 +584,7 @@ class TestNonFiniteFlags:
                    "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert f"error: {flag} " in err and "finite" in err
+        assert f"error: argument {flag}: " in err and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_value_rejected_too(self, tmp_path, capsys):
@@ -573,8 +594,92 @@ class TestNonFiniteFlags:
         rc = main(["train", "--model", "svm", "--config", str(config),
                    "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
         assert rc == 1
-        assert "--penalty-positive must be positive and finite" in capsys.readouterr().err
+        assert ("argument --penalty-positive: must be positive and finite, got inf"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestFlagsTheModelIgnores:
+    """Every flag a command takes is range-checked when it is parsed,
+    whichever --model is chosen and whether or not the run reads it."""
+
+    COMMANDS = {
+        "cv-lr": ["cv", "--model", "lr", "--data", "absent.csv"],
+        "train-svm": ["train", "--model", "svm", "--data", "absent.csv", "--out", "m.json"],
+        "intervals-file": ["intervals", "--model-file", "absent.json", "--o2", "16",
+                           "--out", "i.csv"],
+    }
+    BAD = {
+        "cv-lr": ["--gamma", "nan", "--penalty-positive", "-1", "--cache-mb", "0",
+                  "--max-passes", "0"],
+        "train-svm": ["--ridge", "nan", "--max-iter", "0"],
+        "intervals-file": ["--ridge", "-1", "--tol", "nan"],
+    }
+    CASES = [(command, bad[i], bad[i + 1])
+             for command, bad in BAD.items() for i in range(0, len(bad), 2)]
+
+    @staticmethod
+    def argv(tmp_path, command):
+        return [str(tmp_path / a) if a.endswith((".csv", ".json")) else a
+                for a in TestFlagsTheModelIgnores.COMMANDS[command]]
+
+    FIRST_ERROR = {
+        "cv-lr": "gasgate cv: error: argument --gamma: must be positive and finite, got nan",
+        "train-svm": "gasgate train: error: argument --ridge: must be finite and >= 0, got nan",
+        "intervals-file":
+            "gasgate intervals: error: argument --ridge: must be finite and >= 0, got -1.0",
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_all_bad_flags_at_once(self, tmp_path, capsys, command):
+        assert main(self.argv(tmp_path, command) + self.BAD[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.FIRST_ERROR[command] + "\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, value", CASES)
+    def test_each_flag(self, tmp_path, capsys, command, flag, value):
+        assert main(self.argv(tmp_path, command) + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: must be " in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, value", CASES)
+    def test_each_flag_from_config(self, tmp_path, capsys, command, flag, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:]: value}))
+        assert main(self.argv(tmp_path, command) + ["--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: must be " in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == [config]
+
+
+class TestRepeatedFeature:
+    def test_usage_error(self, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        rc = main(["train", "--model", "lr", "--ridge", "0", "--features", "hc,o2,ratio,ratio",
+                   "--data", str(corpus_csv), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "gasgate train: error: attribute 'ratio' is repeated\n")
+        assert not out.exists()
+
+
+class TestLibraryWarnings:
+    def test_one_line_on_stderr(self, corpus_csv, capsys):
+        argv = ["cv", "--model", "lr", "--features", "hc,o2,co", "--data", str(corpus_csv)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        shown = warnings.showwarning
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == quiet.out
+        assert captured.err == (
+            "warning: constant attribute(s) ('co',): normalized value is pinned to 0\n")
+        assert warnings.showwarning is shown  # restored when main returns
 
 
 class TestIntervals:
@@ -703,7 +808,7 @@ class TestNegativeSeed:
     def test_flag(self, corpus_csv, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert main(self.argv(command, corpus_csv, out) + ["--seed=-3"]) == 1
-        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     @COMMANDS
@@ -720,7 +825,7 @@ class TestNegativeSeed:
         config = tmp_path / "seed.json"
         config.write_text(json.dumps({"seed": -3}))
         assert main(self.argv(command, corpus_csv, out) + ["--config", str(config)]) == 1
-        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from .support import traced_peak_mb
 
 
 def make_dataset(rows):
-    return Dataset(tuple(GasSample(*row) for row in rows))
+    return Dataset.from_columns(*zip(*rows))
 
 
 SIMPLE = make_dataset([
@@ -46,23 +46,86 @@ class TestGasSample:
         s = GasSample(1.84, 15.6, 0.05, 18.4, True)
         assert (s.hc, s.o2, s.co, s.co2, s.exploded) == (1.84, 15.6, 0.05, 18.4, True)
 
-    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
-    def test_rejects_bad_concentration(self, bad):
-        with pytest.raises(DataFormatError):
-            GasSample(bad, 15.0, 0.0, 0.0, False)
+    def test_is_a_plain_record(self):
+        # rows are checked where they enter a Dataset, not by the record
+        assert GasSample(-1.0, 15.0, 0.0, 0.0, False).hc == -1.0
+        assert GasSample._make((1.0, 15.0, 0.0, 0.0, True)) == (1.0, 15.0, 0.0, 0.0, True)
 
-    def test_rejects_sum_above_100(self):
-        with pytest.raises(DataFormatError, match="100"):
-            GasSample(50.0, 40.0, 10.0, 5.0, False)
+
+class TestRowRules:
+    """One rule set for rows, applied where they enter: ``from_columns`` and
+    ``load_csv``.  A bad row sits between two good ones; every message is
+    the exact text the per-row ``GasSample`` check used to give."""
+
+    GOOD = (1.0, 15.0, 0.05, 10.0)
+
+    CASES = [
+        *((name, value, f"{name} must be finite, got {value!r}")
+          for name in RAW_COLUMNS for value in (math.nan, math.inf, -math.inf)),
+        *((name, -1.0, f"{name} must be >= 0, got -1.0") for name in RAW_COLUMNS),
+        ("sum", (60.0, 30.0, 5.0, 5.5), "concentrations sum to 100.5 vol %, above 100"),
+    ]
+    IDS = [f"{name}={value}" for name, value, _ in CASES]
+
+    @classmethod
+    def bad_row(cls, name, value):
+        if name == "sum":
+            return value
+        row = list(cls.GOOD)
+        row[RAW_COLUMNS.index(name)] = value
+        return tuple(row)
+
+    @classmethod
+    def csv_text(cls, name, value, lead=""):
+        rows = [cls.GOOD, cls.bad_row(name, value), cls.GOOD]
+        lines = [",".join(map(repr, row)) + ",1" for row in rows]
+        return lead + "\n".join([CSV_HEADER, *lines, ""])
+
+    @pytest.mark.parametrize("name, value, message", CASES, ids=IDS)
+    def test_from_columns(self, name, value, message):
+        columns = zip(self.GOOD, self.bad_row(name, value), self.GOOD)
+        with pytest.raises(DataFormatError) as info:
+            Dataset.from_columns(*columns, [True] * 3)
+        assert str(info.value) == f"row 2: {message}"
+
+    @pytest.mark.parametrize("name, value, message", CASES, ids=IDS)
+    def test_load_csv_line_path(self, tmp_path, name, value, message):
+        path = tmp_path / "bad.csv"
+        # a comment line keeps the file off the plain path
+        path.write_text(self.csv_text(name, value, lead="# lead\n"))
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize("name, value, message",
+                             [c for c in CASES if c[0] == "sum" or c[1] == -1.0],
+                             ids=[i for i, c in zip(IDS, CASES)
+                                  if c[0] == "sum" or c[1] == -1.0])
+    def test_load_csv_plain_path(self, tmp_path, monkeypatch, name, value, message):
+        # nan and inf lie outside the plain form's bytes, so only these cases
+        path = tmp_path / "bad.csv"
+        path.write_text(self.csv_text(name, value))
+
+        def no_line_parse(raw, path):
+            raise AssertionError("left the plain path")
+
+        monkeypatch.setattr(gasgate.data, "_parse_lines", no_line_parse)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"line 3: {message}"
 
     def test_sum_exactly_100_is_fine(self):
-        GasSample(50.0, 40.0, 10.0, 0.0, False)
+        assert len(make_dataset([(50.0, 40.0, 10.0, 0.0, False)])) == 1
 
 
 class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(DataFormatError, match="empty"):
-            Dataset(())
+            Dataset.from_columns([], [], [], [], [])
+
+    def test_not_built_from_rows(self):
+        with pytest.raises(TypeError):
+            Dataset([GasSample(1.0, 15.0, 0.0, 0.0, True)])
 
     def test_class_counts_and_labels(self):
         assert SIMPLE.class_counts() == (2, 2)
@@ -160,6 +223,10 @@ class TestFeatureConfig:
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ValueError, match="pressure"):
             FeatureConfig(("hc", "pressure"))
+
+    def test_repeated_attribute_rejected(self):
+        with pytest.raises(ValueError, match="attribute 'ratio' is repeated"):
+            FeatureConfig(("hc", "o2", "ratio", "ratio"))
 
     def test_ratio_orientations(self):
         s = GasSample(2.0, 16.0, 0.0, 0.0, False)

@@ -206,11 +206,10 @@ class TestStratifiedKfold:
 
 def tweak_dataset(data: Dataset, test_idx, new_hc: float) -> Dataset:
     """Replace the held-out rows with altered measurements."""
-    rows = list(data)
-    for i in test_idx:
-        s = rows[i]
-        rows[i] = GasSample(new_hc, s.o2, s.co, s.co2, not s.exploded)
-    return Dataset(tuple(rows))
+    hc, exploded = data.hc.copy(), data.exploded.copy()
+    hc[test_idx] = new_hc
+    exploded[test_idx] = ~exploded[test_idx]
+    return Dataset.from_columns(hc, data.o2, data.co, data.co2, exploded)
 
 
 class TestFitFold:
@@ -273,12 +272,8 @@ class TestCrossValidate:
     def test_real_labels_beat_permuted_labels(self, small_corpus):
         rng = np.random.default_rng(0)
         shuffled_flags = rng.permutation(small_corpus.exploded)
-        shuffled = Dataset(
-            tuple(
-                GasSample(s.hc, s.o2, s.co, s.co2, bool(flag))
-                for s, flag in zip(small_corpus, shuffled_flags)
-            )
-        )
+        shuffled = Dataset.from_columns(small_corpus.hc, small_corpus.o2, small_corpus.co,
+                                        small_corpus.co2, shuffled_flags)
         learner = LogisticLearner(ridge=0.1)
         real = cross_validate(small_corpus, learner, v=5, seed=0).pooled.accuracy
         fake = cross_validate(shuffled, learner, v=5, seed=0).pooled.accuracy
@@ -291,11 +286,11 @@ class TestCrossValidate:
     def test_single_class_outranks_a_zero_ratio_denominator(self, run):
         rows = [GasSample(0.0 if i == 7 else 5.0, 15.0, 0.0, 0.0, True) for i in range(12)]
         with pytest.raises(SingleClassError):
-            run(Dataset(tuple(rows)))
+            run(Dataset.from_columns(*zip(*rows)))
         rows[0] = GasSample(5.0, 15.0, 0.0, 0.0, False)
         rows[1] = GasSample(6.0, 15.0, 0.0, 0.0, False)
         with pytest.raises(DataFormatError, match=r"^undefined ratio: hc is 0 in row 8$"):
-            run(Dataset(tuple(rows)))
+            run(Dataset.from_columns(*zip(*rows)))
 
 
 class TestLearners:

@@ -118,6 +118,23 @@ class TestFileFormat:
         assert np.array_equal(back.dual_coef, svm.dual_coef)
 
 
+def svm_obj(**changes):
+    """A small valid SVM model object, with top-level keys replaced."""
+    obj = {
+        "format_version": 1,
+        "kind": "svm",
+        "kernel": {"kind": "rbf", "gamma": 0.5, "coef0": 0.0, "degree": 3},
+        "penalties": {"positive": 1.0, "negative": 1.0},
+        "normalization": None,
+        "support_vectors": [[0.0, 1.0], [1.0, 0.0]],
+        "dual_coef": [0.5, -0.5],
+        "bias": 0.0,
+        "converged": True,
+    }
+    obj.update(changes)
+    return obj
+
+
 class TestErrors:
     def test_unknown_kind(self):
         with pytest.raises(DataFormatError, match="unknown model kind"):
@@ -171,6 +188,29 @@ class TestErrors:
         path.write_text(json.dumps(obj))  # Python's json writes NaN and Infinity
         with pytest.raises(DataFormatError, match="malformed model object.*finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("changes", [
+        {"bias": float("nan")},
+        {"dual_coef": [float("nan"), -0.5]},
+        {"support_vectors": [[0.0, float("inf")], [1.0, 0.0]]},
+    ], ids=["bias", "dual_coef", "support_vectors"])
+    def test_non_finite_numbers_rejected_on_load(self, tmp_path, changes):
+        model_from_obj(svm_obj())  # loads as it stands
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(svm_obj(**changes)))
+        with pytest.raises(DataFormatError, match="malformed model object.*must be finite"):
+            load_model(path)
+
+    def test_missing_format_version(self):
+        obj = svm_obj()
+        del obj["format_version"]
+        with pytest.raises(DataFormatError, match="malformed model object: 'format_version'"):
+            model_from_obj(obj)
+
+    @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None])
+    def test_unknown_format_version(self, version):
+        with pytest.raises(DataFormatError, match=f"format_version {version!r} is not 1"):
+            model_from_obj(svm_obj(format_version=version))
 
     def test_out_of_box_coefficients_rejected_on_load(self, tmp_path):
         obj = {
