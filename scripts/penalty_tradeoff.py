@@ -17,12 +17,14 @@ import argparse
 from gasgate.data import atomic_write_text, load_csv
 from gasgate.evaluate import (
     DEFAULT_GAMMA_GRID,
+    SvmLearner,
     choose_ratio,
     penalty_sweep,
     sweep_text,
     sweep_tsv,
 )
 from gasgate.kernels import KernelSpec
+from gasgate.svm import PenaltyConfig
 from gasgate.synth import default_region, generate
 
 
@@ -60,14 +62,10 @@ def main(argv=None) -> int:
         data = generate(default_region(), n=args.n, seed=args.seed, noise=args.noise)
     grid = tuple(float(tok) for tok in args.grid.split(","))
 
-    report = penalty_sweep(
-        data,
-        kernel=KernelSpec("rbf", gamma=args.gamma),
-        base_w2=args.w2,
-        gamma_grid=grid,
-        v=args.folds,
-        seed=args.seed,
-    )
+    # the sweep scales the negative-class cost w2 by each ratio
+    learner = SvmLearner(kernel=KernelSpec("rbf", gamma=args.gamma),
+                         penalties=PenaltyConfig(args.w2, args.w2), seed=args.seed)
+    report = penalty_sweep(data, learner, gamma_grid=grid, v=args.folds, seed=args.seed)
     print(f"corpus: {data.provenance or args.data} ({len(data)} samples)")
     print(f"{args.folds}-fold CV at each ratio, pooled over folds:\n")
     print(sweep_text(report), end="")

@@ -308,10 +308,14 @@ def _learner(args, seed):
     """The ``--model`` learner; every flag it reads was checked by its type."""
     if args.model == "lr":
         return _lr_learner(args)
+    return _svm_learner(args, seed, args.penalty_positive, args.penalty_negative)
+
+
+def _svm_learner(args, seed, positive, negative) -> SvmLearner:
+    """The SVM recipe of the kernel, tolerance, budget and cache flags."""
     return SvmLearner(
         kernel=_kernel_spec(args),
-        penalties=PenaltyConfig(positive=args.penalty_positive,
-                                negative=args.penalty_negative),
+        penalties=PenaltyConfig(positive=positive, negative=negative),
         tol=1e-3 if args.tol is None else args.tol,
         max_passes=args.max_passes,
         seed=seed,
@@ -353,9 +357,7 @@ def cmd_train(args) -> int:
     features = featurize(params, data)
     model = learner.fit(features, data.exploded, normalization=params)
     save_model(model, args.out)
-    counts = ConfusionCounts.from_outcomes(
-        data.exploded, learner.predict_exploded(model, features)
-    )
+    counts = ConfusionCounts.from_outcomes(data.exploded, model.predict(features) == 1)
     if not model.converged:
         print("warning: solver did not converge; model saved anyway", file=sys.stderr)
     print(
@@ -453,18 +455,10 @@ def cmd_sweep(args) -> int:
     _require(args, "data")
     config = _feature_config(args)
     data = load_csv(args.data)
-    report = penalty_sweep(
-        data,
-        kernel=_kernel_spec(args),
-        base_w2=args.base_w2,
-        gamma_grid=args.grid,
-        v=args.folds,
-        seed=seed,
-        tol=args.tol,
-        max_passes=args.max_passes,
-        feature_config=config,
-        cache_mb=args.cache_mb,
-    )
+    # the sweep reads the negative penalty alone and scales it by each ratio
+    learner = _svm_learner(args, seed, args.base_w2, args.base_w2)
+    report = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=seed,
+                           feature_config=config)
     stalled = {r.gamma: r.unconverged for r in report.rows if r.unconverged}
     if stalled:
         detail = ", ".join(f"ratio {g!r}: {k}" for g, k in stalled.items())

@@ -275,6 +275,13 @@ class NormalizationParams:
         return out
 
 
+def check_width(params: NormalizationParams | None, n_features: int) -> None:
+    """Refuse a model's normalization unless it has ``n_features`` attributes."""
+    if params is not None and len(params.attributes) != n_features:
+        raise ValueError(f"normalization has {len(params.attributes)} attributes "
+                         f"for a model of {n_features} features")
+
+
 def load_csv(path) -> Dataset:
     """Read a measurement CSV into a Dataset, preserving row order.
 

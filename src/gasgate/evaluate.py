@@ -9,7 +9,7 @@ errors from type I toward type II.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,9 +187,10 @@ class SvmLearner:
     seed: int = 0
     cache_mb: float = DEFAULT_CACHE_MB
 
-    kind = "svm"
-
-    def fit(self, features, exploded, normalization=None):
+    def fit(self, features, exploded, normalization=None, *,
+            init_alpha=None, init_gradient=None, cache=None):
+        """``fit_svm`` with this recipe; the keywords pass a warm start and a
+        shared kernel-row cache on to it."""
         labels = np.where(np.asarray(exploded, dtype=bool), 1.0, -1.0)
         return fit_svm(
             features,
@@ -201,10 +202,10 @@ class SvmLearner:
             seed=self.seed,
             normalization=normalization,
             cache_mb=self.cache_mb,
+            init_alpha=init_alpha,
+            init_gradient=init_gradient,
+            cache=cache,
         )
-
-    def predict_exploded(self, model, features) -> np.ndarray:
-        return np.asarray(model.predict(features)) == 1
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,6 @@ class LogisticLearner:
     ridge: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
-
-    kind = "logistic"
 
     def fit(self, features, exploded, normalization=None):
         labels = np.asarray(exploded, dtype=bool).astype(float)
@@ -227,9 +226,6 @@ class LogisticLearner:
             max_iter=self.max_iter,
             normalization=normalization,
         )
-
-    def predict_exploded(self, model, features) -> np.ndarray:
-        return np.asarray(model.predict(features)) == 1
 
 
 def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
@@ -279,7 +275,7 @@ def fit_fold(
     test = data.subset(test_idx)
     params = fit_normalization(train, feature_config)
     model = learner.fit(featurize(params, train), train.exploded, normalization=params)
-    predicted = learner.predict_exploded(model, featurize(params, test))
+    predicted = model.predict(featurize(params, test)) == 1
     return model, ConfusionCounts.from_outcomes(test.exploded, predicted)
 
 
@@ -340,72 +336,67 @@ def summarize_repeats(reports) -> tuple[float, float]:
 
 def penalty_sweep(
     data: Dataset,
-    kernel: KernelSpec = KernelSpec(),
-    base_w2: float = 1.0,
+    learner: SvmLearner,
     gamma_grid=DEFAULT_GAMMA_GRID,
     v: int = DEFAULT_FOLDS,
     seed: int = 0,
-    tol: float = 1e-3,
-    max_passes: int = 1000,
     feature_config: FeatureConfig = FeatureConfig(),
-    cache_mb: float = DEFAULT_CACHE_MB,
 ) -> SweepReport:
-    """Cross-validate the SVM at each penalty ratio in ``gamma_grid``.
+    """Cross-validate ``learner`` at each penalty ratio in ``gamma_grid``.
 
-    At ratio gamma the positive (explosion) class slack cost is
-    gamma * base_w2 and the negative cost is base_w2.  Counts are pooled
-    over the folds, so each row's rates share one denominator.  Rows follow
-    the order of ``gamma_grid``, repeats included.
+    At ratio gamma the negative (safe) class slack cost is w2 =
+    ``learner.penalties.negative`` and the positive (explosion) cost is
+    gamma * w2; ``learner.penalties.positive`` is not read.  The kernel,
+    tolerance, update budget, jitter seed and cache ceiling are the
+    learner's.  Counts are pooled over the folds, so each row's rates share
+    one denominator.  Rows follow the order of ``gamma_grid``, repeats
+    included.
 
     The folds are those of ``cross_validate`` with the same seed.  Within a
     fold the ratios are solved as a path (Hastie et al. 2004): normalization
-    and features are computed once, one kernel-row cache with a ceiling of
-    ``cache_mb`` MiB serves every ratio, holding as many rows as the largest
-    free set of the fold's fits so far calls for (``fit_svm``), and the
-    distinct ratios are fitted in ascending order, each starting SMO from
-    the previous ratio's multipliers and gradient.  Raising the ratio only
-    raises the positive-class cap, so that start is feasible, and every fit
-    still stops at the same KKT tolerance ``tol`` as a cold one.  Carrying the gradient spares each warm start a
-    pass over the rows of every support vector, which a cache smaller than
-    those rows would have to recompute.
+    and features are computed once, one kernel-row cache with the learner's
+    ceiling serves every ratio, holding as many rows as the largest free set
+    of the fold's fits so far calls for (``fit_svm``), and the distinct
+    ratios are fitted in ascending order, each starting SMO from the
+    previous ratio's multipliers and gradient.  Raising the ratio only
+    raises the positive-class cap, so that start is feasible, reads no
+    kernel row, and every fit still stops at the same KKT tolerance as a
+    cold one.
     """
     grid = [float(g) for g in gamma_grid]
     if not grid:
         raise ValueError("gamma grid is empty")
     if any(g < 1.0 for g in grid):
         raise ValueError(f"all ratios must be >= 1, got {min(grid)}")
-    if base_w2 <= 0:
-        raise ValueError(f"base_w2 must be positive, got {base_w2}")
     ratios = sorted(set(grid))
-    penalties = [PenaltyConfig(positive=g * base_w2, negative=base_w2) for g in ratios]
+    w2 = learner.penalties.negative
+    path_learners = [replace(learner, penalties=PenaltyConfig(g * w2, w2)) for g in ratios]
     counts = dict.fromkeys(ratios, ConfusionCounts())
     unconverged = dict.fromkeys(ratios, 0)
     for train_idx, test_idx in _stratified_folds(data, v, seed, feature_config):
-        path = _sweep_fold(
-            data.subset(train_idx), data.subset(test_idx), penalties, feature_config,
-            kernel, cache_mb, tol=tol, max_passes=max_passes, seed=seed,
-        )
+        path = _sweep_fold(data.subset(train_idx), data.subset(test_idx),
+                           path_learners, feature_config)
         for gamma, (fold_counts, converged) in zip(ratios, path):
             counts[gamma] = counts[gamma] + fold_counts
             unconverged[gamma] += not converged
     return SweepReport(tuple(SweepRow(g, counts[g], unconverged[g]) for g in grid))
 
 
-def _sweep_fold(train, test, penalties, feature_config, kernel, cache_mb, **fit_options):
-    """``(counts on test, converged)`` for each penalty pair, in order, fitted
-    on ``train`` with each fit warm-started from the one before.  The fold's
-    kernel-row cache lives only in this call, so a sweep never holds two."""
+def _sweep_fold(train, test, learners, feature_config):
+    """``(counts on test, converged)`` for each learner, in order, fitted on
+    ``train`` with each fit warm-started from the one before.  The learners
+    differ in their penalties alone.  The fold's kernel-row cache lives only
+    in this call, so a sweep never holds two."""
     params = fit_normalization(train, feature_config)
     X = featurize(params, train)
     X_test = featurize(params, test)
-    labels = np.where(train.exploded, 1.0, -1.0)
-    spec = kernel.resolved(X.shape[1])
-    cache = KernelRows(spec, X, cache_mb * 2**20)
+    first = learners[0]
+    cache = KernelRows(first.kernel.resolved(X.shape[1]), X, first.cache_mb * 2**20)
     alpha = gradient = None
     path = []
-    for pair in penalties:
-        model = fit_svm(X, labels, spec, pair, normalization=params, init_alpha=alpha,
-                        init_gradient=gradient, cache=cache, **fit_options)
+    for learner in learners:
+        model = learner.fit(X, train.exploded, normalization=params, init_alpha=alpha,
+                            init_gradient=gradient, cache=cache)
         alpha, gradient = model.alpha, model.gradient
         predicted = model.predict(X_test) == 1
         path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))

@@ -160,9 +160,9 @@ class KernelRows:
     rows at once copies them, as the SVM's Newton step does with up to 200.
 
     The cache only serves rows; it takes no sums over them.  Every
-    sum_k coef[k] * K(x, x_k) the SVM needs, a starting or final gradient
-    included, is taken from the support vectors in scoring blocks
-    (``svm._kernel_sums``), and reads no row of the cache.
+    sum_k coef[k] * K(x, x_k) the SVM needs, the final gradient included, is
+    taken from the support vectors in scoring blocks (``svm._kernel_sums``),
+    and reads no row of the cache.
 
     ``diagonal`` holds k(x_i, x_i) for every sample, bitwise equal to the
     same entry of the sample's row.

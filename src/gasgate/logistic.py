@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RATIO_HC_OVER_O2, NormalizationParams
+from .data import RATIO_HC_OVER_O2, NormalizationParams, check_width
 # unused here, but perfbench/layers.py wraps logistic.apply_normalization by name
 from .data import apply_normalization  # noqa: F401
 from .errors import DataFormatError, IntervalSolverError
@@ -46,7 +46,8 @@ def _sigmoid_from(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Coefficients (intercept first) over the normalized feature vector."""
+    """Coefficients (intercept first) over the normalized feature vector,
+    one per attribute of ``normalization``."""
 
     beta: np.ndarray
     normalization: NormalizationParams | None = None
@@ -62,6 +63,7 @@ class LogisticModel:
             raise ValueError("beta must be finite")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        check_width(self.normalization, self.n_features)
 
     @property
     def n_features(self) -> int:
@@ -91,12 +93,6 @@ class LogisticModel:
         p = np.atleast_1d(sigmoid(g))
         out = np.where(p >= 0.5, 1, 0)
         return int(out[0]) if np.isscalar(g) else out
-
-    def log_likelihood(self, X, labels) -> float:
-        return penalized_log_likelihood(self.beta, X, labels, self.ridge)
-
-    def gradient(self, X, labels) -> np.ndarray:
-        return penalized_gradient(self.beta, X, labels, self.ridge)
 
 
 class _Design:

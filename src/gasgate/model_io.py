@@ -2,9 +2,11 @@
 
 Floats are encoded in Python's shortest-round-trip decimal form, so a
 save/load cycle reproduces every IEEE-754 double bit-exactly and therefore
-every prediction.  Fit-time diagnostics (support indices, objective trace)
-are deliberately not persisted; a loaded model predicts identically but
-carries no training history.
+every prediction.  Fit-time diagnostics (multipliers, gradient, objective
+trace) are deliberately not persisted; a loaded model predicts identically
+but carries no training history.  A model that could not score, such as an
+RBF kernel without gamma or a normalization of another width than the
+model, is refused on load.
 """
 
 from __future__ import annotations

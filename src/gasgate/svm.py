@@ -32,9 +32,8 @@ memory is O(rows held * n) in training and bounded in prediction.
 A fit ends without a pass over all support vectors for every sample: as in
 LIBSVM (section 5), the bias is taken from the free multipliers, and only
 their gradient is recomputed exactly, by the same blocks as scoring.  Those
-blocks (``_kernel_sums``) take every kernel sum the SVM needs; the row cache
-has no ``dot``.  A fit with no free multiplier recomputes u once, for every
-sample, through them, and so does a warm start given no gradient.
+blocks (``_kernel_sums``) take every kernel sum the SVM needs.  A fit with no
+free multiplier recomputes u once, for every sample, through them.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormalizationParams
+from .data import NormalizationParams, check_width
 from .errors import GasgateError, SingleClassError
 from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
@@ -89,12 +88,13 @@ class SvmModel:
     """Fitted classifier: support vectors with dual coefficients and a bias.
 
     ``dual_coef[k]`` is alpha_k * y_k, so its sign encodes the support
-    vector's class.  ``support_indices`` point back into the training set;
-    they, ``objective_trace``, ``alpha`` (the multipliers of every training
-    sample, zeros included), ``gradient`` (F = u - y at ``alpha`` for every
+    vector's class.  ``objective_trace``, ``alpha`` (the multipliers of every
+    training sample, zeros included; the support vectors are the rows where
+    it exceeds 1e-12), ``gradient`` (F = u - y at ``alpha`` for every
     training sample; with ``alpha`` it warm-starts a refit) and
     ``gradient_drift`` (see ``fit_svm``) are diagnostics, not part of the
-    serialized form.
+    serialized form.  The kernel's gamma is resolved, and a normalization
+    has one attribute per feature column.
     """
 
     support_vectors: np.ndarray
@@ -104,7 +104,6 @@ class SvmModel:
     penalties: PenaltyConfig
     normalization: NormalizationParams | None = None
     converged: bool = True
-    support_indices: np.ndarray | None = None
     objective_trace: np.ndarray | None = None
     alpha: np.ndarray | None = None
     gradient: np.ndarray | None = None
@@ -127,6 +126,9 @@ class SvmModel:
         caps = np.where(dc > 0, self.penalties.positive, self.penalties.negative)
         if (alpha <= 0).any() or (alpha > caps * (1 + 1e-9)).any():
             raise ValueError("dual coefficients violate the box constraints")
+        if self.kernel.uses_gamma and self.kernel.gamma is None:
+            raise ValueError(f"{self.kernel.kind} kernel has no gamma")
+        check_width(self.normalization, self.n_features)
 
     @property
     def n_features(self) -> int:
@@ -226,14 +228,13 @@ def fit_svm(
     on the same rows reuse the rows already computed and the fill limit it
     has reached; ``cache_mb`` then goes unused.
 
-    ``init_alpha`` starts SMO from a feasible point instead of alpha = 0:
-    0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9 sum C.  A
-    previous fit's ``alpha`` qualifies when only the caps have grown, as
-    along a rising penalty ratio.  The starting gradient is then summed
-    over every sample with a non-zero multiplier (``_kernel_sums``), unless
-    ``init_gradient`` supplies it: F = u - y at ``init_alpha``, such
-    as the previous fit's ``gradient``, which spares a pass over rows the
-    cache may no longer hold.  Malformed values raise ``ValueError``.
+    ``init_alpha`` and ``init_gradient``, given together or not at all,
+    start SMO from a feasible point instead of alpha = 0: ``init_alpha``
+    satisfies 0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9
+    sum C, and ``init_gradient`` is F = u - y there.  A previous fit's
+    ``alpha`` and ``gradient`` qualify when only the caps have grown, as
+    along a rising penalty ratio; the start then reads no kernel row.  One
+    without the other, or malformed values, raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -247,6 +248,8 @@ def fit_svm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
+    if (init_alpha is None) != (init_gradient is None):
+        raise ValueError("init_alpha and init_gradient go together or not at all")
 
     n = X.shape[0]
     spec = kernel.resolved(X.shape[1])
@@ -265,22 +268,13 @@ def fit_svm(
     second_order = spec.kind != "sigmoid"
 
     if init_alpha is None:
-        if init_gradient is not None:
-            raise ValueError("init_gradient needs the init_alpha it was taken at")
         alpha = np.zeros(n)
         F = -y  # gradient u - y, with u the decision values without bias
         objective = 0.0
     else:
         alpha = _feasible_start(init_alpha, y, caps)
-        coef = alpha * y
-        if init_gradient is None:
-            support = alpha > 0
-            (u,) = _kernel_sums(spec, X, X[support], coef[support])
-            F = u - y
-        else:
-            F = _checked_gradient(init_gradient, y)
-            u = F + y
-        objective = float(alpha.sum() - 0.5 * coef @ u)
+        F = _checked_gradient(init_gradient, y)
+        objective = float(alpha.sum() - 0.5 * (alpha * y) @ (F + y))
 
     def masked_gradient():
         """F + jitter restricted to the low / up index sets; non-members are
@@ -443,7 +437,6 @@ def fit_svm(
         penalties=penalties,
         normalization=normalization,
         converged=converged,
-        support_indices=np.flatnonzero(keep),
         objective_trace=np.array(trace),
         alpha=alpha,
         gradient=F,

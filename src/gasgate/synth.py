@@ -90,19 +90,15 @@ def generate(
     seed: int,
     noise: float = 0.0,
     positive_fraction: float = 0.78,
-    hc_range: tuple[float, float] = (0.2, 4.0),
-    o2_margin: float = 0.0,
-    co: float = 0.05,
-    co2_policy: str = "oxygen-complement",
 ) -> Dataset:
     """Draw a labeled corpus with a target explosion share.
 
-    HC is uniform over hc_range and O2 uniform over the region window widened
-    by o2_margin; a rejection sampler keeps drawing until round(n * fraction)
-    in-band and the remaining out-of-band points are collected.  Labels then
-    flip independently with probability ``noise``.  CO is constant filler and
-    CO2 tracks oxygen so the concentration invariant holds; neither enters
-    the default feature set.
+    HC is uniform over [0.2, 4.0] and O2 uniform over the region window; a
+    rejection sampler keeps drawing until round(n * fraction) in-band and the
+    remaining out-of-band points are collected.  Labels then flip
+    independently with probability ``noise``.  CO is the constant filler
+    0.05 and CO2 = max(0, 33 - O2) tracks oxygen so the concentration
+    invariant holds; neither enters the default feature set.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
@@ -112,16 +108,12 @@ def generate(
         raise ValueError(
             f"positive_fraction must be in (0, 1), got {positive_fraction}"
         )
-    if not 0.0 < hc_range[0] < hc_range[1]:
-        raise ValueError(f"bad hc_range {hc_range}")
-    if co2_policy not in ("oxygen-complement", "zero"):
-        raise ValueError(f"unknown co2_policy {co2_policy!r}")
 
     rng = np.random.default_rng(seed)
     n_pos = int(np.floor(n * positive_fraction + 0.5))
     n_neg = n - n_pos
-    o2_low = max(0.0, region.o2_window[0] - o2_margin)
-    o2_high = region.o2_window[1] + o2_margin
+    o2_low = max(0.0, region.o2_window[0])
+    o2_high = region.o2_window[1]
 
     # accepted HC and O2 values, one array per batch, in draw order
     pos_hc, pos_o2, neg_hc, neg_o2 = [], [], [], []
@@ -136,7 +128,7 @@ def generate(
                 f"within {max_draws} draws "
                 f"(have {have_pos}/{n_pos} positive, {have_neg}/{n_neg} negative)"
             )
-        hc = rng.uniform(hc_range[0], hc_range[1], size=batch)
+        hc = rng.uniform(0.2, 4.0, size=batch)
         o2 = rng.uniform(o2_low, o2_high, size=batch)
         inside = region.contains(hc, o2)
         draws += batch
@@ -155,11 +147,11 @@ def generate(
     hc = np.concatenate(pos_hc + neg_hc)[order]
     o2 = np.concatenate(pos_o2 + neg_o2)[order]
     exploded = (order < n_pos) ^ flip
-    co2 = np.maximum(0.0, 33.0 - o2) if co2_policy == "oxygen-complement" else np.zeros(n)
+    co2 = np.maximum(0.0, 33.0 - o2)
     return Dataset.from_columns(
         hc,
         o2,
-        np.full(n, co, dtype=float),
+        np.full(n, 0.05, dtype=float),
         co2,
         exploded,
         provenance=f"synthetic(seed={seed},n={n},noise={noise})",

@@ -18,11 +18,9 @@ from scipy import optimize
 from gasgate.kernels import kernel_matrix
 
 
-def full_alpha(model, n: int) -> np.ndarray:
-    """Expand a model's support-vector alphas back to all n training slots."""
-    alpha = np.zeros(n)
-    alpha[model.support_indices] = np.abs(model.dual_coef)
-    return alpha
+def full_alpha(model) -> np.ndarray:
+    """A fitted model's multipliers, zero off its support vectors."""
+    return np.where(model.alpha > 1e-12, model.alpha, 0.0)
 
 
 def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
@@ -92,7 +90,7 @@ def kkt_max_residual(model, X, y) -> float:
     0 < alpha < cap  requires y f(x) = 1   (residual: |y f - 1|)
     """
     margins = y * model.decision_values(X)
-    alpha = full_alpha(model, len(y))
+    alpha = full_alpha(model)
     caps = np.where(y > 0, model.penalties.positive, model.penalties.negative)
     worst = 0.0
     for i in range(len(y)):

@@ -204,7 +204,8 @@ def test_07_penalty_ratio_trades_misses_for_alarms():
     low, high = [], []
     for seed in range(10):
         data = generate(default_region(), n=200, seed=seed, noise=0.10)
-        report = penalty_sweep(data, gamma_grid=(1.0, 60.0), seed=seed)
+        learner = SvmLearner(penalties=PenaltyConfig(1.0, 1.0), seed=seed)
+        report = penalty_sweep(data, learner, gamma_grid=(1.0, 60.0), seed=seed)
         high.append(report.row(1.0).type1_rate)
         low.append(report.row(60.0).type1_rate)
     avg_low, avg_high = float(np.mean(low)), float(np.mean(high))
@@ -212,6 +213,7 @@ def test_07_penalty_ratio_trades_misses_for_alarms():
     start = time.monotonic()
     full = penalty_sweep(
         generate(default_region(), n=200, seed=0, noise=0.10),
+        SvmLearner(penalties=PenaltyConfig(1.0, 1.0)),
         gamma_grid=DEFAULT_GAMMA_GRID,
         seed=0,
     )

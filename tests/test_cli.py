@@ -1,22 +1,28 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gasgate.cli import main
 from gasgate.data import BLOCK_ROWS, Dataset, GasSample, featurize, load_csv, write_csv
-from gasgate.evaluate import choose_ratio, penalty_sweep, sweep_text
+from gasgate.evaluate import SvmLearner, choose_ratio, penalty_sweep, sweep_text
 from gasgate.kernels import KernelSpec
 from gasgate.logistic import LogisticModel, sigmoid
 from gasgate.model_io import load_model, save_model
-from gasgate.svm import SvmModel
+from gasgate.svm import PenaltyConfig, SvmModel
 from gasgate.synth import default_region, generate
 
 from .support import traced_peak_mb
 
 pytestmark = pytest.mark.filterwarnings("ignore:separation suspected")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +302,59 @@ class TestPredict:
         assert "normalization" in capsys.readouterr().err
 
 
+class TestInconsistentModelFiles:
+    """A model file that loads but cannot score exits 2 with one error line
+    and writes nothing."""
+
+    @staticmethod
+    def assert_refused(capsys, argv, out, message):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("gasgate: error: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @staticmethod
+    def edited(source, tmp_path, edit):
+        obj = json.loads(source.read_text())
+        edit(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
+    def test_svm_kernel_without_gamma(self, svm_model, corpus_csv, tmp_path, capsys, kind):
+        # such a model once loaded and then died scoring, with a traceback
+        path = self.edited(svm_model, tmp_path,
+                           lambda obj: obj["kernel"].update(kind=kind, gamma=None))
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv", f"{kind} kernel has no gamma")
+
+    def test_svm_normalization_narrower_than_its_support_vectors(
+            self, svm_model, corpus_csv, tmp_path, capsys):
+        def drop_ratio(obj):
+            norm = obj["normalization"]
+            for key in ("attributes", "mins", "maxs"):
+                norm[key] = norm[key][:2]
+        path = self.edited(svm_model, tmp_path, drop_ratio)
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv",
+                            "normalization has 2 attributes for a model of 3 features")
+
+    @pytest.mark.parametrize("command", ["predict", "intervals"])
+    def test_lr_normalization_wider_than_its_coefficients(
+            self, lr_model, corpus_csv, tmp_path, capsys, command):
+        # intervals once zipped the shorter list and printed "no explosive
+        # interval" with exit 0
+        path = self.edited(lr_model, tmp_path, lambda obj: obj.update(beta=obj["beta"][:3]))
+        source = ["--data", str(corpus_csv)] if command == "predict" else ["--o2", "16"]
+        self.assert_refused(capsys, [command, "--model-file", str(path), *source],
+                            tmp_path / "out.csv",
+                            "normalization has 3 attributes for a model of 2 features")
+
+
 def reference_predictions(model_path, data_path, scores: bool) -> bytes:
     """The bytes ``predict`` writes, formatted here row by row."""
     model = load_model(model_path)
@@ -430,8 +489,9 @@ class TestSweep:
         assert "fold fits hit --max-passes" in stunted.err
         assert "ratio 1.0: " in stunted.err
         # stdout is the report alone, exactly as rendered by the library
-        report = penalty_sweep(load_csv(noisy_csv), KernelSpec("rbf", gamma=0.5),
-                               base_w2=10.0, gamma_grid=(1.0, 8.0), v=4, max_passes=1)
+        learner = SvmLearner(KernelSpec("rbf", gamma=0.5), PenaltyConfig(10.0, 10.0),
+                             max_passes=1)
+        report = penalty_sweep(load_csv(noisy_csv), learner, gamma_grid=(1.0, 8.0), v=4)
         assert stunted.out == sweep_text(report) + f"chosen gamma: {choose_ratio(report)!r}\n"
 
     def test_ratios_below_one_rejected(self, corpus_csv):
@@ -977,3 +1037,27 @@ class TestInputsUntouched:
         main(["train", "--model", "lr", "--data", str(corpus_csv),
               "--out", str(workdir / "again.json")])
         assert hashlib.sha256(corpus_csv.read_bytes()).hexdigest() == digest
+
+
+class TestChildProcess:
+    """``python -m gasgate.cli`` as its own process, where ``sys.exit(main())``
+    makes each command's return value the exit code."""
+
+    def test_exit_codes_and_one_error_line(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "gasgate.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        runs = [run("gen", "--n", "60", "--seed", "2", "--out", "c.csv"),
+                run("train", "--model", "svm", "--data", "c.csv", "--out", "m.json"),
+                run("predict", "--model-file", "m.json", "--data", "c.csv", "--out", "p.csv")]
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text((tmp_path / "m.json").read_text()[:100])  # cut short
+        runs.append(run("predict", "--model-file", str(corrupt), "--data", "c.csv"))
+        assert [r.returncode for r in runs] == [0, 0, 0, 2]
+        assert [r.stderr for r in runs[:3]] == ["", "", ""]
+        assert runs[3].stdout == ""
+        assert runs[3].stderr.count("\n") == 1
+        assert runs[3].stderr.startswith("gasgate: error: invalid JSON in ")

@@ -281,7 +281,7 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("run", [
         lambda data: cross_validate(data, LogisticLearner(), v=4),
-        lambda data: penalty_sweep(data, gamma_grid=(1.0,), v=4),
+        lambda data: penalty_sweep(data, sweep_learner(), gamma_grid=(1.0,), v=4),
     ], ids=["cv", "sweep"])
     def test_single_class_outranks_a_zero_ratio_denominator(self, run):
         rows = [GasSample(0.0 if i == 7 else 5.0, 15.0, 0.0, 0.0, True) for i in range(12)]
@@ -294,40 +294,31 @@ class TestCrossValidate:
 
 
 class TestLearners:
-    def test_kinds(self):
-        assert SvmLearner().kind == "svm"
-        assert LogisticLearner().kind == "logistic"
-
     def test_svm_learner_round_trip(self, featurized_small):
         params, X, exploded = featurized_small
         learner = SvmLearner(kernel=KernelSpec("rbf", gamma=0.5))
         model = learner.fit(X, exploded, normalization=params)
-        flags = learner.predict_exploded(model, X)
-        assert flags.dtype == bool
-        assert (flags == exploded).mean() > 0.9
+        assert ((model.predict(X) == 1) == exploded).mean() > 0.9
 
     def test_logistic_learner_round_trip(self, featurized_small):
         params, X, exploded = featurized_small
         learner = LogisticLearner(ridge=0.1)
         model = learner.fit(X, exploded, normalization=params)
-        flags = learner.predict_exploded(model, X)
-        assert flags.dtype == bool
-        assert (flags == exploded).mean() > 0.85
+        assert ((model.predict(X) == 1) == exploded).mean() > 0.85
 
 
 class TestPenaltySweep:
     def test_rows_cover_the_grid_with_shared_denominator(self, small_corpus):
-        report = penalty_sweep(
-            small_corpus, KernelSpec("rbf", gamma=0.5), gamma_grid=(1.0, 8.0), v=4
-        )
+        report = penalty_sweep(small_corpus, sweep_learner(KernelSpec("rbf", gamma=0.5)),
+                               gamma_grid=(1.0, 8.0), v=4)
         assert [r.gamma for r in report.rows] == [1.0, 8.0]
         for row in report.rows:
             assert row.counts.n == len(small_corpus)
 
     def test_unit_ratio_row_matches_plain_cross_validation(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
-        report = penalty_sweep(small_corpus, kernel, gamma_grid=(1.0,), v=4, seed=2)
         learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(1.0, 1.0), seed=2)
+        report = penalty_sweep(small_corpus, learner, gamma_grid=(1.0,), v=4, seed=2)
         direct = cross_validate(small_corpus, learner, v=4, seed=2)
         assert report.rows[0].counts == direct.pooled
 
@@ -336,12 +327,19 @@ class TestPenaltySweep:
         [
             {"gamma_grid": ()},
             {"gamma_grid": (0.5, 2.0)},
-            {"base_w2": 0.0},
         ],
     )
     def test_bad_arguments(self, small_corpus, kw):
         with pytest.raises(ValueError):
-            penalty_sweep(small_corpus, **kw)
+            penalty_sweep(small_corpus, sweep_learner(), **kw)
+
+    def test_ratios_scale_the_negative_penalty(self, small_corpus):
+        # the learner's positive penalty is not read
+        kernel = KernelSpec("rbf", gamma=0.5)
+        learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(99.0, 2.0))
+        report = penalty_sweep(small_corpus, learner, gamma_grid=(1.0, 3.0), v=4)
+        cold = cold_sweep(small_corpus, kernel, (1.0, 3.0), v=4, w2=2.0)
+        assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
 
     # The warm-started path must agree with the cold reference: one
     # cross_validate per ratio, every fit from alpha = 0 on its own Gram.
@@ -349,7 +347,7 @@ class TestPenaltySweep:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_cold_reference_on_acceptance_corpora(self, seed):
         data = generate(default_region(), n=200, seed=seed, noise=0.10)
-        warm = penalty_sweep(data, seed=seed)
+        warm = penalty_sweep(data, sweep_learner(seed=seed), seed=seed)
         cold = cold_sweep(data, KernelSpec(), DEFAULT_GAMMA_GRID, seed=seed)
         assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
         assert choose_ratio(warm) == choose_ratio(cold)
@@ -358,7 +356,7 @@ class TestPenaltySweep:
         # the sweep workload's corpus: 500 rows, generator seed 3, 5 % noise
         data = generate(default_region(), n=500, seed=3, noise=0.05)
         kernel = KernelSpec("rbf", gamma=0.5)
-        warm = penalty_sweep(data, kernel)
+        warm = penalty_sweep(data, sweep_learner(kernel))
         cold = cold_sweep(data, kernel, DEFAULT_GAMMA_GRID)
         assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
         assert choose_ratio(warm) == choose_ratio(cold)
@@ -375,7 +373,7 @@ class TestPenaltySweep:
             return model
 
         monkeypatch.setattr("gasgate.evaluate.fit_svm", counting)
-        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
         assert len(updates) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
         assert sum(updates) <= 2500
         assert choose_ratio(report) == 10.0
@@ -401,7 +399,7 @@ class TestPenaltySweep:
 
         monkeypatch.setattr(svm, "_kernel_sums", recording_sums)
         monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
-        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
         assert sums_per_fit == [1] * len(starts)
         # per fold: one cold fit, then warm starts with both
         assert len(starts) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
@@ -431,7 +429,8 @@ class TestPenaltySweep:
 
         monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
         monkeypatch.setattr("gasgate.evaluate.KernelRows", Recorded)
-        report = penalty_sweep(data, KernelSpec("rbf", gamma=0.5))
+        learner = sweep_learner(KernelSpec("rbf", gamma=0.5))
+        report = penalty_sweep(data, learner)
         assert len(caches) == DEFAULT_FOLDS
         for fold, cache in enumerate(caches, start=1):
             fold_limits = [limit for k, limit in limits if k == fold]
@@ -439,33 +438,38 @@ class TestPenaltySweep:
             assert fold_limits == sorted(fold_limits)  # carried from fit to fit
             assert cache.rows_held <= cache.limit < cache.capacity == 400
         monkeypatch.setattr("gasgate.evaluate.KernelRows", HoldingAll)
-        assert penalty_sweep(data, KernelSpec("rbf", gamma=0.5)) == report
+        assert penalty_sweep(data, learner) == report
 
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         grid = (20.0, 1.0, 60.0, 1.0, 5.0)
-        report = penalty_sweep(small_corpus, kernel, gamma_grid=grid, v=4)
+        report = penalty_sweep(small_corpus, sweep_learner(kernel), gamma_grid=grid, v=4)
         cold = cold_sweep(small_corpus, kernel, grid, v=4)
         assert [r.gamma for r in report.rows] == list(grid)
         assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
 
     def test_unconverged_fits_are_counted(self, noisy_small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
-        stunted = penalty_sweep(
-            noisy_small_corpus, kernel, base_w2=10.0, gamma_grid=(1.0, 8.0, 1.0), v=4,
-            max_passes=1,
-        )
+        stunted = penalty_sweep(noisy_small_corpus, sweep_learner(kernel, 10.0, max_passes=1),
+                                gamma_grid=(1.0, 8.0, 1.0), v=4)
         assert 0 < stunted.rows[0].unconverged <= 4
         assert stunted.rows[2].unconverged == stunted.rows[0].unconverged
-        full = penalty_sweep(noisy_small_corpus, kernel, gamma_grid=(1.0, 8.0), v=4)
+        full = penalty_sweep(noisy_small_corpus, sweep_learner(kernel), gamma_grid=(1.0, 8.0),
+                             v=4)
         assert [r.unconverged for r in full.rows] == [0, 0]
 
 
-def cold_sweep(data, kernel, grid, seed=0, v=DEFAULT_FOLDS):
+def sweep_learner(kernel=KernelSpec(), w2=1.0, **settings):
+    """The learner a sweep with negative-class cost ``w2`` scales."""
+    return SvmLearner(kernel=kernel, penalties=PenaltyConfig(w2, w2), **settings)
+
+
+def cold_sweep(data, kernel, grid, seed=0, v=DEFAULT_FOLDS, w2=1.0):
     """Reference sweep from independent cold fits: cross_validate per ratio."""
     rows = []
     for gamma in grid:
-        learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(gamma, 1.0), seed=seed)
+        learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(gamma * w2, w2),
+                             seed=seed)
         rows.append(SweepRow(gamma, cross_validate(data, learner, v, seed).pooled))
     return SweepReport(tuple(rows))
 

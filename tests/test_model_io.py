@@ -81,11 +81,11 @@ class TestRoundTrip:
 
     def test_diagnostics_not_persisted(self, fitted_pair, tmp_path):
         svm, _ = fitted_pair
-        assert svm.support_indices is not None
+        assert svm.alpha is not None
         path = tmp_path / "svm.json"
         save_model(svm, path)
         back = load_model(path)
-        assert back.support_indices is None
+        assert back.alpha is None
         assert back.objective_trace is None
 
     def test_save_is_deterministic(self, fitted_pair, tmp_path):
@@ -228,3 +228,27 @@ class TestErrors:
         path.write_text(json.dumps(obj))
         with pytest.raises(DataFormatError, match="malformed model object"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
+    def test_kernel_without_gamma_rejected(self, kind):
+        kernel = {"kind": kind, "gamma": None, "coef0": 0.0, "degree": 3}
+        with pytest.raises(DataFormatError, match=f"{kind} kernel has no gamma"):
+            model_from_obj(svm_obj(kernel=kernel))
+
+    def test_linear_kernel_needs_no_gamma(self):
+        kernel = {"kind": "linear", "gamma": None, "coef0": 0.0, "degree": 3}
+        assert model_from_obj(svm_obj(kernel=kernel)).kernel.gamma is None
+
+    @pytest.mark.parametrize("attributes", [["hc"], ["hc", "o2", "ratio"]])
+    def test_normalization_of_another_width_rejected(self, attributes):
+        def norm(names):
+            return {"attributes": names, "ratio": "o2_over_hc",
+                    "mins": [0.0] * len(names), "maxs": [1.0] * len(names)}
+
+        lr = {"format_version": 1, "kind": "logistic", "beta": [0.0, 1.0, -1.0],
+              "ridge": 0.0, "converged": True}
+        message = f"normalization has {len(attributes)} attributes for a model of 2 features"
+        for obj in (svm_obj(), lr):
+            model_from_obj(dict(obj, normalization=norm(["hc", "o2"])))  # loads as it stands
+            with pytest.raises(DataFormatError, match=message):
+                model_from_obj(dict(obj, normalization=norm(attributes)))

@@ -160,7 +160,7 @@ class TestOptimality:
         X, y = random_two_class_problem(rng)
         model = fit(X, y, RBF, pos=3.0, neg=4.0)
         K = kernel_matrix(model.kernel, X)
-        alpha = full_alpha(model, len(y))
+        alpha = full_alpha(model)
         assert model.dual_objective() == pytest.approx(
             dual_objective(alpha, K, y), abs=1e-9
         )
@@ -256,7 +256,7 @@ class TestStructure:
         b = fit(X, y, RBF, seed=11)
         assert np.array_equal(a.dual_coef, b.dual_coef)
         assert a.bias == b.bias
-        assert np.array_equal(a.support_indices, b.support_indices)
+        assert np.array_equal(a.alpha, b.alpha)
 
     def test_budget_exhaustion_flags_non_convergence(self):
         rng = np.random.default_rng(7)
@@ -271,7 +271,7 @@ class TestStructure:
     def test_support_vectors_subset_of_training_rows(self, rng):
         X, y = random_two_class_problem(rng, n_range=(20, 40))
         model = fit(X, y, RBF)
-        assert np.array_equal(model.support_vectors, X[model.support_indices])
+        assert np.array_equal(model.support_vectors, X[model.alpha > 1e-12])
 
     def test_normalization_carried_on_model(self, featurized_small):
         params, X, exploded = featurized_small
@@ -281,28 +281,8 @@ class TestStructure:
 
 
 class TestWarmStart:
-    """SMO restarted from given multipliers (``init_alpha``) on a shared cache."""
-
-    @pytest.mark.parametrize("kernel", [LINEAR, RBF, SIGMOID], ids=lambda k: k.kind)
-    def test_restart_from_own_optimum_makes_no_update(self, kernel, rng):
-        X, y = random_two_class_problem(rng, n_range=(30, 60))
-        model = fit(X, y, kernel, pos=3.0, neg=2.0)
-        again = fit(X, y, kernel, pos=3.0, neg=2.0, init_alpha=model.alpha)
-        assert model.converged and again.converged
-        assert len(again.objective_trace) == 1
-        assert again.dual_objective() == model.dual_objective()
-        assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
-
-    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
-    def test_warm_fit_reaches_the_cold_objective(self, kernel, rng):
-        # raising the positive cap keeps the lower ratio's optimum feasible
-        for _ in range(4):
-            X, y = random_two_class_problem(rng, n_range=(30, 60))
-            low = fit(X, y, kernel, pos=1.0, neg=1.0)
-            cold = fit(X, y, kernel, pos=8.0, neg=1.0)
-            warm = fit(X, y, kernel, pos=8.0, neg=1.0, init_alpha=low.alpha)
-            assert cold.converged and warm.converged
-            assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
+    """SMO restarted from given multipliers and their gradient (``init_alpha``
+    and ``init_gradient``) on a shared cache."""
 
     def test_shared_cache_gives_the_same_fit(self, rng):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
@@ -328,11 +308,13 @@ class TestWarmStart:
         ],
     )
     def test_infeasible_init_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="init_alpha"):
-            fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha))
+        with pytest.raises(ValueError, match="init_alpha (must|violates)"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha),
+                init_gradient=np.zeros(3))
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
     def test_carried_gradient_reaches_the_cold_objective(self, kernel, rng, kernel_sum_rows):
+        # raising the positive cap keeps the lower ratio's optimum feasible
         for _ in range(4):
             X, y = random_two_class_problem(rng, n_range=(30, 60))
             low = fit(X, y, kernel, pos=1.0, neg=1.0)
@@ -345,22 +327,25 @@ class TestWarmStart:
             # no starting sum, only the one at the end
             assert kernel_sum_rows == [recomputed_rows(warm, y, np.where(y > 0, 8.0, 1.0))]
 
-    def test_restart_with_carried_gradient_makes_no_update(self, rng, kernel_sum_rows):
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF, SIGMOID], ids=lambda k: k.kind)
+    def test_restart_with_carried_gradient_makes_no_update(self, kernel, rng, kernel_sum_rows):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
-        model = fit(X, y, RBF, pos=3.0, neg=2.0)
+        model = fit(X, y, kernel, pos=3.0, neg=2.0)
         del kernel_sum_rows[:]
-        again = fit(X, y, RBF, pos=3.0, neg=2.0,
+        again = fit(X, y, kernel, pos=3.0, neg=2.0,
                     init_alpha=model.alpha, init_gradient=model.gradient)
-        assert again.converged and len(again.objective_trace) == 1
+        assert model.converged and again.converged
+        assert len(again.objective_trace) == 1
         assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
         assert np.array_equal(again.alpha, model.alpha)
+        assert again.dual_objective() == model.dual_objective()
         assert kernel_sum_rows == [recomputed_rows(again, y, np.where(y > 0, 3.0, 2.0))]
 
     def test_start_at_zero_is_the_cold_start(self, rng):
-        # no multiplier to sum over: the starting u is 0
+        # at alpha = 0, u = 0 and the gradient is -y
         X, y = random_two_class_problem(rng, n_range=(30, 60))
         cold = fit(X, y, RBF)
-        zero = fit(X, y, RBF, init_alpha=np.zeros(len(y)))
+        zero = fit(X, y, RBF, init_alpha=np.zeros(len(y)), init_gradient=-y)
         assert np.array_equal(zero.alpha, cold.alpha)
         assert zero.bias == cold.bias
 
@@ -371,21 +356,27 @@ class TestWarmStart:
             ([[0.0, 0.0, 0.0]], [0.5, 0.5, 0.0]),  # wrong shape
             ([np.nan, 0.0, 0.0], [0.5, 0.5, 0.0]),
             ([0.0, -np.inf, 0.0], [0.5, 0.5, 0.0]),
-            ([0.0, 0.0, 0.0], None),  # no multipliers it was taken at
         ],
-        ids=["length", "shape", "nan", "inf", "no-init-alpha"],
+        ids=["length", "shape", "nan", "inf"],
     )
     def test_malformed_init_gradient_rejected(self, gradient, alpha):
-        init_alpha = None if alpha is None else np.array(alpha)
         with pytest.raises(ValueError, match="init_gradient"):
             fit(self.X3, self.Y3, pos=2.0, neg=1.0,
-                init_alpha=init_alpha, init_gradient=np.array(gradient))
+                init_alpha=np.array(alpha), init_gradient=np.array(gradient))
+
+    @pytest.mark.parametrize("given", ["init_alpha", "init_gradient"])
+    def test_warm_start_needs_both_halves(self, given, kernel_sum_rows):
+        with pytest.raises(ValueError, match="go together or not at all"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, **{given: np.array([0.5, 0.5, 0.0])})
+        assert kernel_sum_rows == []
 
     def test_rounding_excursions_are_clipped(self):
-        # 1e-13 below zero is tolerated and clipped to (0.5, 0.5, 0), whose
-        # linear-kernel dual objective is exactly 1 - 1/8
+        # 1e-13 below zero is tolerated and clipped to (0.5, 0.5, 0), where
+        # the linear kernel gives u = (-1/2, 0, 1/2) and the dual objective
+        # is exactly 1 - 1/8
         model = fit(self.X3, self.Y3, pos=2.0, neg=1.0,
-                    init_alpha=np.array([0.5, 0.5, -1e-13]))
+                    init_alpha=np.array([0.5, 0.5, -1e-13]),
+                    init_gradient=np.array([0.5, -1.0, -0.5]))
         assert model.objective_trace[0] == 0.875
         assert model.alpha.min() >= 0.0
 
@@ -460,26 +451,11 @@ class TestKernelRowCache:
         X, y = corpus
         self.assert_same_fit(fit(X, y, RBF, cache_mb=1e-5), fit(X, y, RBF))
 
-    def test_constant_eviction_gives_the_same_warm_path(self, corpus):
+    def test_constant_eviction_gives_the_same_carried_path(self, corpus):
         X, y = corpus
         n = len(y)
         paths = []
         for budget in (2 * 8 * n, 1e9):
-            cache = KernelRows(RBF, X, budget)
-            alpha, path = None, []
-            for ratio in (1.0, 5.0, 20.0):
-                model = fit(X, y, RBF, pos=ratio, neg=1.0, init_alpha=alpha, cache=cache)
-                alpha = model.alpha
-                path.append(model)
-            assert cache.rows_held <= max(2, budget // (8 * n))
-            paths.append(path)
-        for evicting, unbounded in zip(*paths):
-            self.assert_same_fit(evicting, unbounded)
-
-    def test_constant_eviction_gives_the_same_carried_path(self, corpus):
-        X, y = corpus
-        paths = []
-        for budget in (2 * 8 * len(y), 1e9):
             cache = KernelRows(RBF, X, budget)
             alpha = gradient = None
             path = []
@@ -488,6 +464,7 @@ class TestKernelRowCache:
                             init_alpha=alpha, init_gradient=gradient)
                 alpha, gradient = model.alpha, model.gradient
                 path.append(model)
+            assert cache.rows_held <= max(2, budget // (8 * n))
             paths.append(path)
         for evicting, unbounded in zip(*paths):
             self.assert_same_fit(evicting, unbounded)
@@ -741,11 +718,6 @@ class TestBiasFromTheFreeSet:
         model = fit(X, y, RBF)
         free = svm._free(model.alpha, np.full(len(y), 10.0))
         assert kernel_sum_rows == [free.sum()] and 0 < free.sum() < len(y)
-        # a warm start with no gradient sums its starting one over every row
-        del kernel_sum_rows[:]
-        warm = fit(X, y, RBF, pos=20.0, init_alpha=model.alpha)
-        caps = np.where(y > 0, 20.0, 10.0)
-        assert kernel_sum_rows == [len(y), recomputed_rows(warm, y, caps)]
 
     def test_every_multiplier_at_its_cap_gives_the_band_midpoint(self, rng, kernel_sum_rows):
         # tiny penalties on overlapping, balanced classes bound every multiplier

@@ -119,17 +119,14 @@ class TestGenerate:
             assert s.co == 0.05
             assert s.co2 == pytest.approx(max(0.0, 33.0 - s.o2))
 
-    def test_zero_co2_policy(self):
-        data = generate(REGION, n=20, seed=1, co2_policy="zero")
-        assert all(s.co2 == 0.0 for s in data)
-
     def test_provenance_records_the_draw(self, oracle_corpus):
         assert oracle_corpus.provenance == "synthetic(seed=42,n=500,noise=0.0)"
 
     def test_unreachable_fraction_raises(self):
-        # hc 3.9..4.0 lies above every upper limit, so positives cannot occur
+        # a band above the drawn HC span (0.2 to 4.0) admits no positive
+        above = OracleRegion((15.0,), (4.5,), (5.0,))
         with pytest.raises(GenerationError, match="unreachable"):
-            generate(REGION, n=20, seed=0, hc_range=(3.9, 4.0))
+            generate(above, n=20, seed=0)
 
     def test_round_trips_through_csv(self, tmp_path):
         data = generate(REGION, n=30, seed=4, noise=0.05)
@@ -146,8 +143,6 @@ class TestGenerate:
             {"noise": 0.5},
             {"positive_fraction": 0.0},
             {"positive_fraction": 1.0},
-            {"hc_range": (0.0, 4.0)},
-            {"co2_policy": "helium"},
         ],
     )
     def test_bad_arguments(self, kw):
