@@ -328,6 +328,17 @@ def _lr_learner(args) -> LogisticLearner:
     return LogisticLearner(ridge=args.ridge, tol=tol, max_iter=args.max_iter)
 
 
+def _load_scoring_model(path):
+    """A saved model that can featurize raw rows: one with normalization
+    parameters."""
+    model = load_model(path)
+    if model.normalization is None:
+        raise GasgateError(
+            "model carries no normalization parameters; cannot featurize raw rows"
+        )
+    return model
+
+
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "out")
@@ -371,12 +382,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _require(args, "model-file", "data")
-    model = load_model(args.model_file)
+    model = _load_scoring_model(args.model_file)
     data = load_csv(args.data)
-    if model.normalization is None:
-        raise GasgateError(
-            "model carries no normalization parameters; cannot featurize raw rows"
-        )
     features = featurize(model.normalization, data)
     is_lr = isinstance(model, LogisticModel)
     header = "row,prediction" + (",probability" if is_lr else "")
@@ -488,7 +495,7 @@ def cmd_intervals(args) -> int:
                "(o2 + --hc-max <= 100)")
     config = _feature_config(args)
     if args.model_file:
-        model = load_model(args.model_file)
+        model = _load_scoring_model(args.model_file)
         if not isinstance(model, LogisticModel):
             raise GasgateError("interval queries require a logistic model")
     else:

@@ -63,6 +63,10 @@ class KernelSpec:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not np.isfinite(self.coef0):
             raise ValueError(f"coef0 must be finite, got {self.coef0}")
+        # a bool is an int to Python; a fractional degree makes powers of
+        # negative bases nan, which score every row the same
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
 

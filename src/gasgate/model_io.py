@@ -5,8 +5,8 @@ save/load cycle reproduces every IEEE-754 double bit-exactly and therefore
 every prediction.  Fit-time diagnostics (multipliers, gradient, objective
 trace) are deliberately not persisted; a loaded model predicts identically
 but carries no training history.  A model that could not score, such as an
-RBF kernel without gamma or a normalization of another width than the
-model, is refused on load.
+RBF kernel without gamma, a fractional kernel degree or a normalization of
+another width than the model, is refused on load.
 """
 
 from __future__ import annotations

@@ -93,8 +93,9 @@ class SvmModel:
     it exceeds 1e-12), ``gradient`` (F = u - y at ``alpha`` for every
     training sample; with ``alpha`` it warm-starts a refit) and
     ``gradient_drift`` (see ``fit_svm``) are diagnostics, not part of the
-    serialized form.  The kernel's gamma is resolved, and a normalization
-    has one attribute per feature column.
+    serialized form.  ``support_vectors`` is 2-D and ``dual_coef`` 1-D, the
+    kernel's gamma is resolved, and a normalization has one attribute per
+    feature column.
     """
 
     support_vectors: np.ndarray
@@ -114,6 +115,9 @@ class SvmModel:
         dc = np.asarray(self.dual_coef, dtype=float)
         object.__setattr__(self, "support_vectors", sv)
         object.__setattr__(self, "dual_coef", dc)
+        if sv.ndim != 2 or dc.ndim != 1:
+            raise ValueError("support vectors must form a 2-D array and dual "
+                             "coefficients a 1-D array")
         if sv.shape[0] == 0:
             raise ValueError("a model needs at least one support vector")
         if sv.shape[0] != dc.shape[0]:

@@ -331,6 +331,31 @@ class TestInconsistentModelFiles:
                                      "--data", str(corpus_csv)],
                             tmp_path / "pred.csv", f"{kind} kernel has no gamma")
 
+    @pytest.mark.parametrize("degree", [2.5, True])
+    def test_svm_non_integer_degree(self, svm_model, corpus_csv, tmp_path, capsys, degree):
+        # 2.5 once labelled every row "safe" with exit 0; True loaded as degree 1
+        path = self.edited(svm_model, tmp_path,
+                           lambda obj: obj["kernel"].update(kind="polynomial", degree=degree))
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv", "degree must be an integer")
+
+    def test_svm_two_dimensional_dual_coef(self, svm_model, corpus_csv, tmp_path, capsys):
+        # such a model once loaded and then died scoring, with a traceback
+        path = self.edited(svm_model, tmp_path,
+                           lambda obj: obj.update(dual_coef=[[c] for c in obj["dual_coef"]]))
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv", "dual coefficients a 1-D array")
+
+    def test_intervals_model_without_normalization(self, lr_model, tmp_path, capsys):
+        # such a model once died with a traceback here, while predict refused it
+        path = self.edited(lr_model, tmp_path, lambda obj: obj.update(normalization=None))
+        self.assert_refused(capsys, ["intervals", "--model-file", str(path), "--o2", "16"],
+                            tmp_path / "out.csv",
+                            "model carries no normalization parameters; "
+                            "cannot featurize raw rows")
+
     def test_svm_normalization_narrower_than_its_support_vectors(
             self, svm_model, corpus_csv, tmp_path, capsys):
         def drop_ratio(obj):

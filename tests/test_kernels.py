@@ -54,6 +54,16 @@ class TestSpec:
         with pytest.raises(ValueError, match="degree"):
             KernelSpec("polynomial", gamma=1.0, degree=0)
 
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "3"])
+    def test_non_integer_degree(self, kind, degree):
+        # a degree of 2.5 once labelled every row "safe"; True loaded as 1
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            KernelSpec(kind, gamma=1.0, degree=degree)
+
+    def test_numpy_integer_degree(self):
+        assert KernelSpec("polynomial", gamma=1.0, degree=np.int64(2)).degree == 2
+
     def test_linear_ignores_gamma(self):
         assert not KernelSpec("linear").uses_gamma
 

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment scripts under scripts/.
 
 Each script is imported by path and its ``main`` run on a small synthetic
-corpus; the check is only that it finishes cleanly and prints a report.
+corpus; the check is that it finishes cleanly, prints a report and writes
+any table it is asked for in its documented layout.
 """
 
 import importlib.util
@@ -21,11 +22,29 @@ def load_script(name):
 
 @pytest.mark.filterwarnings("ignore:separation suspected")
 @pytest.mark.parametrize("name, argv", [
-    ("compare_learners", ["--n", "60", "--repeats", "1", "--folds", "3"]),
-    ("penalty_tradeoff", ["--n", "60", "--grid", "1,4", "--folds", "3"]),
-    ("limit_curves", ["--n", "150", "--levels", "16,18"]),
+    ("paper_studies", ["accuracy", "--n", "60", "--repeats", "1", "--folds", "3"]),
+    ("paper_studies", ["penalty", "--n", "60", "--grid", "1,4", "--folds", "3"]),
+    ("paper_studies", ["limits", "--n", "150", "--levels", "16,18"]),
     ("output_digests", ["--workload", "sweep", "--seed", "1"]),
 ])
 def test_script_runs(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.filterwarnings("ignore:separation suspected")
+@pytest.mark.parametrize("argv, keys, header, sep", [
+    (["penalty", "--n", "60", "--folds", "3", "--grid"], [1.0, 2.0, 4.0],
+     "gamma\ttype1\ttype2\twhole", "\t"),
+    (["limits", "--n", "150", "--levels"], [15.0, 16.5, 18.0, 20.0],
+     "o2,lower,upper,present", ","),
+])
+def test_study_table(argv, keys, header, sep, tmp_path, capsys):
+    # one row per grid ratio or oxygen level, in the order asked for
+    out = tmp_path / "table.txt"
+    argv = [*argv, ",".join(f"{k:g}" for k in keys), "--out", str(out)]
+    assert load_script("paper_studies").main(argv) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert [float(line.split(sep)[0]) for line in lines[1:]] == keys
