@@ -27,6 +27,16 @@ from __future__ import annotations
 
 import argparse
 
+from gasgate.cli import (
+    NOISE,
+    NON_NEGATIVE_FINITE,
+    POSITIVE_FINITE,
+    RATIOS,
+    SEED,
+    at_least,
+    listed,
+    ranged,
+)
 from gasgate.data import atomic_write_text, featurize, fit_normalization, load_csv
 from gasgate.evaluate import (
     DEFAULT_GAMMA_GRID,
@@ -69,11 +79,10 @@ def accuracy(args, data) -> None:
 
 def penalty(args, data) -> None:
     """Sweep the class-penalty ratio and print the missed-explosion trade-off."""
-    grid = tuple(float(tok) for tok in args.grid.split(","))
     # the sweep scales the negative-class cost w2 by each ratio
     learner = SvmLearner(kernel=KernelSpec("rbf", gamma=args.gamma),
                          penalties=PenaltyConfig(args.w2, args.w2), seed=args.seed)
-    report = penalty_sweep(data, learner, gamma_grid=grid, v=args.folds, seed=args.seed)
+    report = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=args.seed)
     print(f"corpus: {data.provenance or args.data} ({len(data)} samples)")
     print(f"{args.folds}-fold CV at each ratio, pooled over folds:\n")
     print(sweep_text(report), end="")
@@ -94,7 +103,7 @@ def limits(args, data) -> None:
     print(f"corpus: {data.provenance} ({int(data.exploded.sum())} explosive)")
     print(f"fitted coefficients: {model.beta}\n")
     print("   o2   true lower  fit lower   true upper  fit upper   max err")
-    intervals = [explosion_interval(model, float(tok)) for tok in args.levels.split(",")]
+    intervals = [explosion_interval(model, o2) for o2 in args.levels]
     for iv in intervals:
         if not iv.present:
             print(f"{iv.o2:>5.1f}   (no explosive interval found)")
@@ -121,37 +130,49 @@ def build_parser() -> argparse.ArgumentParser:
         # limits tabulates against its own generating curves, so it reads no CSV
         if region is None:
             p.add_argument("--data", help="CSV corpus; omit to synthesize one")
-        p.add_argument("--n", type=int, default=n, help="synthetic corpus size")
-        p.add_argument("--seed", type=int, default=seed, help=seed_help)
-        p.add_argument("--noise", type=float, default=noise, help="label flip probability")
+        p.add_argument("--n", type=at_least(10), default=n, help="synthetic corpus size")
+        p.add_argument("--seed", type=SEED, default=seed, help=seed_help)
+        p.add_argument("--noise", type=NOISE, default=noise, help="label flip probability")
         return p
 
     p = study(accuracy, 500, 42, 0.0)
-    p.add_argument("--folds", type=int, default=5, help="CV folds")
-    p.add_argument("--repeats", type=int, default=10, help="CV repeats")
-    p.add_argument("--base-seed", type=int, default=0, help="fold seed of the first repeat")
-    p.add_argument("--gamma", type=float, default=0.5, help="RBF kernel width for the SVM")
-    p.add_argument("--w-pos", type=float, default=10.0,
+    p.add_argument("--folds", type=at_least(2), default=5, help="CV folds")
+    p.add_argument("--repeats", type=at_least(1), default=10, help="CV repeats")
+    p.add_argument("--base-seed", type=SEED, default=0, help="fold seed of the first repeat")
+    p.add_argument("--gamma", type=POSITIVE_FINITE, default=0.5,
+                   help="RBF kernel width for the SVM")
+    p.add_argument("--w-pos", type=POSITIVE_FINITE, default=10.0,
                    help="slack cost for the explosion class")
-    p.add_argument("--w-neg", type=float, default=10.0, help="slack cost for the safe class")
-    p.add_argument("--ridge", type=float, default=1e-6,
+    p.add_argument("--w-neg", type=POSITIVE_FINITE, default=10.0,
+                   help="slack cost for the safe class")
+    p.add_argument("--ridge", type=NON_NEGATIVE_FINITE, default=1e-6,
                    help="L2 penalty for the logistic model")
 
     p = study(penalty, 200, 0, 0.10, seed_help="synthesis and fold seed")
-    p.add_argument("--grid", default=",".join(f"{g:g}" for g in DEFAULT_GAMMA_GRID),
+    p.add_argument("--grid", type=RATIOS,
+                   default=",".join(f"{g:g}" for g in DEFAULT_GAMMA_GRID),
                    help="comma-separated penalty ratios (each >= 1)")
-    p.add_argument("--folds", type=int, default=5, help="CV folds")
-    p.add_argument("--gamma", type=float, default=0.5, help="RBF kernel width for the SVM")
-    p.add_argument("--w2", type=float, default=1.0, help="slack cost on the safe class")
+    p.add_argument("--folds", type=at_least(2), default=5, help="CV folds")
+    p.add_argument("--gamma", type=POSITIVE_FINITE, default=0.5,
+                   help="RBF kernel width for the SVM")
+    p.add_argument("--w2", type=POSITIVE_FINITE, default=1.0,
+                   help="slack cost on the safe class")
     p.add_argument("--out", help="also write the table as TSV to this path")
 
     # the default limit curves with the O2 window pinned to their anchor span
     o2s, lows, highs = zip(*DEFAULT_LIMIT_KNOTS)
+    low, high = min(o2s), max(o2s)
     p = study(limits, 500, 42, 0.0,
-              region=OracleRegion(o2s, lows, highs, o2_window=(min(o2s), max(o2s))))
-    p.add_argument("--ridge", type=float, default=1e-6, help="L2 penalty for the logistic fit")
+              region=OracleRegion(o2s, lows, highs, o2_window=(low, high)))
+    p.add_argument("--ridge", type=NON_NEGATIVE_FINITE, default=1e-6,
+                   help="L2 penalty for the logistic fit")
+    # outside the corpus's O2 window the fit extrapolates, and its explosive
+    # region can run off the HC range (at 30 it does)
     p.add_argument("--levels", default="15,16,17,18,19,20",
-                   help="comma-separated oxygen levels to invert at")
+                   type=listed(ranged(float, f"in [{low:g}, {high:g}]",
+                                      lambda v: low <= v <= high)),
+                   help=f"comma-separated oxygen levels to invert at, each in "
+                        f"[{low:g}, {high:g}]")
     p.add_argument("--out", help="also write the intervals as CSV to this path")
     return parser
 

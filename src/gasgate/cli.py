@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _ranged(kind, rule: str, ok):
+def ranged(kind, rule: str, ok):
     """argparse ``type``: read ``kind`` (int or float), then require
     ``ok(value)``, else refuse with "must be <rule>"."""
     def convert(text):
@@ -78,11 +78,11 @@ def _ranged(kind, rule: str, ok):
     return convert
 
 
-def _at_least(low: int):
-    return _ranged(int, f">= {low}", lambda v: v >= low)
+def at_least(low: int):
+    return ranged(int, f">= {low}", lambda v: v >= low)
 
 
-def _listed(item):
+def listed(item):
     """argparse ``type``: a non-empty comma list, each entry read by ``item``."""
     def convert(text):
         values = [item(t) for t in text.split(",") if t.strip()]
@@ -93,12 +93,15 @@ def _listed(item):
     return convert
 
 
-_SEED = _at_least(0)
-_FINITE = _ranged(float, "finite", math.isfinite)
+# flag types by rule; scripts/paper_studies.py reads its flags with them too
+SEED = at_least(0)
+FINITE = ranged(float, "finite", math.isfinite)
 # comparisons with nan are false, so these refuse it
-_POSITIVE = _ranged(float, "positive", lambda v: v > 0.0)
-_POSITIVE_FINITE = _ranged(float, "positive and finite", lambda v: 0.0 < v < math.inf)
-_NON_NEGATIVE_FINITE = _ranged(float, "finite and >= 0", lambda v: 0.0 <= v < math.inf)
+POSITIVE = ranged(float, "positive", lambda v: v > 0.0)
+POSITIVE_FINITE = ranged(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE_FINITE = ranged(float, "finite and >= 0", lambda v: 0.0 <= v < math.inf)
+NOISE = ranged(float, "in [0, 0.5)", lambda v: 0.0 <= v < 0.5)
+RATIOS = listed(ranged(float, "finite and >= 1", lambda v: 1.0 <= v < math.inf))
 
 
 # subcommand names and help; the config reader finds its keys by these names
@@ -125,7 +128,7 @@ def build_parser() -> _Parser:
     def command(name, func):
         p = sub.add_parser(name, allow_abbrev=False, help=COMMANDS[name])
         p.add_argument("--config", help="JSON file supplying flags by long name")
-        p.add_argument("--seed", type=_SEED, default=None,
+        p.add_argument("--seed", type=SEED, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
         p.set_defaults(func=func, _sub=p)
         return p
@@ -139,36 +142,36 @@ def build_parser() -> _Parser:
 
     def add_svm_flags(p):
         p.add_argument("--kernel", default="rbf", choices=list(KERNEL_KINDS))
-        p.add_argument("--gamma", type=_POSITIVE_FINITE, default=None,
+        p.add_argument("--gamma", type=POSITIVE_FINITE, default=None,
                        help="kernel width (default 1/n_features)")
-        p.add_argument("--coef0", type=_FINITE, default=0.0)
-        p.add_argument("--degree", type=_at_least(1), default=3)
-        p.add_argument("--max-passes", type=_at_least(1), default=1000)
-        p.add_argument("--cache-mb", type=_POSITIVE, default=DEFAULT_CACHE_MB,
+        p.add_argument("--coef0", type=FINITE, default=0.0)
+        p.add_argument("--degree", type=at_least(1), default=3)
+        p.add_argument("--max-passes", type=at_least(1), default=1000)
+        p.add_argument("--cache-mb", type=POSITIVE, default=DEFAULT_CACHE_MB,
                        help="most memory for cached kernel rows, in MiB; the cache "
                             "holds what SMO reads again, up to this (default "
                             "%(default)g; inf for no ceiling)")
 
     def add_penalty_flags(p):
         # not on sweep, whose penalties are ratio x --base-w2
-        p.add_argument("--penalty-positive", type=_POSITIVE_FINITE, default=10.0,
+        p.add_argument("--penalty-positive", type=POSITIVE_FINITE, default=10.0,
                        help="slack cost for explosive samples")
-        p.add_argument("--penalty-negative", type=_POSITIVE_FINITE, default=10.0,
+        p.add_argument("--penalty-negative", type=POSITIVE_FINITE, default=10.0,
                        help="slack cost for safe samples")
 
     def add_lr_flags(p):
-        p.add_argument("--ridge", type=_NON_NEGATIVE_FINITE, default=1e-6)
-        p.add_argument("--max-iter", type=_at_least(1), default=200)
+        p.add_argument("--ridge", type=NON_NEGATIVE_FINITE, default=1e-6)
+        p.add_argument("--max-iter", type=at_least(1), default=200)
 
     def add_tol(p, default=None, help=None):
-        p.add_argument("--tol", type=_POSITIVE_FINITE, default=default, help=help)
+        p.add_argument("--tol", type=POSITIVE_FINITE, default=default, help=help)
 
     p = command("gen", cmd_gen)
-    p.add_argument("--n", type=_at_least(10), default=500, help="number of rows (>= 10)")
-    p.add_argument("--noise", type=_ranged(float, "in [0, 0.5)", lambda v: 0.0 <= v < 0.5),
-                   default=0.0, help="label-flip probability in [0, 0.5)")
+    p.add_argument("--n", type=at_least(10), default=500, help="number of rows (>= 10)")
+    p.add_argument("--noise", type=NOISE, default=0.0,
+                   help="label-flip probability in [0, 0.5)")
     p.add_argument("--positive-fraction", default=0.78,
-                   type=_ranged(float, "in (0, 1)", lambda v: 0.0 < v < 1.0))
+                   type=ranged(float, "in (0, 1)", lambda v: 0.0 < v < 1.0))
     p.add_argument("--out", help="output CSV path")
 
     p = command("train", cmd_train)
@@ -195,8 +198,8 @@ def build_parser() -> _Parser:
     add_lr_flags(p)
     p.add_argument("--model", choices=["svm", "lr"])
     p.add_argument("--data", help="input CSV")
-    p.add_argument("--folds", type=_at_least(2), default=5)
-    p.add_argument("--repeats", type=_at_least(1), default=1,
+    p.add_argument("--folds", type=at_least(2), default=5)
+    p.add_argument("--repeats", type=at_least(1), default=1,
                    help="number of repeated runs (seeds seed, seed+1, ...)")
     add_tol(p)
     p.add_argument("--out", help="report CSV path")
@@ -205,13 +208,11 @@ def build_parser() -> _Parser:
     add_features(p)
     add_svm_flags(p)
     p.add_argument("--data", help="input CSV")
-    p.add_argument("--folds", type=_at_least(2), default=5)
-    p.add_argument("--grid",
-                   type=_listed(_ranged(float, "finite and >= 1",
-                                        lambda v: 1.0 <= v < math.inf)),
+    p.add_argument("--folds", type=at_least(2), default=5)
+    p.add_argument("--grid", type=RATIOS,
                    default=",".join(str(int(g)) for g in DEFAULT_GAMMA_GRID),
                    help="comma list of penalty ratios (all >= 1)")
-    p.add_argument("--base-w2", type=_POSITIVE_FINITE, default=1.0,
+    p.add_argument("--base-w2", type=POSITIVE_FINITE, default=1.0,
                    help="negative-class slack cost; positive cost is ratio times this")
     add_tol(p, default=1e-3)
     p.add_argument("--out", help="report TSV path")
@@ -221,7 +222,7 @@ def build_parser() -> _Parser:
     add_lr_flags(p)
     p.add_argument("--model-file", help="saved logistic model JSON")
     p.add_argument("--data", help="CSV to fit a logistic model on")
-    p.add_argument("--o2", type=_listed(float),
+    p.add_argument("--o2", type=listed(float),
                    help="comma list of oxygen levels, e.g. 15,16,18,20")
     p.add_argument("--hc-min", type=float, default=0.1)
     p.add_argument("--hc-max", type=float, default=5.0)
@@ -273,7 +274,7 @@ def _resolve_seed(args) -> int:
     if env is None:
         return 0
     try:
-        return _SEED(env)
+        return SEED(env)
     except ValueError:
         args._sub.error(f"${SEED_ENV} must be an integer, got {env!r}")
     except argparse.ArgumentTypeError as exc:

@@ -209,18 +209,24 @@ class FeatureConfig:
     def raw_matrix(self, data: Dataset) -> np.ndarray:
         """(n_samples, n_attributes) matrix of raw attribute values.
 
+        The attributes are held as rows: the matrix is the transposed view
+        of a C-ordered (n_attributes, n_samples) array, so each attribute's
+        values are contiguous and the per-attribute reductions of
+        ``fit_normalization`` and the affine map of ``transform`` run along
+        rows rather than across a few-wide inner axis.
+
         A zero denominator in the ratio raises ``DataFormatError`` naming
         the 1-based row of its first occurrence (``check_ratio``).
         """
         self.check_ratio(data)
-        out = np.empty((len(data), len(self.attributes)))
-        for j, name in enumerate(self.attributes):
+        rows = np.empty((len(self.attributes), len(data)))
+        for row, name in zip(rows, self.attributes):
             if name != "ratio":
-                out[:, j] = getattr(data, name)
+                row[:] = getattr(data, name)
                 continue
             num, den = ("o2", "hc") if self.ratio == RATIO_O2_OVER_HC else ("hc", "o2")
-            np.divide(getattr(data, num), getattr(data, den), out=out[:, j])
-        return out
+            np.divide(getattr(data, num), getattr(data, den), out=row)
+        return rows.T
 
 
 @dataclass(frozen=True)
@@ -263,16 +269,26 @@ class NormalizationParams:
         )
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
-        """Apply the affine map column-wise to a (n, n_attributes) matrix."""
-        raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        lo = np.array(self.mins)
-        hi = np.array(self.maxs)
+        """Apply the affine map column-wise to a (n, n_attributes) matrix.
+
+        Each value becomes (2 raw - hi - lo) / (hi - lo), in that order of
+        operations.  The map runs in place along the attribute rows of
+        ``raw.T``, contiguous for a ``raw_matrix`` result, and the features
+        come back as a C-ordered (n, n_attributes) matrix: the models'
+        products ``X @ w`` round differently on other layouts, and the
+        outputs must not depend on how a caller laid out its input.
+        """
+        rows = np.atleast_2d(np.asarray(raw, dtype=float)).T
+        lo = np.array(self.mins)[:, None]
+        hi = np.array(self.maxs)[:, None]
         span = hi - lo
         constant = span == 0
-        safe_span = np.where(constant, 1.0, span)
-        out = (2.0 * raw - hi - lo) / safe_span
-        out[:, constant] = 0.0
-        return out
+        out = 2.0 * rows
+        out -= hi
+        out -= lo
+        out /= np.where(constant, 1.0, span)
+        out[constant[:, 0]] = 0.0
+        return np.ascontiguousarray(out.T)
 
 
 def check_width(params: NormalizationParams | None, n_features: int) -> None:

@@ -306,6 +306,55 @@ class TestNormalization:
         assert np.all(np.diff(normed[order, 0]) >= 0)
 
 
+def reference_features(config, data):
+    """Raw attributes as a C-ordered (n, d) matrix, their column min/max, and
+    the features (2 raw - hi - lo) / span, 0 for a constant attribute."""
+    num, den = ("o2", "hc") if config.ratio != RATIO_HC_OVER_O2 else ("hc", "o2")
+    raw = np.empty((len(data), len(config.attributes)))
+    for j, name in enumerate(config.attributes):
+        if name == "ratio":
+            raw[:, j] = getattr(data, num) / getattr(data, den)
+        else:
+            raw[:, j] = getattr(data, name)
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    span = hi - lo
+    features = (2.0 * raw - hi - lo) / np.where(span == 0, 1.0, span)
+    features[:, span == 0] = 0.0
+    return lo, hi, features
+
+
+@pytest.mark.filterwarnings("ignore:constant attribute")
+class TestFeatureLayout:
+    """Attributes are held as rows inside, features come out C-ordered."""
+
+    CONFIGS = [
+        FeatureConfig(),
+        FeatureConfig(RAW_COLUMNS + ("ratio",), ratio=RATIO_HC_OVER_O2),
+        FeatureConfig(("co",)),
+    ]
+    CORPUS = generate(default_region(), n=500, seed=11, noise=0.05)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("rows", [1, 3, 5, 500])
+    def test_features_match_the_row_major_reference_bitwise(self, config, rows):
+        data = self.CORPUS.subset(np.arange(rows))
+        lo, hi, expected = reference_features(config, data)
+        params = fit_normalization(data, config)
+        assert params.mins == tuple(lo) and params.maxs == tuple(hi)
+        X = featurize(params, data)
+        assert X.shape == (rows, len(config.attributes))
+        assert X.flags.c_contiguous
+        assert X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transform_gives_c_order_for_either_input_layout(self, order):
+        params = fit_normalization(self.CORPUS)
+        raw = np.asarray(FeatureConfig().raw_matrix(self.CORPUS), order=order)
+        out = params.transform(raw)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == featurize(params, self.CORPUS).tobytes()
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -27,7 +27,8 @@ from gasgate.evaluate import (
     sweep_tsv,
 )
 from gasgate.kernels import KernelRows, KernelSpec
-from gasgate import svm
+from gasgate import evaluate, svm
+from gasgate.logistic import fit_logistic
 from gasgate.svm import PenaltyConfig, fit_svm
 from gasgate.synth import default_region, generate
 
@@ -291,6 +292,42 @@ class TestCrossValidate:
         rows[1] = GasSample(6.0, 15.0, 0.0, 0.0, False)
         with pytest.raises(DataFormatError, match=r"^undefined ratio: hc is 0 in row 8$"):
             run(Dataset.from_columns(*zip(*rows)))
+
+
+def cold_fold_fits(data, learner, v, seed):
+    """``(model, counts)`` of each fold of ``cross_validate``, fitted from zero."""
+    everything = np.arange(len(data))
+    return [fit_fold(data, np.setdiff1d(everything, fold), fold, learner)
+            for fold in stratified_kfold_indices(data.exploded, v, seed)]
+
+
+class TestWarmStartedLogisticFolds:
+    NOISY = generate(default_region(), n=500, seed=7, noise=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("corpus, ridge", [("noiseless", 1e-6), ("noisy", 0.1)])
+    def test_same_counts_as_cold_folds(self, oracle_corpus, corpus, ridge, seed):
+        data = oracle_corpus if corpus == "noiseless" else self.NOISY
+        learner = LogisticLearner(ridge=ridge)
+        cold = cold_fold_fits(data, learner, DEFAULT_FOLDS, seed)
+        report = cross_validate(data, learner, DEFAULT_FOLDS, seed)
+        assert report.fold_counts == tuple(counts for _, counts in cold)
+        assert report.unconverged == 0 == sum(not m.converged for m, _ in cold)
+
+    def test_each_fold_starts_from_the_previous_fit(self, monkeypatch):
+        starts, fitted = [], []
+
+        def recording(*args, init_beta=None, **kwargs):
+            starts.append(init_beta)
+            model = fit_logistic(*args, init_beta=init_beta, **kwargs)
+            fitted.append(model.beta)
+            return model
+
+        monkeypatch.setattr(evaluate, "fit_logistic", recording)
+        cross_validate(self.NOISY, LogisticLearner(ridge=0.1), v=4, seed=3)
+        assert starts[0] is None
+        assert all(np.array_equal(s, b) for s, b in zip(starts[1:], fitted[:-1]))
+        assert len(starts) == 4
 
 
 class TestLearners:

@@ -341,6 +341,46 @@ class TestFit:
             fit_logistic(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), **kw)
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("init_beta, message", [
+        (np.zeros(3), "shape"),
+        (np.zeros((1, 4)), "shape"),
+        ([0.0, np.nan, 0.0, 0.0], "finite"),
+        ([0.0, 0.0, np.inf, 0.0], "finite"),
+    ])
+    def test_bad_start_rejected(self, featurized_small, init_beta, message):
+        _, X, exploded = featurized_small
+        with pytest.raises(ValueError, match=f"init_beta must .*{message}"):
+            fit_logistic(X, exploded.astype(float), init_beta=init_beta)
+
+    def test_restart_at_the_optimum_takes_no_step(self, featurized_small, monkeypatch):
+        _, X, exploded = featurized_small
+        y = exploded.astype(float)
+        cold = fit_logistic(X, y, ridge=0.1)
+        assert cold.converged
+        evaluations = []
+
+        def counting(*args):
+            evaluations.append(args[0])
+            return penalized_log_likelihood(*args)
+
+        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", counting)
+        warm = fit_logistic(X, y, ridge=0.1, init_beta=cold.beta)
+        # the one evaluation is the start's: no line search ran
+        assert len(evaluations) == 1
+        assert warm.converged
+        assert np.array_equal(warm.beta, cold.beta)
+
+    def test_any_start_meets_the_cold_stopping_test(self, featurized_small, rng):
+        _, X, exploded = featurized_small
+        y = exploded.astype(float)
+        for _ in range(5):
+            start = rng.normal(scale=3.0, size=X.shape[1] + 1)
+            model = fit_logistic(X, y, ridge=0.1, init_beta=start)
+            assert model.converged
+            assert np.linalg.norm(penalized_gradient(model.beta, X, y, 0.1)) <= 1e-8 * len(y)
+
+
 class TestSeparation:
     # A pair straddling the boundary by +/-1e-3 forces coefficients of order
     # 1/margin, well past the divergence guard.
@@ -359,6 +399,17 @@ class TestSeparation:
         assert len(hits) == 1
         assert np.linalg.norm(model.beta) > 1e3
         assert model.predict(self.X).tolist() == [0, 1]
+
+    def test_start_past_the_guard_warns_or_raises_as_a_cold_fit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            separated = fit_logistic(self.X, self.y, ridge=1e-10).beta
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            fit_logistic(self.X, self.y, ridge=1e-10, init_beta=separated)
+        assert len([w for w in rec if "separation suspected" in str(w.message)]) == 1
+        with pytest.raises(PerfectSeparationError):
+            fit_logistic(self.X, self.y, ridge=0.0, init_beta=separated)
 
     def test_wide_margin_separable_data_is_unremarkable(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])

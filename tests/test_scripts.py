@@ -48,3 +48,21 @@ def test_study_table(argv, keys, header, sep, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert [float(line.split(sep)[0]) for line in lines[1:]] == keys
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["penalty", "--grid", "0.5"], "argument --grid: must be finite and >= 1, got 0.5"),
+    (["limits", "--levels", "16,x"], "argument --levels: invalid comma list value: '16,x'"),
+    (["accuracy", "--noise", "2"], "argument --noise: must be in [0, 0.5), got 2.0"),
+    (["limits", "--levels", "30"], "argument --levels: must be in [15, 20], got 30.0"),
+])
+def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
+    # argparse refuses the value before any corpus is drawn: one error line
+    # after the usage, exit 2, no traceback
+    with pytest.raises(SystemExit) as exc:
+        load_script("paper_studies").main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f" {argv[0]}: error: {message}")
+    assert "Traceback" not in err
