@@ -26,6 +26,7 @@ coefficients finite and the intervals well-defined.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from gasgate.cli import (
     NOISE,
@@ -38,6 +39,7 @@ from gasgate.cli import (
     ranged,
 )
 from gasgate.data import atomic_write_text, featurize, fit_normalization, load_csv
+from gasgate.errors import GasgateError
 from gasgate.evaluate import (
     DEFAULT_GAMMA_GRID,
     LogisticLearner,
@@ -179,11 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.data:
-        data = load_csv(args.data)
-    else:
-        data = generate(args.region, n=args.n, seed=args.seed, noise=args.noise)
-    args.run(args, data)
+    try:
+        if args.data:
+            data = load_csv(args.data)
+        else:
+            data = generate(args.region, n=args.n, seed=args.seed, noise=args.noise)
+        args.run(args, data)
+    except (GasgateError, OSError) as exc:
+        # one line and exit 2, as the gasgate CLI reports a runtime error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -187,9 +187,8 @@ class SvmLearner:
     seed: int = 0
     cache_mb: float = DEFAULT_CACHE_MB
 
-    def fit(self, features, exploded, normalization=None, *,
-            init_alpha=None, init_gradient=None, cache=None):
-        """``fit_svm`` with this recipe; the keywords pass a warm start and a
+    def fit(self, features, exploded, normalization=None, **start):
+        """``fit_svm`` with this recipe; ``start`` passes a warm start and a
         shared kernel-row cache on to it."""
         labels = np.where(np.asarray(exploded, dtype=bool), 1.0, -1.0)
         return fit_svm(
@@ -202,9 +201,7 @@ class SvmLearner:
             seed=self.seed,
             normalization=normalization,
             cache_mb=self.cache_mb,
-            init_alpha=init_alpha,
-            init_gradient=init_gradient,
-            cache=cache,
+            **start,
         )
 
 
@@ -216,9 +213,9 @@ class LogisticLearner:
     tol: float = 1e-8
     max_iter: int = 200
 
-    def fit(self, features, exploded, normalization=None, *, init_beta=None):
-        """``fit_logistic`` with this recipe; ``init_beta`` passes a warm
-        start on to it."""
+    def fit(self, features, exploded, normalization=None, **start):
+        """``fit_logistic`` with this recipe; ``start`` passes a warm start
+        (``init_beta``) on to it."""
         labels = np.asarray(exploded, dtype=bool).astype(float)
         return fit_logistic(
             features,
@@ -227,7 +224,7 @@ class LogisticLearner:
             tol=self.tol,
             max_iter=self.max_iter,
             normalization=normalization,
-            init_beta=init_beta,
+            **start,
         )
 
 
@@ -408,13 +405,11 @@ def _sweep_fold(train, test, learners, feature_config):
     X = featurize(params, train)
     X_test = featurize(params, test)
     first = learners[0]
-    cache = KernelRows(first.kernel.resolved(X.shape[1]), X, first.cache_mb * 2**20)
-    alpha = gradient = None
+    start = {"cache": KernelRows(first.kernel.resolved(X.shape[1]), X, first.cache_mb * 2**20)}
     path = []
     for learner in learners:
-        model = learner.fit(X, train.exploded, normalization=params, init_alpha=alpha,
-                            init_gradient=gradient, cache=cache)
-        alpha, gradient = model.alpha, model.gradient
+        model = learner.fit(X, train.exploded, normalization=params, **start)
+        start.update(init_alpha=model.alpha, init_gradient=model.gradient)
         predicted = model.predict(X_test) == 1
         path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))
     return path

@@ -174,7 +174,7 @@ def fit_logistic(
     improving step before that, or hitting ``max_iter``, returns the best
     iterate flagged ``converged=False``.  Coefficients passing norm 1e3
     raise (ridge == 0) or warn (ridge > 0), since that scale signals class
-    separation rather than a meaningful fit.
+    separation rather than a meaningful fit; a nan or inf feature raises ``ValueError``.
 
     Newton starts from ``init_beta`` (intercept first, finite), or from
     zeros without it.  The objective is concave, so a start changes where
@@ -188,6 +188,8 @@ def fit_logistic(
     y = np.asarray(labels, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("features and labels disagree on sample count")
+    if not np.isfinite(X).all():
+        raise ValueError(f"feature row {int(np.isfinite(X).all(1).argmin())} is not finite")
     if not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be encoded as 0 / 1")
     if (y == 1).all() or (y == 0).all():

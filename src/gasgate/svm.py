@@ -5,15 +5,15 @@ The dual problem
     max  sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K(x_i, x_j)
     s.t. 0 <= alpha_i <= C_i,   sum_i alpha_i y_i = 0
 
-is solved by sequential minimal optimization (Platt 1998).  Each update
-picks i as the maximal violator (Keerthi et al. 2001) and j by second-order
-working-set selection, the partner with the largest guaranteed objective
-gain (Fan, Chen & Lin 2005, JMLR 6).  The sigmoid kernel's Gram is
-indefinite, so its dual is nonconvex; there j stays the first-order maximal
-violating partner.  The box cap C_i depends on the sample's class:
-violations by explosion-labeled samples cost ``penalties.positive``, the
-rest ``penalties.negative``, which is how the asymmetric slack costs of
-cost-sensitive training enter the dual.
+is solved by sequential minimal optimization (Platt 1998), whose state and
+steps live on one object, ``_Smo``.  Each update picks i as the maximal
+violator (Keerthi et al. 2001) and j by second-order working-set selection,
+the partner with the largest guaranteed objective gain (Fan, Chen & Lin
+2005, JMLR 6).  The sigmoid kernel's Gram is indefinite, so its dual is
+nonconvex; there j stays the first-order maximal violating partner.  The
+box cap C_i depends on the sample's class: violations by explosion-labeled
+samples cost ``penalties.positive``, the rest ``penalties.negative``, which
+is how the asymmetric slack costs of cost-sensitive training enter the dual.
 
 Pair updates alone crawl once only the free multipliers (0 < alpha < C) are
 still moving: each update settles two of them and disturbs the rest.  So,
@@ -238,12 +238,14 @@ def fit_svm(
     sum C, and ``init_gradient`` is F = u - y there.  A previous fit's
     ``alpha`` and ``gradient`` qualify when only the caps have grown, as
     along a rising penalty ratio; the start then reads no kernel row.  One
-    without the other, or malformed values, raise ``ValueError``.
+    without the other, malformed values, or a nan or inf feature raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("features and labels disagree on sample count")
+    if not np.isfinite(X).all():
+        raise ValueError(f"feature row {int(np.isfinite(X).all(1).argmin())} is not finite")
     if not set(np.unique(y)) <= {-1.0, 1.0}:
         raise ValueError("labels must be encoded as +1 / -1")
     if (y > 0).all() or (y < 0).all():
@@ -252,167 +254,19 @@ def fit_svm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-    if (init_alpha is None) != (init_gradient is None):
-        raise ValueError("init_alpha and init_gradient go together or not at all")
 
-    n = X.shape[0]
     spec = kernel.resolved(X.shape[1])
     if cache is None:
         cache = KernelRows(spec, X, cache_mb * 2**20)
     elif cache.spec != spec or cache.X.shape != X.shape or not np.array_equal(cache.X, X):
         raise ValueError("cache was built on other features or another kernel")
-    row = cache.row
-    diag = cache.diagonal
     caps = np.where(y > 0, penalties.positive, penalties.negative)
-    # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
-    # selection order among exactly-tied violators, nothing else.
-    jitter = np.random.default_rng(seed).uniform(0.0, 1e-12, size=n)
+    smo = _Smo(cache, y, caps, seed, init_alpha, init_gradient)
     # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
     # selection would steer it to a different local optimum.
-    second_order = spec.kind != "sigmoid"
-
-    if init_alpha is None:
-        alpha = np.zeros(n)
-        F = -y  # gradient u - y, with u the decision values without bias
-        objective = 0.0
-    else:
-        alpha = _feasible_start(init_alpha, y, caps)
-        F = _checked_gradient(init_gradient, y)
-        objective = float(alpha.sum() - 0.5 * (alpha * y) @ (F + y))
-
-    def masked_gradient():
-        """F + jitter restricted to the low / up index sets; non-members are
-        pinned at -inf / +inf, which adding a finite step leaves in place."""
-        up, low = _index_sets(alpha, y, caps)
-        return np.where(low, F + jitter, -np.inf), np.where(up, F + jitter, np.inf)
-
-    g_low, g_up = masked_gradient()
-    delta = np.empty(n)
-    scratch = np.empty(n)
-    trace = [objective]
-
-    def second_order_j(i: int) -> int:
-        """argmax over violating t in up of (g_i - g_t)^2 / eta(i, t)."""
-        nonlocal delta, scratch
-        np.subtract(g_low[i], g_up, out=delta)
-        np.maximum(delta, 0.0, out=delta)
-        delta *= delta
-        np.multiply(row(i), -2.0, out=scratch)
-        scratch += diag
-        scratch += diag[i]
-        np.maximum(scratch, 1e-12, out=scratch)
-        delta /= scratch
-        return int(delta.argmax())
-
-    def take_step(i: int, j: int) -> float | None:
-        """Jointly optimize (alpha_i, alpha_j); returns the objective gain,
-        or None on no progress."""
-        nonlocal F, g_low, g_up, delta
-        if i == j:
-            return None
-        yi, yj = y[i], y[j]
-        ai, aj = alpha[i], alpha[j]
-        if yi != yj:
-            lo, hi = max(0.0, aj - ai), min(caps[j], caps[i] + aj - ai)
-        else:
-            lo, hi = max(0.0, ai + aj - caps[i]), min(caps[j], ai + aj)
-        if hi - lo < 1e-14:
-            return None
-        Ki, Kj = row(i), row(j)
-        eta = diag[i] + diag[j] - 2.0 * Ki[j]
-        Fi, Fj = F[i], F[j]
-        if eta > 1e-12:
-            aj_new = min(max(aj + yj * (Fi - Fj) / eta, lo), hi)
-        else:
-            # Non-positive curvature (possible for indefinite kernels):
-            # the restricted objective is linear or concave-up along the
-            # constraint line, so the best point is an endpoint.
-            gain_lo = _pair_gain(lo - aj, yj, Fi, Fj, eta)
-            gain_hi = _pair_gain(hi - aj, yj, Fi, Fj, eta)
-            if max(gain_lo, gain_hi) <= 1e-15:
-                return None
-            aj_new = lo if gain_lo >= gain_hi else hi
-        if abs(aj_new - aj) < 1e-13 * (aj_new + aj + 1e-13):
-            return None
-        ai_new = ai + yi * yj * (aj - aj_new)
-        alpha[i], alpha[j] = ai_new, aj_new
-        np.multiply(Ki, (ai_new - ai) * yi, out=delta)
-        np.multiply(Kj, (aj_new - aj) * yj, out=scratch)
-        delta += scratch
-        F += delta
-        g_low += delta
-        g_up += delta
-        for k in (i, j):
-            in_up, in_low = _index_sets(alpha[k], y[k], caps[k])
-            g_low[k] = F[k] + jitter[k] if in_low else -np.inf
-            g_up[k] = F[k] + jitter[k] if in_up else np.inf
-        return _pair_gain(aj_new - aj, yj, Fi, Fj, eta)
-
-    def newton_step(W: np.ndarray) -> float | None:
-        """Maximize the dual exactly over the free multipliers ``W``, holding
-        the rest fixed; returns the objective gain, or None on no progress."""
-        nonlocal F, g_low, g_up
-        if not 2 <= len(W) <= _NEWTON_MAX_FREE:
-            return None
-        # a row view lasts only until limit - 1 more reads, so copy each
-        K_W = np.empty((len(W), n))
-        for k, w in enumerate(W):
-            K_W[k] = row(w)
-        y_W = y[W]
-        Q = np.outer(y_W, y_W) * K_W[:, W]
-        a_W, gain = _free_set_newton(Q, -y_W * F[W], y_W, alpha[W], caps[W])
-        if not gain > 0:
-            return None
-        d_W = a_W - alpha[W]
-        alpha[W] = a_W
-        F += (d_W * y_W) @ K_W
-        g_low, g_up = masked_gradient()
-        return gain
-
-    converged = False
-    max_updates = max_passes * n
-    updates = 0
-    while updates < max_updates:
-        i = int(g_low.argmax())
-        j_min = int(g_up.argmin())
-        if g_low[i] == -np.inf or g_up[j_min] == np.inf:
-            converged = True  # one index set is empty
-            break
-        if F[i] - F[j_min] <= tol:
-            converged = True
-            break
-        j = second_order_j(i) if second_order else j_min
-        gain = take_step(i, j)
-        if gain is None and j != j_min:
-            gain = take_step(i, j_min)
-        if gain is None:
-            # Stalled pair: walk the next-most-violating candidates.
-            low_order = np.argsort(-g_low)[:16]
-            up_order = np.argsort(g_up)[:16]
-            for i2 in (int(k) for k in low_order if g_low[k] > -np.inf):
-                for j2 in (int(k) for k in up_order if g_up[k] < np.inf):
-                    if F[i2] - F[j2] <= tol:
-                        break
-                    gain = take_step(i2, j2)
-                    if gain is not None:
-                        break
-                if gain is not None:
-                    break
-            if gain is None:
-                break
-        updates += 1
-        objective += gain
-        trace.append(objective)
-        if updates % _NEWTON_EVERY == 0:
-            # the rows SMO reads again are mostly the free multipliers'
-            W = np.flatnonzero(_free(alpha, caps))
-            cache.reserve(2 * len(W) + _SPARE_ROWS)
-            if second_order and updates < max_updates:
-                gain = newton_step(W)
-                if gain is not None:
-                    updates += 1
-                    objective += gain
-                    trace.append(objective)
+    converged = smo.run(max_passes * len(y), tol, second_order=spec.kind != "sigmoid")
+    alpha, F, trace = smo.alpha, smo.F, smo.trace
+    del smo  # its working arrays go before the recompute, where a fit's memory peaks
 
     keep = alpha > 1e-12
     if not keep.any():
@@ -423,7 +277,7 @@ def fit_svm(
     free = _free(alpha, caps)
     # the bias reads F on the free set alone, so only there is it recomputed
     # exactly, from the support vectors; with none free, the band reads all
-    exact = free if free.any() else np.ones(n, dtype=bool)
+    exact = free if free.any() else np.ones(len(y), dtype=bool)
     sv_coef = coef[keep]
     u, reference = _kernel_sums(spec, X[exact], X[keep], sv_coef,
                                 sv_coef.astype(np.longdouble))
@@ -448,9 +302,12 @@ def fit_svm(
     )
 
 
-def _feasible_start(init_alpha, y, caps) -> np.ndarray:
-    """A copy of ``init_alpha`` checked against the dual constraints and
-    clipped into the box; rounding-level excursions are tolerated."""
+def _start(init_alpha, init_gradient, y, caps) -> tuple[np.ndarray, np.ndarray, float]:
+    """SMO's start (alpha, F, dual objective): zeros, or the checked warm start."""
+    if (init_alpha is None) != (init_gradient is None):
+        raise ValueError("init_alpha and init_gradient go together or not at all")
+    if init_alpha is None:
+        return np.zeros(len(y)), -y, 0.0  # F = u - y, with u the decision values without bias
     alpha = np.array(init_alpha, dtype=float)
     if alpha.shape != y.shape:
         raise ValueError(f"init_alpha must have shape {y.shape}, got {alpha.shape}")
@@ -459,17 +316,163 @@ def _feasible_start(init_alpha, y, caps) -> np.ndarray:
         raise ValueError("init_alpha violates 0 <= alpha <= C")
     if not abs(alpha @ y) <= 1e-9 * caps.sum():
         raise ValueError(f"init_alpha violates sum(alpha * y) = 0 (got {alpha @ y:.3g})")
-    return np.clip(alpha, 0.0, caps, out=alpha)
-
-
-def _checked_gradient(init_gradient, y) -> np.ndarray:
-    """A copy of ``init_gradient`` checked for shape and finiteness."""
+    np.clip(alpha, 0.0, caps, out=alpha)
     F = np.array(init_gradient, dtype=float)
     if F.shape != y.shape:
         raise ValueError(f"init_gradient must have shape {y.shape}, got {F.shape}")
     if not np.isfinite(F).all():
         raise ValueError("init_gradient must be finite")
-    return F
+    return alpha, F, float(alpha.sum() - 0.5 * (alpha * y) @ (F + y))
+
+
+class _Smo:
+    """SMO's state and steps on one problem, as LIBSVM's ``Solver`` (Chang & Lin 2011)."""
+
+    def __init__(self, cache: KernelRows, y, caps, seed: int, init_alpha, init_gradient):
+        self.cache, self.y, self.caps = cache, y, caps
+        # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
+        # selection order among exactly-tied violators, nothing else.
+        self.jitter = np.random.default_rng(seed).uniform(0.0, 1e-12, size=len(y))
+        self.alpha, self.F, objective = _start(init_alpha, init_gradient, y, caps)
+        self.trace = [objective]  # the dual objective at the start and after each update
+        self.updates = 0
+        self.g_low, self.g_up = self.mask()
+        self.delta = np.empty_like(y)
+        self.scratch = np.empty_like(y)
+
+    def mask(self):
+        """F + jitter restricted to the low / up index sets; non-members are
+        pinned at -inf / +inf, which adding a finite step leaves in place."""
+        up, low = _index_sets(self.alpha, self.y, self.caps)
+        F, jitter = self.F, self.jitter
+        return np.where(low, F + jitter, -np.inf), np.where(up, F + jitter, np.inf)
+
+    def second_order_j(self, i: int) -> int:
+        """argmax over violating t in up of (g_i - g_t)^2 / eta(i, t)."""
+        delta, scratch, diag = self.delta, self.scratch, self.cache.diagonal
+        np.subtract(self.g_low[i], self.g_up, out=delta)
+        np.maximum(delta, 0.0, out=delta)
+        delta *= delta
+        np.multiply(self.cache.row(i), -2.0, out=scratch)
+        scratch += diag
+        scratch += diag[i]
+        np.maximum(scratch, 1e-12, out=scratch)
+        delta /= scratch
+        return int(delta.argmax())
+
+    def take_step(self, i: int, j: int) -> float | None:
+        """Jointly optimize (alpha_i, alpha_j); returns the objective gain,
+        or None on no progress."""
+        if i == j:
+            return None
+        y, alpha, caps, F = self.y, self.alpha, self.caps, self.F
+        yi, yj = y[i], y[j]
+        ai, aj = alpha[i], alpha[j]
+        if yi != yj:
+            lo, hi = max(0.0, aj - ai), min(caps[j], caps[i] + aj - ai)
+        else:
+            lo, hi = max(0.0, ai + aj - caps[i]), min(caps[j], ai + aj)
+        if hi - lo < 1e-14:
+            return None
+        row, diag = self.cache.row, self.cache.diagonal
+        Ki, Kj = row(i), row(j)
+        eta = diag[i] + diag[j] - 2.0 * Ki[j]
+        Fi, Fj = F[i], F[j]
+        if eta > 1e-12:
+            aj_new = min(max(aj + yj * (Fi - Fj) / eta, lo), hi)
+        else:
+            # Non-positive curvature (possible for indefinite kernels):
+            # the restricted objective is linear or concave-up along the
+            # constraint line, so the best point is an endpoint.
+            gain_lo = _pair_gain(lo - aj, yj, Fi, Fj, eta)
+            gain_hi = _pair_gain(hi - aj, yj, Fi, Fj, eta)
+            if max(gain_lo, gain_hi) <= 1e-15:
+                return None
+            aj_new = lo if gain_lo >= gain_hi else hi
+        if abs(aj_new - aj) < 1e-13 * (aj_new + aj + 1e-13):
+            return None
+        ai_new = ai + yi * yj * (aj - aj_new)
+        alpha[i], alpha[j] = ai_new, aj_new
+        delta, scratch, g_low, g_up = self.delta, self.scratch, self.g_low, self.g_up
+        np.multiply(Ki, (ai_new - ai) * yi, out=delta)
+        np.multiply(Kj, (aj_new - aj) * yj, out=scratch)
+        delta += scratch
+        F += delta
+        g_low += delta
+        g_up += delta
+        for k in (i, j):
+            in_up, in_low = _index_sets(alpha[k], y[k], caps[k])
+            g_low[k] = F[k] + self.jitter[k] if in_low else -np.inf
+            g_up[k] = F[k] + self.jitter[k] if in_up else np.inf
+        return _pair_gain(aj_new - aj, yj, Fi, Fj, eta)
+
+    def newton_step(self, W: np.ndarray) -> None:
+        """Maximize the dual exactly over the free multipliers ``W``, holding
+        the rest fixed; a step that gains is recorded as one update."""
+        if not 2 <= len(W) <= _NEWTON_MAX_FREE:
+            return
+        # a row view lasts only until limit - 1 more reads, so copy each
+        K_W = np.empty((len(W), len(self.y)))
+        for k, w in enumerate(W):
+            K_W[k] = self.cache.row(w)
+        y_W = self.y[W]
+        Q = np.outer(y_W, y_W) * K_W[:, W]
+        a_W, gain = _free_set_newton(Q, -y_W * self.F[W], y_W, self.alpha[W], self.caps[W])
+        if not gain > 0:
+            return
+        d_W = a_W - self.alpha[W]
+        self.alpha[W] = a_W
+        self.F += (d_W * y_W) @ K_W
+        self.g_low, self.g_up = self.mask()
+        self.record(gain)
+
+    def stall_walk(self, tol: float) -> float | None:
+        """The gain of the first pair that makes progress among the 16 most
+        violating candidates of each index set, or None if none does."""
+        g_low, g_up, F = self.g_low, self.g_up, self.F
+        low_order = np.argsort(-g_low)[:16]
+        up_order = np.argsort(g_up)[:16]
+        for i in (int(k) for k in low_order if g_low[k] > -np.inf):
+            for j in (int(k) for k in up_order if g_up[k] < np.inf):
+                if F[i] - F[j] <= tol:
+                    break
+                gain = self.take_step(i, j)
+                if gain is not None:
+                    return gain
+        return None
+
+    def record(self, gain: float) -> None:
+        """Count one update and add its gain to the objective in the trace."""
+        self.updates += 1
+        self.trace.append(self.trace[-1] + gain)
+
+    def run(self, max_updates: int, tol: float, second_order: bool) -> bool:
+        """Update until the largest KKT violation is at most ``tol`` (True), or
+        until ``max_updates`` are spent or no pair makes progress (False)."""
+        while self.updates < max_updates:
+            i = int(self.g_low.argmax())
+            j_min = int(self.g_up.argmin())
+            if self.g_low[i] == -np.inf or self.g_up[j_min] == np.inf:
+                return True  # one index set is empty
+            if self.F[i] - self.F[j_min] <= tol:
+                return True
+            j = self.second_order_j(i) if second_order else j_min
+            gain = self.take_step(i, j)
+            if gain is None and j != j_min:
+                gain = self.take_step(i, j_min)
+            if gain is None:
+                # Stalled pair: walk the next-most-violating candidates.
+                gain = self.stall_walk(tol)
+                if gain is None:
+                    return False
+            self.record(gain)
+            if self.updates % _NEWTON_EVERY == 0:
+                # the rows SMO reads again are mostly the free multipliers'
+                W = np.flatnonzero(_free(self.alpha, self.caps))
+                self.cache.reserve(2 * len(W) + _SPARE_ROWS)
+                if second_order and self.updates < max_updates:
+                    self.newton_step(W)
+        return False
 
 
 def _pair_gain(dj, yj, Fi, Fj, eta):

@@ -335,6 +335,14 @@ class TestFit:
         with pytest.raises(ValueError, match="sample count"):
             fit_logistic(np.array([[0.0], [1.0]]), np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # a nan used to end in beta = 0, which calls every row explosive
+        X = np.arange(10.0).reshape(5, 2)
+        X[2, 1] = X[4, 0] = bad
+        with pytest.raises(ValueError, match="^feature row 2 is not finite$"):
+            fit_logistic(X, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+
     @pytest.mark.parametrize("kw", [{"ridge": -1e-3}, {"tol": 0.0}])
     def test_bad_hyperparameters(self, kw):
         with pytest.raises(ValueError):

@@ -66,3 +66,19 @@ def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
     assert out == ""
     assert err.splitlines()[-1].endswith(f" {argv[0]}: error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:separation suspected")
+@pytest.mark.parametrize("argv, message", [
+    (["limits", "--n", "10"],
+     "explosive region at o2=15.0 touches the hc_range edge; widen hc_range"),
+    (["accuracy", "--data", "/nonexistent.csv"], "no such file: /nonexistent.csv"),
+    (["penalty", "--n", "10", "--folds", "20"], "20 folds exceed 10 samples"),
+])
+def test_runtime_error_is_one_line(argv, message, capsys):
+    # a failure after the flags parse, as gasgate reports one: exit 2 and
+    # one error line, no traceback
+    assert load_script("paper_studies").main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in err

@@ -166,27 +166,27 @@ class TestOptimality:
         )
 
 
-def fit_svm_line(snippet: str) -> int:
+def smo_line(snippet: str) -> int:
     """The line number of the last line of ``snippet``, which occurs once in
-    ``fit_svm``'s source."""
-    lines, first = inspect.getsourcelines(svm.fit_svm)
+    the source of ``svm._Smo``."""
+    lines, first = inspect.getsourcelines(svm._Smo)
     text = "".join(lines)
     assert text.count(snippet) == 1
     return first + text[:text.index(snippet) + len(snippet)].count("\n")
 
 
 def count_lines(numbers, call):
-    """``call()`` and how often each line of ``fit_svm`` in ``numbers`` ran."""
+    """``call()`` and how often each line of ``svm._Smo`` in ``numbers`` ran."""
     counts = dict.fromkeys(numbers, 0)
-    code = svm.fit_svm.__code__
+    codes = {f.__code__ for f in vars(svm._Smo).values() if inspect.isfunction(f)}
 
-    def in_fit(frame, event, arg):
+    def in_smo(frame, event, arg):
         if event == "line" and frame.f_lineno in counts:
             counts[frame.f_lineno] += 1
-        return in_fit
+        return in_smo
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_fit if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: in_smo if frame.f_code in codes else None)
     try:
         return call(), counts
     finally:
@@ -200,13 +200,15 @@ class TestStallFallbacks:
     finds no pair either.  Refitting at tol 1e-12 from a tol-1e-3 solution
     under huge penalties reaches both."""
 
-    RETRY = "gain = take_step(i, j_min)"
+    RETRY = "gain = self.take_step(i, j_min)"
     WALK = "low_order = np.argsort(-g_low)[:16]"
-    NO_PAIR = "            if gain is None:\n                break"
+    NO_PAIR = ("gain = self.stall_walk(tol)\n"
+               "                if gain is None:\n"
+               "                    return False")
 
     @pytest.mark.parametrize("penalty", [1e6, 1e9])
     def test_fallbacks_keep_the_objective_rising(self, penalty):
-        lines = [fit_svm_line(s) for s in (self.RETRY, self.WALK, self.NO_PAIR)]
+        lines = [smo_line(s) for s in (self.RETRY, self.WALK, self.NO_PAIR)]
         totals = np.zeros(3, dtype=int)
         for seed in range(4):  # 60 points each; seed 0 alone reaches both
             rng = np.random.default_rng(seed)
@@ -267,6 +269,17 @@ class TestStructure:
         assert not model.converged
         # the budget is passes * n joint updates
         assert len(model.objective_trace) - 1 == 40
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_on_a_newton_turn_holds(self, seed):
+        # n rows, one pass: the budget runs out on the update after which a
+        # Newton step is due, and that step must not run as one more update
+        n = svm._NEWTON_EVERY
+        rng = np.random.default_rng(seed)
+        X, y = rng.normal(size=(n, 2)), rng.choice([-1.0, 1.0], n)
+        model = fit(X, y, RBF, tol=1e-12, max_passes=1)
+        assert len(model.objective_trace) - 1 == n
+        assert model.converged is False
 
     def test_support_vectors_subset_of_training_rows(self, rng):
         X, y = random_two_class_problem(rng, n_range=(20, 40))
@@ -864,6 +877,14 @@ class TestValidation:
         X = np.array([[-1.0], [1.0]])
         with pytest.raises(ValueError, match="max_passes"):
             fit(X, np.array([-1.0, 1.0]), max_passes=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected_up_front(self, bad, monkeypatch):
+        X = np.arange(10.0).reshape(5, 2)
+        X[2, 1] = X[4, 0] = bad
+        monkeypatch.setattr(svm, "_Smo", None)  # refused before SMO starts
+        with pytest.raises(ValueError, match="^feature row 2 is not finite$"):
+            fit(X, np.array([-1.0, 1.0, -1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("pos,neg", [(0.0, 1.0), (1.0, -2.0)])
     def test_penalties_must_be_positive(self, pos, neg):
