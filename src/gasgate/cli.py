@@ -504,6 +504,9 @@ def cmd_intervals(args) -> int:
         params = fit_normalization(data, config)
         model = _lr_learner(args).fit(featurize(params, data), data.exploded,
                                       normalization=params)
+    if not model.converged:
+        print("warning: solver did not converge; intervals come from its last iterate",
+              file=sys.stderr)
     results = [
         explosion_interval(model, o2, hc_range=(args.hc_min, args.hc_max))
         for o2 in args.o2

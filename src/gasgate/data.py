@@ -469,7 +469,11 @@ def atomic_write_text(path, text) -> None:
     raising, the temp file is removed and ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gasgate-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gasgate-")
+    except OSError as exc:
+        # name the path asked for, not the temp file that could not be made
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines([text] if isinstance(text, str) else text)

@@ -258,32 +258,31 @@ def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
     return [np.flatnonzero(fold_of == k) for k in range(v)]
 
 
-def fit_fold(
-    data: Dataset,
-    train_idx,
-    test_idx,
-    learner,
-    feature_config: FeatureConfig = FeatureConfig(),
-    **start,
-):
-    """Fit on the training rows only and score the held-out rows.
+def make_fold(data: Dataset, train_idx, test_idx,
+              feature_config: FeatureConfig = FeatureConfig()):
+    """One fold's ``(normalization, X, exploded, X_test, test_exploded)``.
 
-    Normalization is fitted inside this call from the training rows, so
-    held-out values can never leak into the feature scaling.  ``start``
-    holds the learner's warm-start keywords, if any.  Returns
-    ``(model, counts)``.
+    Normalization is fitted here from the training rows only, so held-out
+    values can never leak into the feature scaling.
     """
     train = data.subset(train_idx)
     test = data.subset(test_idx)
     params = fit_normalization(train, feature_config)
-    model = learner.fit(featurize(params, train), train.exploded, normalization=params,
-                        **start)
-    predicted = model.predict(featurize(params, test)) == 1
-    return model, ConfusionCounts.from_outcomes(test.exploded, predicted)
+    return (params, featurize(params, train), train.exploded,
+            featurize(params, test), test.exploded)
+
+
+def fit_fold(fold, learner, **start):
+    """Fit ``learner`` on a made fold and score its held-out rows: ``(model,
+    counts)``.  ``start`` holds the learner's warm-start keywords, if any."""
+    params, X, exploded, X_test, test_exploded = fold
+    model = learner.fit(X, exploded, normalization=params, **start)
+    predicted = model.predict(X_test) == 1
+    return model, ConfusionCounts.from_outcomes(test_exploded, predicted)
 
 
 def _stratified_folds(data: Dataset, v: int, seed: int, feature_config: FeatureConfig):
-    """Yield ``(train_idx, test_idx)`` for each fold of the stratified split.
+    """Yield each made fold of the stratified split (``make_fold``).
 
     A zero ratio denominator is refused up front, naming its row in ``data``
     rather than its place in a fold; a single-class dataset is refused first.
@@ -293,7 +292,7 @@ def _stratified_folds(data: Dataset, v: int, seed: int, feature_config: FeatureC
     for fold in folds:
         in_train = np.ones(len(data), dtype=bool)
         in_train[fold] = False
-        yield np.flatnonzero(in_train), fold
+        yield make_fold(data, np.flatnonzero(in_train), fold, feature_config)
 
 
 def cross_validate(
@@ -314,9 +313,8 @@ def cross_validate(
     counts = []
     unconverged = 0
     start = {}
-    for train_idx, test_idx in _stratified_folds(data, v, seed, feature_config):
-        model, fold_counts = fit_fold(data, train_idx, test_idx, learner, feature_config,
-                                      **start)
+    for fold in _stratified_folds(data, v, seed, feature_config):
+        model, fold_counts = fit_fold(fold, learner, **start)
         counts.append(fold_counts)
         unconverged += not model.converged
         if isinstance(learner, LogisticLearner):
@@ -387,32 +385,17 @@ def penalty_sweep(
     path_learners = [replace(learner, penalties=PenaltyConfig(g * w2, w2)) for g in ratios]
     counts = dict.fromkeys(ratios, ConfusionCounts())
     unconverged = dict.fromkeys(ratios, 0)
-    for train_idx, test_idx in _stratified_folds(data, v, seed, feature_config):
-        path = _sweep_fold(data.subset(train_idx), data.subset(test_idx),
-                           path_learners, feature_config)
-        for gamma, (fold_counts, converged) in zip(ratios, path):
+    for fold in _stratified_folds(data, v, seed, feature_config):
+        start = {"cache": KernelRows(learner.kernel.resolved(fold[1].shape[1]), fold[1],
+                                     learner.cache_mb * 2**20)}
+        for gamma, path_learner in zip(ratios, path_learners):
+            model, fold_counts = fit_fold(fold, path_learner, **start)
+            start.update(init_alpha=model.alpha, init_gradient=model.gradient)
             counts[gamma] = counts[gamma] + fold_counts
-            unconverged[gamma] += not converged
+            unconverged[gamma] += not model.converged
+        # dropped before the next fold is made: a sweep holds one fold's cache
+        del fold, start, model
     return SweepReport(tuple(SweepRow(g, counts[g], unconverged[g]) for g in grid))
-
-
-def _sweep_fold(train, test, learners, feature_config):
-    """``(counts on test, converged)`` for each learner, in order, fitted on
-    ``train`` with each fit warm-started from the one before.  The learners
-    differ in their penalties alone.  The fold's kernel-row cache lives only
-    in this call, so a sweep never holds two."""
-    params = fit_normalization(train, feature_config)
-    X = featurize(params, train)
-    X_test = featurize(params, test)
-    first = learners[0]
-    start = {"cache": KernelRows(first.kernel.resolved(X.shape[1]), X, first.cache_mb * 2**20)}
-    path = []
-    for learner in learners:
-        model = learner.fit(X, train.exploded, normalization=params, **start)
-        start.update(init_alpha=model.alpha, init_gradient=model.gradient)
-        predicted = model.predict(X_test) == 1
-        path.append((ConfusionCounts.from_outcomes(test.exploded, predicted), model.converged))
-    return path
 
 
 def choose_ratio(report: SweepReport) -> float:

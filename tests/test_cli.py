@@ -544,6 +544,22 @@ class TestSweep:
         assert capsys.readouterr().out == plain
 
 
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize("command", ["sweep", "predict"])
+    def test_error_names_the_path_asked_for(self, corpus_csv, lr_model, tmp_path, capsys,
+                                            command):
+        out = tmp_path / "missing" / "out.txt"
+        argv = {"sweep": ["sweep", "--data", str(corpus_csv), "--folds", "3", "--grid", "1,2"],
+                "predict": ["predict", "--model-file", str(lr_model),
+                            "--data", str(corpus_csv)]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gasgate: error: ") and err.count("\n") == 1
+        assert f"'{out}'" in err
+        assert ".tmp-gasgate-" not in err
+        assert not out.parent.exists()
+
+
 class TestFoldedZeroRatio:
     """A zero ratio denominator fails CV and the sweep naming its row in the
     file, as ``train`` does, not its place inside a fold."""
@@ -775,7 +791,8 @@ class TestIntervals:
              "--out", str(out)]
         )
         assert rc == 0
-        stdout = capsys.readouterr().out
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""  # the fit converged
         assert "o2=16: explosive hc in [" in stdout
         assert "o2=18: explosive hc in [" in stdout
         lines = out.read_text().splitlines()
@@ -797,6 +814,27 @@ class TestIntervals:
         )
         assert rc == 0
         assert "o2=16: explosive hc in [" in capsys.readouterr().out
+
+    def test_unconverged_fit_warns_from_either_source(self, span_csv, tmp_path, capsys):
+        # the same one-iteration fit, refitted from --data or loaded from a
+        # saved model, gives one warning and the same stdout and CSV bytes
+        model_path = tmp_path / "stunted.json"
+        assert main(["train", "--model", "lr", "--max-iter", "1", "--data", str(span_csv),
+                     "--out", str(model_path)]) == 0
+        assert not load_model(model_path).converged
+        capsys.readouterr()
+        outputs = []
+        for name, source in [("data", ["--data", str(span_csv), "--max-iter", "1"]),
+                             ("model", ["--model-file", str(model_path)])]:
+            out = tmp_path / f"{name}.csv"
+            assert main(["intervals", *source, "--o2", "15,18", "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("warning: solver did not converge; ")
+            stdout = captured.out.replace(str(out), "OUT")
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("o2=15: ")
 
     def test_exactly_one_source_required(self, span_csv, workdir, lr_model):
         both = main(

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from gasgate.evaluate import (
     cv_report_csv,
     cv_report_text,
     fit_fold,
+    make_fold,
     penalty_sweep,
     repeated_cv,
     stratified_kfold_indices,
@@ -218,9 +221,9 @@ class TestFitFold:
         test_idx = np.arange(0, 20)
         train_idx = np.arange(20, len(small_corpus))
         learner = LogisticLearner(ridge=0.1)
-        model_a, counts_a = fit_fold(small_corpus, train_idx, test_idx, learner)
+        model_a, counts_a = fit_fold(make_fold(small_corpus, train_idx, test_idx), learner)
         poisoned = tweak_dataset(small_corpus, test_idx, new_hc=0.9)
-        model_b, counts_b = fit_fold(poisoned, train_idx, test_idx, learner)
+        model_b, counts_b = fit_fold(make_fold(poisoned, train_idx, test_idx), learner)
         # identical training rows must give bit-identical fits ...
         assert np.array_equal(model_a.beta, model_b.beta)
         assert model_a.normalization.mins == model_b.normalization.mins
@@ -231,7 +234,7 @@ class TestFitFold:
     def test_returns_model_and_counts(self, small_corpus):
         folds = stratified_kfold_indices(small_corpus.exploded, 4, seed=0)
         train = np.setdiff1d(np.arange(len(small_corpus)), folds[0])
-        model, counts = fit_fold(small_corpus, train, folds[0], SvmLearner())
+        model, counts = fit_fold(make_fold(small_corpus, train, folds[0]), SvmLearner())
         assert counts.n == len(folds[0])
         assert model.normalization is not None
 
@@ -297,7 +300,7 @@ class TestCrossValidate:
 def cold_fold_fits(data, learner, v, seed):
     """``(model, counts)`` of each fold of ``cross_validate``, fitted from zero."""
     everything = np.arange(len(data))
-    return [fit_fold(data, np.setdiff1d(everything, fold), fold, learner)
+    return [fit_fold(make_fold(data, np.setdiff1d(everything, fold), fold), learner)
             for fold in stratified_kfold_indices(data.exploded, v, seed)]
 
 
@@ -476,6 +479,46 @@ class TestPenaltySweep:
             assert cache.rows_held <= cache.limit < cache.capacity == 400
         monkeypatch.setattr("gasgate.evaluate.KernelRows", HoldingAll)
         assert penalty_sweep(data, learner) == report
+
+    def test_every_fit_runs_through_fit_fold(self, monkeypatch):
+        # one cache per fold, and each of the fold's 12 ratios fitted by the
+        # same fold recipe as cross_validate
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        calls, caches = [], []
+
+        class Recorded(KernelRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        def counting(fold, learner, **start):
+            calls.append(len(caches))
+            return fit_fold(fold, learner, **start)
+
+        monkeypatch.setattr("gasgate.evaluate.fit_fold", counting)
+        monkeypatch.setattr("gasgate.evaluate.KernelRows", Recorded)
+        report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
+        assert len(DEFAULT_GAMMA_GRID) == 12
+        assert len(calls) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS == 60
+        assert len(caches) == DEFAULT_FOLDS
+        assert calls == [k // len(DEFAULT_GAMMA_GRID) + 1 for k in range(60)]
+        assert choose_ratio(report) == 10.0
+
+    def test_never_holds_two_fold_caches(self, monkeypatch):
+        # when a fold's cache is built, every earlier fold's cache is gone
+        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        caches, alive_at_build = [], []
+
+        class Watched(KernelRows):
+            def __init__(self, *args):
+                alive_at_build.append(sum(ref() is not None for ref in caches))
+                super().__init__(*args)
+                caches.append(weakref.ref(self))
+
+        monkeypatch.setattr("gasgate.evaluate.KernelRows", Watched)
+        penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)),
+                      gamma_grid=(1.0, 5.0))
+        assert alive_at_build == [0] * DEFAULT_FOLDS
 
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
