@@ -38,7 +38,13 @@ from gasgate.cli import (
     listed,
     ranged,
 )
-from gasgate.data import atomic_write_text, featurize, fit_normalization, load_csv
+from gasgate.data import (
+    atomic_write_text,
+    check_output_path,
+    featurize,
+    fit_normalization,
+    load_csv,
+)
 from gasgate.errors import GasgateError
 from gasgate.evaluate import (
     DEFAULT_GAMMA_GRID,
@@ -128,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     def study(run, n, seed, noise, seed_help="synthesis seed", region=None):
         """A subcommand for ``run`` with the corpus flags at its defaults."""
         p = studies.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
-        p.set_defaults(run=run, region=region or default_region(), data=None)
+        p.set_defaults(run=run, region=region or default_region(), data=None, out=None)
         # limits tabulates against its own generating curves, so it reads no CSV
         if region is None:
             p.add_argument("--data", help="CSV corpus; omit to synthesize one")
@@ -182,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_output_path(args.out)
         if args.data:
             data = load_csv(args.data)
         else:

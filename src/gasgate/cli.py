@@ -27,6 +27,7 @@ from .data import (
     FeatureConfig,
     RATIO_HC_OVER_O2,
     RATIO_O2_OVER_HC,
+    check_output_path,
     column_blocks,
     featurize,
     fit_normalization,
@@ -343,6 +344,7 @@ def _load_scoring_model(path):
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "out")
+    check_output_path(args.out)
     data = generate(
         default_region(),
         n=args.n,
@@ -364,6 +366,7 @@ def cmd_train(args) -> int:
     _require(args, "model", "data", "out")
     learner = _learner(args, seed)
     config = _feature_config(args)
+    check_output_path(args.out)
     data = load_csv(args.data)
     params = fit_normalization(data, config)
     features = featurize(params, data)
@@ -383,6 +386,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _require(args, "model-file", "data")
+    check_output_path(args.out)
     model = _load_scoring_model(args.model_file)
     data = load_csv(args.data)
     features = featurize(model.normalization, data)
@@ -425,6 +429,7 @@ def cmd_cv(args) -> int:
     _require(args, "model", "data")
     learner = _learner(args, seed)
     config = _feature_config(args)
+    check_output_path(args.out)
     data = load_csv(args.data)
     if args.repeats == 1:
         report = cross_validate(data, learner, v=args.folds, seed=seed,
@@ -462,6 +467,7 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "data")
     config = _feature_config(args)
+    check_output_path(args.out)
     data = load_csv(args.data)
     # the sweep reads the negative penalty alone and scales it by each ratio
     learner = _svm_learner(args, seed, args.base_w2, args.base_w2)
@@ -495,6 +501,7 @@ def cmd_intervals(args) -> int:
                f"--o2: level {o2:g} must be finite and in [0, {100.0 - args.hc_max:g}] "
                "(o2 + --hc-max <= 100)")
     config = _feature_config(args)
+    check_output_path(args.out)
     if args.model_file:
         model = _load_scoring_model(args.model_file)
         if not isinstance(model, LogisticModel):

@@ -99,23 +99,18 @@ class _Design:
     """The design matrix (1, x) of a feature matrix, built once so that the
     likelihood evaluations of one fit share it.
 
-    It keeps the last evaluation's beta, g = D beta and exp(-|g|), so the fit
-    takes an accepted iterate's probabilities without a second product and
-    exp.
+    It keeps the last evaluation's g = D beta and exp(-|g|): ``fit_logistic``
+    asks for probabilities only at the point it evaluated last (the start or
+    the candidate it just accepted), so it needs no second product and exp.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def probabilities(self, beta: np.ndarray) -> np.ndarray:
-        """sigmoid(D beta), bit for bit; reused if the last evaluation was at beta."""
-        if self.last is not None and self.last[0] is beta:
-            _, g, e = self.last
-        else:
-            g = self.matrix @ beta
-            e = _exp_neg_abs(g)
-        return _sigmoid_from(g, e)
+    def probabilities(self) -> np.ndarray:
+        """sigmoid(D beta) at the last evaluation's beta, bit for bit."""
+        return _sigmoid_from(*self.last)
 
 
 def _design(X) -> np.ndarray:
@@ -138,7 +133,7 @@ def penalized_log_likelihood(beta, X, labels, ridge: float) -> float:
     g = _design(X) @ beta
     e = _exp_neg_abs(g)
     if isinstance(X, _Design):
-        X.last = (beta, g, e)
+        X.last = (g, e)
     softplus = np.maximum(g, 0.0) + np.log1p(e)
     return float(y @ g - softplus.sum() - 0.5 * ridge * beta[1:] @ beta[1:])
 
@@ -219,7 +214,7 @@ def fit_logistic(
     warned = _check_separation(beta, ridge, warned=False)
 
     for _ in range(max_iter):
-        probs = design.probabilities(beta)
+        probs = design.probabilities()  # last evaluated at beta
         grad = D.T @ (y - probs)
         grad -= ridge * mask * beta
         if np.linalg.norm(grad) <= tol * n:

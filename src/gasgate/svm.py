@@ -76,12 +76,6 @@ class PenaltyConfig:
                 f"penalties must be positive and finite, got {self.positive}, {self.negative}"
             )
 
-    @property
-    def ratio(self) -> float:
-        """positive / negative, the knob swept to trade missed explosions
-        against false alarms."""
-        return self.positive / self.negative
-
 
 @dataclass(frozen=True)
 class SvmModel:

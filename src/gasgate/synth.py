@@ -68,9 +68,6 @@ class OracleRegion:
         """Upper flammable HC limit at the given oxygen level(s)."""
         return np.interp(o2, self.o2_knots, self.upper_limits)
 
-    def width(self, o2):
-        return self.upper(o2) - self.lower(o2)
-
     def contains(self, hc, o2) -> np.ndarray:
         """Vectorized membership test for the explosive band."""
         hc = np.asarray(hc, dtype=float)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-import gasgate as gg
-from gasgate.synth import DEFAULT_LIMIT_KNOTS, OracleRegion
+from gasgate.data import featurize, fit_normalization
+from gasgate.synth import DEFAULT_LIMIT_KNOTS, OracleRegion, default_region, generate
 
 #: one "acceptance NN PASS/FAIL: ..." line per acceptance-gate criterion,
 #: echoed in the terminal summary by the hook below
@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def oracle_corpus():
     """500-sample zero-noise corpus over the full default oxygen window."""
-    return gg.generate(gg.default_region(), n=500, seed=42, noise=0.0)
+    return generate(default_region(), n=500, seed=42, noise=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -36,26 +36,26 @@ def span_region():
 
 @pytest.fixture(scope="session")
 def span_corpus(span_region):
-    return gg.generate(span_region, n=500, seed=42, noise=0.0)
+    return generate(span_region, n=500, seed=42, noise=0.0)
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
     """Quick-fit corpus for tests that only need plausible data."""
-    return gg.generate(gg.default_region(), n=120, seed=3, noise=0.0)
+    return generate(default_region(), n=120, seed=3, noise=0.0)
 
 
 @pytest.fixture(scope="session")
 def noisy_small_corpus():
     """Noisy enough that one pass of SMO (``max_passes=1``) leaves the RBF
     fits on it unconverged, while the default budget converges them."""
-    return gg.generate(gg.default_region(), n=120, seed=0, noise=0.2)
+    return generate(default_region(), n=120, seed=0, noise=0.2)
 
 
 @pytest.fixture(scope="session")
 def featurized_small(small_corpus):
-    params = gg.fit_normalization(small_corpus)
-    X = gg.featurize(params, small_corpus)
+    params = fit_normalization(small_corpus)
+    X = featurize(params, small_corpus)
     return params, X, small_corpus.exploded
 
 

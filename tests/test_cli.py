@@ -545,19 +545,32 @@ class TestSweep:
 
 
 class TestMissingOutputDirectory:
-    @pytest.mark.parametrize("command", ["sweep", "predict"])
+    """An ``--out`` that cannot be written fails before any input is read:
+    exit 2, one error line naming the path, nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["sweep", "cv", "predict", "predict-no-data"])
     def test_error_names_the_path_asked_for(self, corpus_csv, lr_model, tmp_path, capsys,
                                             command):
         out = tmp_path / "missing" / "out.txt"
         argv = {"sweep": ["sweep", "--data", str(corpus_csv), "--folds", "3", "--grid", "1,2"],
+                "cv": ["cv", "--model", "lr", "--data", str(corpus_csv), "--folds", "3"],
                 "predict": ["predict", "--model-file", str(lr_model),
-                            "--data", str(corpus_csv)]}[command]
+                            "--data", str(corpus_csv)],
+                # the data file is never opened
+                "predict-no-data": ["predict", "--model-file", str(lr_model),
+                                    "--data", "/nonexistent.csv"]}[command]
         assert main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gasgate: error: ") and err.count("\n") == 1
-        assert f"'{out}'" in err
-        assert ".tmp-gasgate-" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gasgate: error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+    def test_directory_as_out_is_named(self, tmp_path, capsys):
+        assert main(["gen", "--n", "40", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gasgate: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFoldedZeroRatio:

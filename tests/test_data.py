@@ -195,9 +195,17 @@ class TestColumns:
             data.subset([0, 1]).exploded[0] = False
         assert data.exploded.tolist() == [True, False, False, True]
 
-    def test_featurize_matches_per_sample_normalization_bitwise(self):
+    @pytest.mark.parametrize("config", [
+        FeatureConfig(),
+        FeatureConfig(ratio=RATIO_HC_OVER_O2),
+        FeatureConfig(("hc", "o2", "co", "co2", "ratio")),
+    ], ids=["o2_over_hc", "hc_over_o2", "with_co_co2"])
+    def test_featurize_matches_per_sample_normalization_bitwise(self, config):
         data = generate(default_region(), n=300, seed=11, noise=0.1)
-        params = fit_normalization(data)
+        # the generator's CO is constant; vary it so that its feature is not pinned to 0
+        co = np.random.default_rng(11).uniform(0.0, 0.5, len(data))
+        data = Dataset.from_columns(data.hc, data.o2, co, data.co2, data.exploded)
+        params = fit_normalization(data, config)
         stacked = np.vstack([apply_normalization(params, s) for s in data])
         assert featurize(params, data).tobytes() == stacked.tobytes()
 
@@ -229,15 +237,15 @@ class TestFeatureConfig:
             FeatureConfig(("hc", "o2", "ratio", "ratio"))
 
     def test_ratio_orientations(self):
-        s = GasSample(2.0, 16.0, 0.0, 0.0, False)
-        assert FeatureConfig().raw_value(s, "ratio") == 8.0
+        row = make_dataset([(2.0, 16.0, 0.0, 0.0, False)])
+        assert FeatureConfig().raw_matrix(row)[0, 2] == 8.0
         flipped = FeatureConfig(ratio=RATIO_HC_OVER_O2)
-        assert flipped.raw_value(s, "ratio") == 0.125
+        assert flipped.raw_matrix(row)[0, 2] == 0.125
 
     def test_zero_hc_ratio_undefined(self):
-        s = GasSample(0.0, 16.0, 0.0, 0.0, False)
-        with pytest.raises(DataFormatError, match="undefined ratio"):
-            FeatureConfig().raw_value(s, "ratio")
+        row = make_dataset([(0.0, 16.0, 0.0, 0.0, False)])
+        with pytest.raises(DataFormatError, match="undefined ratio: hc is 0 in row 1"):
+            FeatureConfig().raw_matrix(row)
 
     def test_raw_matrix_values(self):
         m = FeatureConfig().raw_matrix(SIMPLE)

@@ -253,18 +253,37 @@ class TestFit:
         assert np.array_equal(current, model.beta)
 
     def test_reused_probabilities_give_the_same_fit_bitwise(self, monkeypatch):
-        # a copy of beta defeats the reuse of the last evaluation's score,
-        # so every iterate's probabilities are recomputed from scratch
+        # every iterate's probabilities are recomputed from scratch at the
+        # last evaluated beta, and that beta must be the iterate itself
         data = generate(default_region(), n=2000, seed=1, noise=0.05)
         X = featurize(fit_normalization(data), data)
         y = data.exploded.astype(float)
         reused = fit_logistic(X, y, ridge=0.1)
+        evaluated, asked = [], []
 
-        def on_a_copy(beta, X, labels, ridge):
-            return penalized_log_likelihood(np.array(beta), X, labels, ridge)
+        def recording(beta, X, labels, ridge):
+            value = penalized_log_likelihood(beta, X, labels, ridge)
+            evaluated.append((np.array(beta), value))
+            return value
 
-        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", on_a_copy)
-        assert np.array_equal(fit_logistic(X, y, ridge=0.1).beta, reused.beta)
+        def recomputed(design):
+            asked.append(evaluated[-1][0])
+            return sigmoid(design.matrix @ asked[-1])
+
+        monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", recording)
+        monkeypatch.setattr(gasgate.logistic._Design, "probabilities", recomputed)
+        model = fit_logistic(X, y, ridge=0.1)
+        assert model.converged
+        assert np.array_equal(model.beta, reused.beta)
+        # the iterates: the start, then each candidate that improved on the last
+        start, best = evaluated[0]
+        iterates = [start]
+        for candidate, value in evaluated[1:]:
+            if value > best:
+                best = value
+                iterates.append(candidate)
+        assert len(asked) == len(iterates)
+        assert all(map(np.array_equal, asked, iterates))
 
     @pytest.mark.parametrize("n,p", [(1, 2), (37, 4), (2000, 4), (45_000, 4), (500, 7)])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasgate.errors import GasgateError, SingleClassError
-import gasgate as gg
 from gasgate import svm
+from gasgate.data import featurize, fit_normalization
 from gasgate.kernels import KernelRows, KernelSpec, kernel_matrix
 from gasgate.svm import PenaltyConfig, SvmModel, fit_svm
+from gasgate.synth import default_region, generate
 
 from .support import (
     brute_force_best,
@@ -410,16 +411,16 @@ class TestWarmStart:
 
 @pytest.fixture(scope="module")
 def corpus():
-    data = gg.generate(gg.default_region(), n=300, seed=5, noise=0.05)
-    X = gg.featurize(gg.fit_normalization(data), data)
+    data = generate(default_region(), n=300, seed=5, noise=0.05)
+    X = featurize(fit_normalization(data), data)
     return X, np.where(data.exploded, 1.0, -1.0)
 
 
 @pytest.fixture(scope="module")
 def fit_corpus():
     """The fit workload's training corpus: 4000 rows, generator seed 1."""
-    data = gg.generate(gg.default_region(), n=4000, seed=1, noise=0.05)
-    X = gg.featurize(gg.fit_normalization(data), data)
+    data = generate(default_region(), n=4000, seed=1, noise=0.05)
+    X = featurize(fit_normalization(data), data)
     return X, np.where(data.exploded, 1.0, -1.0)
 
 
@@ -898,7 +899,8 @@ class TestValidation:
             PenaltyConfig(pos, neg)
 
     def test_penalty_ratio(self):
-        assert PenaltyConfig(60.0, 1.0).ratio == 60.0
+        penalties = PenaltyConfig(60.0, 1.0)
+        assert (penalties.positive, penalties.negative) == (60.0, 1.0)
 
     def test_model_rejects_empty_support(self):
         with pytest.raises(ValueError, match="at least one support vector"):

@@ -28,7 +28,7 @@ class TestRegionGeometry:
     def test_limits_at_anchor_levels(self, o2, lo, hi, width):
         assert REGION.lower(o2) == pytest.approx(lo, abs=1e-12)
         assert REGION.upper(o2) == pytest.approx(hi, abs=1e-12)
-        assert REGION.width(o2) == pytest.approx(width, abs=1e-9)
+        assert REGION.upper(o2) - REGION.lower(o2) == pytest.approx(width, abs=1e-9)
 
     def test_limits_interpolate_between_anchors(self):
         assert REGION.lower(17.0) == pytest.approx((0.89729 + 0.76653) / 2, abs=1e-12)
@@ -40,7 +40,7 @@ class TestRegionGeometry:
 
     def test_width_grows_with_oxygen(self):
         o2 = np.linspace(15.0, 20.0, 50)
-        assert np.all(np.diff(REGION.width(o2)) > 0)
+        assert np.all(np.diff(REGION.upper(o2) - REGION.lower(o2)) > 0)
 
     def test_window_bounds_are_inclusive(self):
         lo, hi = DEFAULT_O2_WINDOW
