@@ -28,7 +28,7 @@ from .data import (
     RATIO_HC_OVER_O2,
     RATIO_O2_OVER_HC,
     check_output_path,
-    column_blocks,
+    csv_chunks,
     featurize,
     fit_normalization,
     load_csv,
@@ -250,6 +250,7 @@ def _config_tokens(parser, args) -> list[str]:
     if not isinstance(obj, dict):
         parser.exit(1, f"gasgate: error: config {path} must hold a JSON object\n")
     known = set().union(*(vars(parser.parse_args([name])) for name in COMMANDS))
+    known -= {"command", "func", "_sub"}  # argparse's bookkeeping, not flags
     tokens = []
     for key, value in obj.items():
         dest = key.replace("-", "_")
@@ -405,23 +406,13 @@ def cmd_predict(args) -> int:
         columns = [np.where(scores >= 0, 1, -1)]
     if args.scores:
         columns.append(scores)
-    chunks = _prediction_chunks(header, columns)
+    chunks = csv_chunks(header, [np.arange(1, len(data) + 1), *columns])
     if args.out:
         atomic_write_text(args.out, chunks)
         print(f"wrote {args.out}: {len(data)} predictions")
     else:
         sys.stdout.writelines(chunks)
     return 0
-
-
-def _prediction_chunks(header: str, columns):
-    """The prediction CSV, one chunk per block of rows: the 1-based row
-    number, then the columns' values (repr of each Python scalar)."""
-    yield f"{header}\n"
-    for start, block in column_blocks(columns):
-        rows = map(str, range(start + 1, start + 1 + len(block[0])))
-        lines = map(",".join, zip(rows, *(map(repr, values) for values in block)))
-        yield "\n".join(lines) + "\n"
 
 
 def cmd_cv(args) -> int:

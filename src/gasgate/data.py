@@ -9,10 +9,10 @@ sum at most 100 vol %) are checked once, on the columns, where rows enter:
 in ``Dataset.from_columns`` and ``load_csv``.  Rows become Python objects
 only ``BLOCK_ROWS`` at a time: iterating a dataset yields plain
 ``GasSample`` records block by block and keeps none of them, and
-``write_csv`` formats and writes one block of rows at a time, so neither
-holds more than one block beyond the columns.  The default feature set for
-both classifiers is (HC, O2, O2/HC), each scaled to [-1, 1] by an affine
-map fitted on training data only.
+``csv_chunks`` formats datasets and predictions one block of rows at a
+time, so neither holds more than one block beyond the columns.  The
+default feature set for both classifiers is (HC, O2, O2/HC), each scaled
+to [-1, 1] by an affine map fitted on training data only.
 """
 
 from __future__ import annotations
@@ -64,13 +64,20 @@ BLOCK_ROWS = 4096
 
 
 def column_blocks(columns):
-    """Yield ``(start, values)`` for each block of ``BLOCK_ROWS`` rows.
-
-    ``columns`` are equal-length arrays; ``values`` holds each column's rows
-    ``start:start + BLOCK_ROWS`` as a list of Python scalars.
-    """
+    """Yield each block of ``BLOCK_ROWS`` rows of the equal-length arrays
+    ``columns``, as one list of Python scalars per column."""
     for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield start, [c[start:start + BLOCK_ROWS].tolist() for c in columns]
+        yield [c[start:start + BLOCK_ROWS].tolist() for c in columns]
+
+
+def csv_chunks(header: str, columns):
+    """The CSV text of ``header`` over the rows of the equal-length arrays
+    ``columns``, one chunk per block of rows; each value is written as the
+    repr of its Python scalar."""
+    yield f"{header}\n"
+    for block in column_blocks(columns):
+        lines = map(",".join, zip(*(map(repr, values) for values in block)))
+        yield "\n".join(lines) + "\n"
 
 
 class Dataset:
@@ -122,7 +129,7 @@ class Dataset:
 
     def __iter__(self):
         # tolist gives Python float and bool
-        for _, block in column_blocks([getattr(self, name) for name in COLUMNS]):
+        for block in column_blocks([getattr(self, name) for name in COLUMNS]):
             yield from map(GasSample._make, zip(*block))
 
     def class_counts(self) -> tuple[int, int]:
@@ -185,15 +192,22 @@ class FeatureConfig:
         if self.ratio not in (RATIO_O2_OVER_HC, RATIO_HC_OVER_O2):
             raise ValueError(f"unknown ratio orientation {self.ratio!r}")
 
-    def check_ratio(self, data: Dataset) -> None:
-        """Raise ``DataFormatError`` naming the 1-based row of the first zero
-        ratio denominator in ``data``; a no-op without the ratio attribute."""
+    def check_ratio(self, data: Dataset, out=None):
+        """The ratio column of ``data`` (into ``out`` if given), or None without
+        the ratio attribute.  The first ratio that is not finite, from a zero
+        or a tiny denominator, raises ``DataFormatError`` naming its row."""
         if "ratio" not in self.attributes:
-            return
-        den = "hc" if self.ratio == RATIO_O2_OVER_HC else "o2"
-        zeros = np.flatnonzero(getattr(data, den) == 0)
-        if zeros.size:
-            raise DataFormatError(f"undefined ratio: {den} is 0 in row {zeros[0] + 1}")
+            return None
+        num, den = ("o2", "hc") if self.ratio == RATIO_O2_OVER_HC else ("hc", "o2")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            quotient = np.divide(getattr(data, num), getattr(data, den), out=out)
+        bad = np.flatnonzero(~np.isfinite(quotient))
+        if bad.size:
+            k = bad[0]
+            if getattr(data, den)[k] == 0:
+                raise DataFormatError(f"undefined ratio: {den} is 0 in row {k + 1}")
+            raise DataFormatError(f"ratio {num}/{den} overflows in row {k + 1}")
+        return quotient
 
     def raw_matrix(self, data: Dataset) -> np.ndarray:
         """(n_samples, n_attributes) matrix of raw attribute values.
@@ -204,17 +218,15 @@ class FeatureConfig:
         ``fit_normalization`` and the affine map of ``transform`` run along
         rows rather than across a few-wide inner axis.
 
-        A zero denominator in the ratio raises ``DataFormatError`` naming
-        the 1-based row of its first occurrence (``check_ratio``).
+        A ratio that is not finite raises ``DataFormatError`` naming its
+        1-based row (``check_ratio``).
         """
-        self.check_ratio(data)
         rows = np.empty((len(self.attributes), len(data)))
         for row, name in zip(rows, self.attributes):
-            if name != "ratio":
+            if name == "ratio":
+                self.check_ratio(data, out=row)
+            else:
                 row[:] = getattr(data, name)
-                continue
-            num, den = ("o2", "hc") if self.ratio == RATIO_O2_OVER_HC else ("hc", "o2")
-            np.divide(getattr(data, num), getattr(data, den), out=row)
         return rows.T
 
 
@@ -438,16 +450,8 @@ def write_csv(data: Dataset, path) -> None:
 
     Rows are formatted and written one block of ``BLOCK_ROWS`` at a time.
     """
-    atomic_write_text(path, _csv_chunks(data))
-
-
-def _csv_chunks(data: Dataset):
-    yield f"{CSV_HEADER}\n"
-    for _, block in column_blocks([getattr(data, name) for name in COLUMNS]):
-        yield "".join(
-            f"{hc!r},{o2!r},{co!r},{co2!r},{1 if exploded else 0}\n"
-            for hc, o2, co, co2, exploded in zip(*block)
-        )
+    columns = [data.hc, data.o2, data.co, data.co2, data.exploded.astype(np.int8)]
+    atomic_write_text(path, csv_chunks(CSV_HEADER, columns))
 
 
 def check_output_path(path) -> None:

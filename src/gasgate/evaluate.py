@@ -284,7 +284,7 @@ def fit_fold(fold, learner, **start):
 def _stratified_folds(data: Dataset, v: int, seed: int, feature_config: FeatureConfig):
     """Yield each made fold of the stratified split (``make_fold``).
 
-    A zero ratio denominator is refused up front, naming its row in ``data``
+    A ratio that is not finite is refused up front, naming its row in ``data``
     rather than its place in a fold; a single-class dataset is refused first.
     """
     folds = stratified_kfold_indices(data.exploded, v, seed)

@@ -205,8 +205,6 @@ def fit_logistic(
             raise ValueError(f"init_beta must have shape {(p,)}, got {beta.shape}")
         if not np.isfinite(beta).all():
             raise ValueError("init_beta must be finite")
-    DT = np.ascontiguousarray(D.T)
-    weighted = np.empty_like(D)
     mask = np.ones(p)
     mask[0] = 0.0  # intercept is never penalized
     ll = penalized_log_likelihood(beta, design, y, ridge)
@@ -221,7 +219,7 @@ def fit_logistic(
             converged = True
             break
         w = probs * (1.0 - probs)
-        hessian = _weighted_gram(D, DT, w, weighted) + np.diag(ridge * mask)
+        hessian = D.T @ (D * w[:, None]) + np.diag(ridge * mask)
         try:
             step = np.linalg.solve(hessian, grad)
             if not np.isfinite(step).all():
@@ -265,18 +263,6 @@ def _check_separation(beta, ridge: float, warned: bool) -> bool:
             stacklevel=3,
         )
     return True
-
-
-def _weighted_gram(D, DT, w, out) -> np.ndarray:
-    """D' diag(w) D, bit for bit ``D.T @ (D * w[:, None])``.
-
-    The products D[i, j] * w[i] go into ``out``, a C-ordered array shaped
-    like D, through its transpose from ``DT``, a contiguous copy of D.T: the
-    same products in the same layout, without NumPy's buffered broadcast
-    over rows a few columns wide.
-    """
-    np.multiply(DT, w, out=out.T)
-    return D.T @ out
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,9 @@ def model_to_obj(model) -> dict:
 def model_from_obj(obj):
     """Rebuild a model from ``model_to_obj`` output.
 
-    Schema errors, a ``format_version`` other than ``FORMAT_VERSION`` among
-    them, raise ``DataFormatError``.
+    Schema errors raise ``DataFormatError``: among them a ``format_version``
+    other than ``FORMAT_VERSION``, a ``converged`` that is not a JSON
+    boolean, and a boolean where a number belongs.
     """
     try:
         kind = obj["kind"]
@@ -89,9 +90,11 @@ def model_from_obj(obj):
         version = obj["format_version"]
         if type(version) is not int or version != FORMAT_VERSION:
             raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
+        if type(obj["converged"]) is not bool:
+            raise ValueError(f"converged must be true or false, got {obj['converged']!r}")
         if kind == "svm":
             k = obj["kernel"]
-            return SvmModel(
+            model = SvmModel(
                 support_vectors=obj["support_vectors"],
                 dual_coef=obj["dual_coef"],
                 bias=obj["bias"],
@@ -108,14 +111,28 @@ def model_from_obj(obj):
                 normalization=_normalization_from_obj(obj["normalization"]),
                 converged=obj["converged"],
             )
-        return LogisticModel(
-            beta=obj["beta"],
-            normalization=_normalization_from_obj(obj["normalization"]),
-            ridge=obj["ridge"],
-            converged=obj["converged"],
-        )
+        else:
+            model = LogisticModel(
+                beta=obj["beta"],
+                normalization=_normalization_from_obj(obj["normalization"]),
+                ridge=obj["ridge"],
+                converged=obj["converged"],
+            )
+        for key, value in obj.items():
+            if key != "converged" and _holds_boolean(value):
+                raise ValueError(f"{key} holds a boolean where a number belongs")
+        return model
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed model object: {exc}") from None
+
+
+def _holds_boolean(value) -> bool:
+    """Whether a JSON value is, or holds at any depth, true or false."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_holds_boolean, value))
+    return isinstance(value, bool)
 
 
 def save_model(model, path) -> None:

@@ -368,6 +368,29 @@ class TestInconsistentModelFiles:
                             tmp_path / "pred.csv",
                             "normalization has 2 attributes for a model of 3 features")
 
+    @pytest.mark.parametrize("which,edit,message", [
+        # each once loaded, a string "false" as converged and a boolean as 1.0
+        ("lr", lambda obj: obj.update(converged="false"), "converged must be true or false"),
+        ("svm", lambda obj: obj.update(converged=0), "converged must be true or false"),
+        ("svm", lambda obj: obj.update(bias=True), "bias holds a boolean"),
+        ("svm", lambda obj: obj["dual_coef"].__setitem__(0, True), "dual_coef holds a boolean"),
+        ("svm", lambda obj: obj["kernel"].update(gamma=True), "kernel holds a boolean"),
+        ("svm", lambda obj: obj["support_vectors"][0].__setitem__(1, False),
+         "support_vectors holds a boolean"),
+        ("lr", lambda obj: obj.update(ridge=True), "ridge holds a boolean"),
+        ("lr", lambda obj: obj["beta"].__setitem__(1, True), "beta holds a boolean"),
+        ("lr", lambda obj: obj["normalization"]["mins"].__setitem__(0, True),
+         "normalization holds a boolean"),
+    ])
+    def test_boolean_out_of_place(self, request, corpus_csv, tmp_path, capsys,
+                                  which, edit, message):
+        source = request.getfixturevalue(f"{which}_model")
+        capsys.readouterr()  # a fixture made here has printed
+        path = self.edited(source, tmp_path, edit)
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv", f"malformed model object: {message}")
+
     @pytest.mark.parametrize("command", ["predict", "intervals"])
     def test_lr_normalization_wider_than_its_coefficients(
             self, lr_model, corpus_csv, tmp_path, capsys, command):
@@ -573,15 +596,16 @@ class TestMissingOutputDirectory:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def corpus_200(workdir):
+    path = workdir / "corpus200.csv"
+    assert main(["gen", "--n", "200", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
 class TestFoldedZeroRatio:
     """A zero ratio denominator fails CV and the sweep naming its row in the
     file, as ``train`` does, not its place inside a fold."""
-
-    @pytest.fixture(scope="class")
-    def corpus_200(self, workdir):
-        path = workdir / "corpus200.csv"
-        assert main(["gen", "--n", "200", "--seed", "3", "--out", str(path)]) == 0
-        return path
 
     @pytest.mark.parametrize("column", ["hc", "o2"])
     @pytest.mark.parametrize("command", [
@@ -601,6 +625,45 @@ class TestFoldedZeroRatio:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"undefined ratio: {column} is 0 in row 151" in captured.err
+
+
+class TestOverflowingRatio:
+    """A tiny ratio denominator that passes every row rule makes the quotient
+    overflow.  Every command that featurizes the rows exits 2 with one line
+    naming the row, and writes nothing: it once ended in a traceback, and
+    ``predict`` scored the row from an infinite feature."""
+
+    @pytest.mark.parametrize("comment", [False, True], ids=["plain", "comment"])
+    @pytest.mark.parametrize("column", ["hc", "o2"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "lr", "--ridge", "0.1"],
+        ["cv", "--model", "lr", "--ridge", "0.1"],
+        ["sweep", "--grid", "1,8", "--gamma", "0.5"],
+        ["intervals", "--o2", "16"],
+        ["predict"],
+    ], ids=lambda c: c[0])
+    def test_error_names_the_row(self, corpus_200, tmp_path, capsys, command, column, comment):
+        ratio = [] if column == "hc" else ["--ratio", "hc_over_o2"]
+        if command == ["predict"]:
+            model = tmp_path / "model.json"
+            assert main(["train", "--model", "lr", "--ridge", "0.1", *ratio,
+                         "--data", str(corpus_200), "--out", str(model)]) == 0
+            command, ratio = ["predict", "--model-file", str(model)], []
+            capsys.readouterr()
+        rows = corpus_200.read_text().splitlines()
+        fields = rows[151].split(",")  # data row 151
+        fields[0 if column == "hc" else 1] = "1e-320"
+        rows[151] = ",".join(fields)
+        if comment:  # not the plain form, so the line-by-line parser reads it
+            rows.insert(0, "# row 151 has a tiny ratio denominator")
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        assert main([*command, *ratio, "--data", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        quotient = "o2/hc" if column == "hc" else "hc/o2"
+        assert captured.err == f"gasgate: error: ratio {quotient} overflows in row 151\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestFoldsAboveTheRowCount:
@@ -1006,9 +1069,15 @@ class TestConfig:
         assert main(["gen", "--config", str(config), "--seed", "0"]) == 0
         assert load_csv(out).class_counts() == (20, 20)
 
-    def test_unknown_key_rejected(self, workdir):
-        config = self.write_config(workdir, "bad_key.json", {"frobnicate": 1})
+    @pytest.mark.parametrize("key,value", [
+        ("frobnicate", 1),
+        # argparse's own names in a parsed namespace are no flags
+        ("func", "x"), ("command", "train"), ("_sub", 1),
+    ])
+    def test_unknown_key_rejected(self, workdir, capsys, key, value):
+        config = self.write_config(workdir, "bad_key.json", {key: value})
         assert main(["gen", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"gasgate: error: unknown config key {key!r}\n"
 
     def test_malformed_config(self, workdir):
         path = workdir / "broken.json"

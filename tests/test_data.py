@@ -247,6 +247,19 @@ class TestFeatureConfig:
         with pytest.raises(DataFormatError, match="undefined ratio: hc is 0 in row 1"):
             FeatureConfig().raw_matrix(row)
 
+    @pytest.mark.parametrize("ratio,tiny,quotient", [
+        ("o2_over_hc", 0, "o2/hc"), (RATIO_HC_OVER_O2, 1, "hc/o2"),
+    ])
+    def test_overflowing_ratio_names_its_row(self, ratio, tiny, quotient):
+        rows = [[2.0, 16.0, 0.0, 0.0, False] for _ in range(3)]
+        rows[1][tiny] = 1e-320  # passes every row rule, yet 16 / 1e-320 is inf
+        rows[2][tiny] = 0.0
+        with pytest.raises(DataFormatError, match=rf"^ratio {quotient} overflows in row 2$"):
+            FeatureConfig(ratio=ratio).raw_matrix(make_dataset(rows))
+        rows[0][tiny] = 0.0  # the first ratio that is not finite is the one named
+        with pytest.raises(DataFormatError, match=r"^undefined ratio: \w+ is 0 in row 1$"):
+            FeatureConfig(ratio=ratio).raw_matrix(make_dataset(rows))
+
     def test_raw_matrix_values(self):
         m = FeatureConfig().raw_matrix(SIMPLE)
         assert m.shape == (4, 3)

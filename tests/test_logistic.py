@@ -285,29 +285,6 @@ class TestFit:
         assert len(asked) == len(iterates)
         assert all(map(np.array_equal, asked, iterates))
 
-    @pytest.mark.parametrize("n,p", [(1, 2), (37, 4), (2000, 4), (45_000, 4), (500, 7)])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_weighted_gram_equals_the_broadcast_form_bitwise(self, n, p, seed):
-        rng = np.random.default_rng(seed)
-        D = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p - 1))])
-        w = rng.uniform(0.0, 0.25, size=n)
-        out = np.full_like(D, np.nan)
-        gram = gasgate.logistic._weighted_gram(D, np.ascontiguousarray(D.T), w, out)
-        assert np.array_equal(gram, D.T @ (D * w[:, None]))
-
-    @pytest.mark.parametrize("n", [300, 2000])
-    def test_weighted_gram_gives_the_same_fit_bitwise(self, n, monkeypatch):
-        data = generate(default_region(), n=n, seed=1, noise=0.05)
-        X = featurize(fit_normalization(data), data)
-        y = data.exploded.astype(float)
-        model = fit_logistic(X, y, ridge=0.1)
-
-        def broadcast(D, DT, w, out):
-            return D.T @ (D * w[:, None])
-
-        monkeypatch.setattr(gasgate.logistic, "_weighted_gram", broadcast)
-        assert np.array_equal(fit_logistic(X, y, ridge=0.1).beta, model.beta)
-
     @pytest.mark.parametrize("n", [2000, 50_000])
     def test_large_corpora_converge_at_the_default_tol(self, n):
         # float64 line searches stall with the absolute gradient near 6e-8
