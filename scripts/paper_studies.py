@@ -26,6 +26,7 @@ coefficients finite and the intervals well-defined.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from gasgate.cli import (
@@ -187,6 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.study == "penalty" and not max(args.grid) * args.w2 < math.inf:
+        # a rule that joins two flags, refused before any corpus is drawn
+        print(f"error: --grid ratio {max(args.grid):g} times --w2 {args.w2:g} "
+              "is not a finite penalty", file=sys.stderr)
+        return 2
     try:
         check_output_path(args.out)
         if args.data:

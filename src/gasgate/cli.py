@@ -457,6 +457,9 @@ def cmd_cv(args) -> int:
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     _require(args, "data")
+    top = max(args.grid)
+    _check(args, top * args.base_w2 < math.inf,
+           f"--grid ratio {top:g} times --base-w2 {args.base_w2:g} is not a finite penalty")
     config = _feature_config(args)
     check_output_path(args.out)
     data = load_csv(args.data)

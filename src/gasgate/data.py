@@ -23,6 +23,7 @@ import math
 import os
 import tempfile
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -313,13 +314,11 @@ def load_csv(path) -> Dataset:
             raw = fh.read()
     except FileNotFoundError:
         raise DataFormatError(f"no such file: {path}") from None
-    table = _parse_plain(raw)
-    if table is None:
-        return _parse_lines(raw, path)
+    table, line_of = _parse_plain(raw) or _parse_lines(raw, path)
     del raw  # the file's bytes need not outlive the copy below
-    # with five fields, the line-end check leaves the fifth exactly "0" or "1"
+    # both parsers admit only "0" or "1" as the fifth field
     columns = [*table[:, :4].T.copy(), table[:, 4] == 1.0]
-    _check_rows(*columns[:4], lambda k: f"line {k + 2}")
+    _check_rows(*columns[:4], lambda k: f"line {line_of[k]}")
     return Dataset._wrap(columns, provenance=str(path))
 
 
@@ -335,9 +334,9 @@ _HEADER_REST = _HEADER_LINE.translate(None, _PLAIN_BYTES)
 _SCAN_BYTES = 1 << 20
 
 
-def _parse_plain(raw: bytes) -> np.ndarray | None:
-    """The (rows, 5) table of a file in ``write_csv``'s plain form; None for
-    any other.
+def _parse_plain(raw: bytes) -> tuple[np.ndarray, range] | None:
+    """The (rows, 5) table of a file in ``write_csv``'s plain form and the
+    1-based line of each row; None for any other.
 
     Plain form: the exact header line, then only the bytes of
     ``_PLAIN_BYTES``, with every line holding five fields and ending in
@@ -371,11 +370,12 @@ def _parse_plain(raw: bytes) -> np.ndarray | None:
         return None
     if table.shape != (lines, 5):  # also catches a last line with no newline
         return None
-    return table
+    return table, range(2, lines + 2)
 
 
-def _parse_lines(raw: bytes, path) -> Dataset:
-    """Parse any CSV line by line: the reference for ``load_csv``'s messages."""
+def _parse_lines(raw: bytes, path) -> tuple[np.ndarray, array]:
+    """The (rows, 5) table of any CSV, parsed line by line, and the 1-based
+    line of each row: the reference for ``load_csv``'s messages."""
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -384,18 +384,9 @@ def _parse_lines(raw: bytes, path) -> Dataset:
             f"line {lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x})"
         ) from None
 
-    size = len(lines)  # bounds the row count
-    columns = [np.empty(size) for _ in RAW_COLUMNS] + [np.empty(size, dtype=bool)]
-    line_of = np.empty(size, dtype=np.int64)
-    # item writes through a memoryview cost a fraction of ndarray indexing
-    hc, o2, co, co2, exploded = map(memoryview, columns)
-    row_line = memoryview(line_of)
-
-    def where(k):
-        return f"line {line_of[k]}"
-
+    values = array("d")
+    line_of = array("q")
     header_seen = False
-    n = 0
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -408,19 +399,17 @@ def _parse_lines(raw: bytes, path) -> Dataset:
             header_seen = True
             continue
         try:
-            hc[n], o2[n], co[n], co2[n], exploded[n] = _parse_row(text)
+            values.extend(_parse_row(text))
         except ValueError as exc:
             # a bad value on an earlier row comes first in file order
-            _check_rows(*(c[:n] for c in columns[:4]), where)
+            table = np.frombuffer(values).reshape(-1, 5)
+            _check_rows(*table[:, :4].T, lambda k: f"line {line_of[k]}")
             raise DataFormatError(f"line {lineno}: {exc}") from None
-        row_line[n] = lineno
-        n += 1
+        line_of.append(lineno)
 
     if not header_seen:
         raise DataFormatError(f"missing header {CSV_HEADER!r} in {path}")
-    columns = [c[:n] for c in columns]
-    _check_rows(*columns[:4], where)
-    return Dataset._wrap(columns, provenance=str(path))
+    return np.frombuffer(values).reshape(-1, 5), line_of
 
 
 def _parse_row(text: str) -> tuple[float, float, float, float, bool]:

@@ -187,7 +187,9 @@ class KernelRows:
         self._slab = np.empty((self.capacity, n))
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest read first
         self.rows_computed = 0
-        self.diagonal = _evaluate(spec, self._cols, self._cols, np.empty(n))
+        # no overflow warning: the SVM refuses a diagonal that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.diagonal = _evaluate(spec, self._cols, self._cols, np.empty(n))
 
     @property
     def rows_held(self) -> int:

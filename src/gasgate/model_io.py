@@ -81,7 +81,8 @@ def model_from_obj(obj):
 
     Schema errors raise ``DataFormatError``: among them a ``format_version``
     other than ``FORMAT_VERSION``, a ``converged`` that is not a JSON
-    boolean, and a boolean where a number belongs.
+    boolean, and a boolean, string or null where a number belongs
+    (``_misplaced_leaf``), which is checked before any field is read.
     """
     try:
         kind = obj["kind"]
@@ -92,6 +93,10 @@ def model_from_obj(obj):
             raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
         if type(obj["converged"]) is not bool:
             raise ValueError(f"converged must be true or false, got {obj['converged']!r}")
+        for key, value in obj.items():
+            what = _misplaced_leaf(value, (key,))
+            if what:
+                raise ValueError(f"{key} holds {what} where a number belongs")
         if kind == "svm":
             k = obj["kernel"]
             model = SvmModel(
@@ -118,21 +123,38 @@ def model_from_obj(obj):
                 ridge=obj["ridge"],
                 converged=obj["converged"],
             )
-        for key, value in obj.items():
-            if key != "converged" and _holds_boolean(value):
-                raise ValueError(f"{key} holds a boolean where a number belongs")
         return model
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed model object: {exc}") from None
 
 
-def _holds_boolean(value) -> bool:
-    """Whether a JSON value is, or holds at any depth, true or false."""
+#: the places in a model object whose leaves are not numbers: names, which
+#: their constructors check, and ``converged``, checked on its own
+_NOT_NUMBERS = {("kind",), ("kernel", "kind"), ("normalization", "attributes"),
+                ("normalization", "ratio"), ("converged",)}
+
+#: the places that may hold null: an open gamma, and no normalization
+_NULLABLE = {("kernel", "gamma"), ("normalization",)}
+
+
+def _misplaced_leaf(value, path) -> str | None:
+    """What the JSON value at ``path`` (its keys from the top) holds where a
+    number belongs, at any depth: "a boolean", "a string" or "null"; None
+    if every leaf is in its place."""
+    if path in _NOT_NUMBERS:
+        return None
     if isinstance(value, dict):
-        value = list(value.values())
+        found = (_misplaced_leaf(v, (*path, k)) for k, v in value.items())
+        return next(filter(None, found), None)
     if isinstance(value, list):
-        return any(map(_holds_boolean, value))
-    return isinstance(value, bool)
+        return next(filter(None, (_misplaced_leaf(v, path) for v in value)), None)
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, str):
+        return "a string"
+    if value is None and path not in _NULLABLE:
+        return "null"
+    return None
 
 
 def save_model(model, path) -> None:

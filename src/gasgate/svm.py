@@ -61,6 +61,8 @@ _NEWTON_EVERY = 30
 _NEWTON_MAX_FREE = 200
 #: rows the kernel-row cache may hold beyond twice the largest free set
 _SPARE_ROWS = 64
+#: the refusal of a fit whose kernel overflows, by kernel kind
+_NON_FINITE_KERNEL = "{} kernel values are not finite on the training features"
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,11 @@ class SvmModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         (scores,) = _kernel_sums(self.kernel, X, self.support_vectors, self.dual_coef)
         scores += self.bias
+        # a nan score would label its row safe
+        bad = ~np.isfinite(scores)
+        if bad.any():
+            raise GasgateError(f"the decision value of row {int(bad.argmax()) + 1} is "
+                               f"not finite: its {self.kernel.kind} kernel values overflow")
         return scores
 
     def decision_value(self, x) -> float:
@@ -254,6 +261,9 @@ def fit_svm(
         cache = KernelRows(spec, X, cache_mb * 2**20)
     elif cache.spec != spec or cache.X.shape != X.shape or not np.array_equal(cache.X, X):
         raise ValueError("cache was built on other features or another kernel")
+    # nan and inf kernel values would stall SMO and yield a nan bias
+    if not np.isfinite(cache.diagonal).all():
+        raise GasgateError(_NON_FINITE_KERNEL.format(spec.kind))
     caps = np.where(y > 0, penalties.positive, penalties.negative)
     smo = _Smo(cache, y, caps, seed, init_alpha, init_gradient)
     # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
@@ -275,6 +285,8 @@ def fit_svm(
     sv_coef = coef[keep]
     u, reference = _kernel_sums(spec, X[exact], X[keep], sv_coef,
                                 sv_coef.astype(np.longdouble))
+    if not (np.isfinite(u).all() and np.isfinite(F).all()):  # overflow off the diagonal
+        raise GasgateError(_NON_FINITE_KERNEL.format(spec.kind))
     drift = _gradient_drift(F[exact], reference, y[exact])
     F[exact] = u - y[exact]
     if free.any():
@@ -549,7 +561,8 @@ def _kernel_sums(spec: KernelSpec, X, support_vectors, *coefs) -> list[np.ndarra
     n_sv = len(support_vectors)
     step = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, n_sv)))
     sums = [np.empty(X.shape[0], dtype=coef.dtype) for coef in coefs]
-    with unbuffered_blocks(n_sv):
+    # no overflow warning: callers refuse the sums that are not finite
+    with unbuffered_blocks(n_sv), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, X.shape[0], step):
             K = kernel_matrix(spec, X[start:start + step], support_vectors)
             # einsum sums each row alone; BLAS matrix-vector products round

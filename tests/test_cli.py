@@ -302,6 +302,11 @@ class TestPredict:
         assert "normalization" in capsys.readouterr().err
 
 
+def as_text(values, k):
+    """Write the number at ``values[k]`` of a model object as a JSON string."""
+    values[k] = str(values[k])
+
+
 class TestInconsistentModelFiles:
     """A model file that loads but cannot score exits 2 with one error line
     and writes nothing."""
@@ -331,14 +336,19 @@ class TestInconsistentModelFiles:
                                      "--data", str(corpus_csv)],
                             tmp_path / "pred.csv", f"{kind} kernel has no gamma")
 
-    @pytest.mark.parametrize("degree", [2.5, True])
-    def test_svm_non_integer_degree(self, svm_model, corpus_csv, tmp_path, capsys, degree):
+    @pytest.mark.parametrize("degree, message", [
+        (2.5, "degree must be an integer"),
+        # no boolean passes the model file's leaf rule
+        (True, "kernel holds a boolean where a number belongs"),
+    ], ids=["2.5", "True"])
+    def test_svm_non_integer_degree(self, svm_model, corpus_csv, tmp_path, capsys,
+                                    degree, message):
         # 2.5 once labelled every row "safe" with exit 0; True loaded as degree 1
         path = self.edited(svm_model, tmp_path,
                            lambda obj: obj["kernel"].update(kind="polynomial", degree=degree))
         self.assert_refused(capsys, ["predict", "--model-file", str(path),
                                      "--data", str(corpus_csv)],
-                            tmp_path / "pred.csv", "degree must be an integer")
+                            tmp_path / "pred.csv", message)
 
     def test_svm_two_dimensional_dual_coef(self, svm_model, corpus_csv, tmp_path, capsys):
         # such a model once loaded and then died scoring, with a traceback
@@ -390,6 +400,33 @@ class TestInconsistentModelFiles:
         self.assert_refused(capsys, ["predict", "--model-file", str(path),
                                      "--data", str(corpus_csv)],
                             tmp_path / "pred.csv", f"malformed model object: {message}")
+
+    @pytest.mark.parametrize("which,edit,message", [
+        # each once loaded and scored
+        ("lr", lambda obj: as_text(obj["beta"], 1), "beta holds a string"),
+        ("svm", lambda obj: as_text(obj["dual_coef"], 0), "dual_coef holds a string"),
+        ("svm", lambda obj: as_text(obj["support_vectors"][0], 1),
+         "support_vectors holds a string"),
+        ("lr", lambda obj: as_text(obj["normalization"]["mins"], 0),
+         "normalization holds a string"),
+        ("svm", lambda obj: as_text(obj["normalization"]["maxs"], 2),
+         "normalization holds a string"),
+        # each once refused with a message from Python's internals
+        ("lr", lambda obj: obj.update(ridge="0.000001"), "ridge holds a string"),
+        ("svm", lambda obj: obj.update(bias="0.5"), "bias holds a string"),
+        ("svm", lambda obj: obj["penalties"].update(positive="10"), "penalties holds a string"),
+        ("svm", lambda obj: obj["kernel"].update(gamma="0.5"), "kernel holds a string"),
+        ("svm", lambda obj: obj.update(bias=None), "bias holds null"),
+    ])
+    def test_string_or_null_where_a_number_belongs(self, request, corpus_csv, tmp_path,
+                                                   capsys, which, edit, message):
+        source = request.getfixturevalue(f"{which}_model")
+        capsys.readouterr()  # a fixture made here has printed
+        path = self.edited(source, tmp_path, edit)
+        self.assert_refused(capsys, ["predict", "--model-file", str(path),
+                                     "--data", str(corpus_csv)],
+                            tmp_path / "pred.csv",
+                            f"malformed model object: {message} where a number belongs")
 
     @pytest.mark.parametrize("command", ["predict", "intervals"])
     def test_lr_normalization_wider_than_its_coefficients(
@@ -548,6 +585,24 @@ class TestSweep:
     def test_missing_data(self):
         assert main(["sweep", "--grid", "1,8"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "1e10", "--base-w2", "1e300"],
+        ["--grid", "1,2e8", "--base-w2", "1e301"],
+    ])
+    def test_overflowing_penalty_is_a_usage_error(self, tmp_path, capsys, flags):
+        # each ratio x --base-w2 is a positive penalty; an infinite one once
+        # ended in a traceback.  The rule joins two flags, so it is checked
+        # after parsing and before the data file is opened.
+        out = tmp_path / "sweep.tsv"
+        rc = main(["sweep", "--data", "/nonexistent.csv", *flags, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("gasgate sweep: error: --grid ratio ")
+        assert "--base-w2" in captured.err and "not a finite penalty" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--penalty-positive", "--penalty-negative"])
     def test_fixed_penalty_flags_are_unknown(self, corpus_csv, capsys, flag):
         # a sweep's penalties are ratio x --base-w2
@@ -664,6 +719,45 @@ class TestOverflowingRatio:
         quotient = "o2/hc" if column == "hc" else "hc/o2"
         assert captured.err == f"gasgate: error: ratio {quotient} overflows in row 151\n"
         assert captured.out == "" and not out.exists()
+
+
+class TestNonFiniteKernel:
+    """Kernel values that overflow fail with one error line, exit 2: a fit
+    once ended in a traceback, and ``predict`` once labelled a row "safe"
+    from a nan score."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "svm"],
+        ["cv", "--model", "svm"],
+        ["sweep", "--grid", "1,8"],
+    ], ids=lambda c: c[0])
+    def test_fit_is_refused(self, corpus_csv, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        rc = main([*command, "--kernel", "polynomial", "--coef0", "1e200",
+                   "--data", str(corpus_csv), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("gasgate: error: polynomial kernel values are not "
+                                "finite on the training features\n")
+
+    def test_predict_names_the_row(self, corpus_csv, tmp_path, capsys):
+        model = tmp_path / "poly.json"
+        assert main(["train", "--model", "svm", "--kernel", "polynomial", "--degree", "3",
+                     "--gamma", "1", "--coef0", "1", "--data", str(corpus_csv),
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        rows = tmp_path / "rows.csv"
+        # the o2/hc feature of row 2 is about 2e301, and its cube overflows
+        rows.write_text("hc,o2,co,co2,exploded\n1,20,0.05,13,1\n1e-300,20,0.05,13,1\n")
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model-file", str(model), "--data", str(rows),
+                   "--scores", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("gasgate: error: the decision value of row 2 is not "
+                                "finite: its polynomial kernel values overflow\n")
 
 
 class TestFoldsAboveTheRowCount:

@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -564,12 +565,19 @@ def parse_outcome(load, path):
         return str(exc)
 
 
+def load_by_lines(path):
+    """``load_csv`` with the plain path refused, so every file takes the
+    line-by-line parser."""
+    with mock.patch.object(gasgate.data, "_parse_plain", lambda raw: None):
+        return load_csv(path)
+
+
 def assert_matches_strict_parser(path):
     """``load_csv`` gives the line-by-line parser's Dataset bitwise, or its message.
 
     Returns what ``load_csv`` gave.
     """
-    want = parse_outcome(lambda p: gasgate.data._parse_lines(p.read_bytes(), p), path)
+    want = parse_outcome(load_by_lines, path)
     got = parse_outcome(load_csv, path)
     if isinstance(want, str):
         assert got == want
@@ -591,7 +599,7 @@ class TestPlainFastPath:
         data = generate(default_region(), n=300, seed=4, noise=0.1)
         path = tmp_path / "plain.csv"
         write_csv(data, path)
-        expected = gasgate.data._parse_lines(path.read_bytes(), path)
+        expected = load_by_lines(path)
 
         def refuse(raw, path):
             raise AssertionError("plain file fell back to the line parser")
@@ -678,6 +686,15 @@ class TestPlainFastPath:
             assert outcome == message if message else not isinstance(outcome, str)
         write_csv(generate(default_region(), n=300, seed=4, noise=0.1), path)
         assert gasgate.data._parse_plain(path.read_bytes()) is not None
+
+    def test_line_parser_memory_is_a_few_times_the_file(self, tmp_path):
+        # 3.9 times the file's bytes; building the rows as a list of tuples
+        # before the table would take 7.5
+        path = tmp_path / "lines.csv"
+        write_csv(generate(default_region(), n=20_000, seed=5, noise=0.05), path)
+        path.write_bytes(b"# lead\n" + path.read_bytes())
+        file_mb = path.stat().st_size / 2**20
+        assert traced_peak_mb(lambda: load_csv(path)) <= 5 * file_mb
 
     def test_byte_order_mark_is_not_stripped(self, tmp_path):
         path = tmp_path / "bom.csv"

@@ -74,6 +74,9 @@ def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
      "explosive region at o2=15.0 touches the hc_range edge; widen hc_range"),
     (["accuracy", "--data", "/nonexistent.csv"], "no such file: /nonexistent.csv"),
     (["penalty", "--n", "10", "--folds", "20"], "20 folds exceed 10 samples"),
+    # a rule that joins two flags; it once ended in a traceback
+    (["penalty", "--w2", "1e300", "--grid", "1,1e10"],
+     "--grid ratio 1e+10 times --w2 1e+300 is not a finite penalty"),
     # the path asked for, not the temp file the write would have renamed
     (["penalty", "--n", "60", "--grid", "1,4", "--folds", "3", "--out", "/nonexistent/t.tsv"],
      "[Errno 2] No such file or directory: '/nonexistent/t.tsv'"),

@@ -932,6 +932,35 @@ class TestValidation:
                 penalties=PenaltyConfig(10.0, 10.0),
             )
 
+    def test_overflowing_diagonal_refused_before_smo(self, monkeypatch):
+        X = np.array([[-1.0], [0.5], [1.0]])
+        monkeypatch.setattr(svm, "_Smo", None)
+        with pytest.raises(GasgateError, match="^polynomial kernel values are not finite"):
+            fit(X, np.array([-1.0, 1.0, 1.0]), KernelSpec("polynomial", coef0=1e200))
+
+    def test_overflow_off_the_diagonal_refused(self):
+        # k(x, x) is finite on every row, but k(a, -a) = (-2 a^2)^3 overflows;
+        # such a fit once ended in a nan bias
+        a = 2e51
+        X = np.array([[0.0], [a], [-a], [0.5 * a]])
+        spec = KernelSpec("polynomial", gamma=1.0, coef0=-a * a, degree=3)
+        assert np.isfinite(KernelRows(spec, X, 2**20).diagonal).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GasgateError, match="^polynomial kernel values are not finite"):
+                fit(X, np.array([1.0, -1.0, -1.0, 1.0]), spec)
+
+    def test_non_finite_decision_value_names_its_row(self):
+        model = SvmModel(
+            support_vectors=np.array([[1.0]]),
+            dual_coef=np.array([1.0]),
+            bias=0.0,
+            kernel=KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=3),
+            penalties=PenaltyConfig(),
+        )
+        # (1e200 + 1)^3 overflows: a nan score once labelled the row safe
+        with pytest.raises(GasgateError, match="^the decision value of row 3 is not finite"):
+            model.predict(np.array([[0.5], [-2.0], [1e200]]))
+
     def test_decision_value_rejects_matrix(self):
         model = fit(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="single feature vector"):
