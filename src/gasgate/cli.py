@@ -54,7 +54,7 @@ from .evaluate import (
 from .kernels import KERNEL_KINDS, KernelSpec
 from .logistic import LogisticModel, explosion_interval, intervals_csv, sigmoid
 from .model_io import load_model, save_model
-from .svm import DEFAULT_CACHE_MB, PenaltyConfig
+from .svm import PenaltyConfig
 from .synth import default_region, generate
 
 SEED_ENV = "GASGATE_SEED"
@@ -141,31 +141,33 @@ def build_parser() -> _Parser:
                        choices=[RATIO_O2_OVER_HC, RATIO_HC_OVER_O2],
                        help="orientation of the ratio attribute")
 
+    # solver defaults are those of the recipe classes the flags fill in
     def add_svm_flags(p):
-        p.add_argument("--kernel", default="rbf", choices=list(KERNEL_KINDS))
+        p.add_argument("--kernel", default=KernelSpec.kind, choices=list(KERNEL_KINDS))
         p.add_argument("--gamma", type=POSITIVE_FINITE, default=None,
                        help="kernel width (default 1/n_features)")
-        p.add_argument("--coef0", type=FINITE, default=0.0)
-        p.add_argument("--degree", type=at_least(1), default=3)
-        p.add_argument("--max-passes", type=at_least(1), default=1000)
-        p.add_argument("--cache-mb", type=POSITIVE, default=DEFAULT_CACHE_MB,
+        p.add_argument("--coef0", type=FINITE, default=KernelSpec.coef0)
+        p.add_argument("--degree", type=at_least(1), default=KernelSpec.degree)
+        p.add_argument("--max-passes", type=at_least(1), default=SvmLearner.max_passes)
+        p.add_argument("--cache-mb", type=POSITIVE, default=SvmLearner.cache_mb,
                        help="most memory for cached kernel rows, in MiB; the cache "
                             "holds what SMO reads again, up to this (default "
                             "%(default)g; inf for no ceiling)")
 
     def add_penalty_flags(p):
         # not on sweep, whose penalties are ratio x --base-w2
-        p.add_argument("--penalty-positive", type=POSITIVE_FINITE, default=10.0,
-                       help="slack cost for explosive samples")
-        p.add_argument("--penalty-negative", type=POSITIVE_FINITE, default=10.0,
-                       help="slack cost for safe samples")
+        p.add_argument("--penalty-positive", type=POSITIVE_FINITE,
+                       default=PenaltyConfig.positive, help="slack cost for explosive samples")
+        p.add_argument("--penalty-negative", type=POSITIVE_FINITE,
+                       default=PenaltyConfig.negative, help="slack cost for safe samples")
 
     def add_lr_flags(p):
-        p.add_argument("--ridge", type=NON_NEGATIVE_FINITE, default=1e-6)
-        p.add_argument("--max-iter", type=at_least(1), default=200)
+        p.add_argument("--ridge", type=NON_NEGATIVE_FINITE, default=LogisticLearner.ridge)
+        p.add_argument("--max-iter", type=at_least(1), default=LogisticLearner.max_iter)
 
-    def add_tol(p, default=None, help=None):
-        p.add_argument("--tol", type=POSITIVE_FINITE, default=default, help=help)
+    def add_tol(p, help=None):
+        # unset, it is the tol of the model's recipe (_svm_learner, _lr_learner)
+        p.add_argument("--tol", type=POSITIVE_FINITE, help=help)
 
     p = command("gen", cmd_gen)
     p.add_argument("--n", type=at_least(10), default=500, help="number of rows (>= 10)")
@@ -215,7 +217,7 @@ def build_parser() -> _Parser:
                    help="comma list of penalty ratios (all >= 1)")
     p.add_argument("--base-w2", type=POSITIVE_FINITE, default=1.0,
                    help="negative-class slack cost; positive cost is ratio times this")
-    add_tol(p, default=1e-3)
+    add_tol(p)
     p.add_argument("--out", help="report TSV path")
 
     p = command("intervals", cmd_intervals)
@@ -302,11 +304,6 @@ def _feature_config(args) -> FeatureConfig:
         args._sub.error(str(exc))
 
 
-def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(kind=args.kernel, gamma=args.gamma, coef0=args.coef0,
-                      degree=args.degree)
-
-
 def _learner(args, seed):
     """The ``--model`` learner; every flag it reads was checked by its type."""
     if args.model == "lr":
@@ -317,9 +314,10 @@ def _learner(args, seed):
 def _svm_learner(args, seed, positive, negative) -> SvmLearner:
     """The SVM recipe of the kernel, tolerance, budget and cache flags."""
     return SvmLearner(
-        kernel=_kernel_spec(args),
+        kernel=KernelSpec(kind=args.kernel, gamma=args.gamma, coef0=args.coef0,
+                          degree=args.degree),
         penalties=PenaltyConfig(positive=positive, negative=negative),
-        tol=1e-3 if args.tol is None else args.tol,
+        tol=SvmLearner.tol if args.tol is None else args.tol,
         max_passes=args.max_passes,
         seed=seed,
         cache_mb=args.cache_mb,
@@ -327,7 +325,7 @@ def _svm_learner(args, seed, positive, negative) -> SvmLearner:
 
 
 def _lr_learner(args) -> LogisticLearner:
-    tol = 1e-8 if args.tol is None else args.tol
+    tol = LogisticLearner.tol if args.tol is None else args.tol
     return LogisticLearner(ridge=args.ridge, tol=tol, max_iter=args.max_iter)
 
 
@@ -471,8 +469,8 @@ def cmd_sweep(args) -> int:
     if stalled:
         detail = ", ".join(f"ratio {g!r}: {k}" for g, k in stalled.items())
         print(
-            f"warning: {sum(stalled.values())} fold fits hit --max-passes "
-            f"without converging ({detail}); their counts are pooled",
+            f"warning: {sum(stalled.values())} of {len(set(args.grid)) * args.folds} "
+            f"fold fits did not converge ({detail}); their counts are pooled",
             file=sys.stderr,
         )
     sys.stdout.write(sweep_text(report))

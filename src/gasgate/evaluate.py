@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, FeatureConfig, featurize, fit_normalization
-from .errors import SingleClassError, TooFewSamplesError
+from .errors import NonFiniteScoreError, SingleClassError, TooFewSamplesError
 from .kernels import KernelRows, KernelSpec
 from .logistic import fit_logistic
 from .svm import DEFAULT_CACHE_MB, PenaltyConfig, fit_svm
@@ -90,8 +90,8 @@ class ConfusionCounts:
 class CvReport:
     """Per-fold confusion counts for one v-fold run plus summary accuracy.
 
-    ``unconverged`` counts the fold fits that ran out of iterations; their
-    counts are included all the same.
+    ``unconverged`` counts the fold fits that did not converge; their counts
+    are included all the same.
     """
 
     fold_counts: tuple[ConfusionCounts, ...]
@@ -125,18 +125,15 @@ class CvReport:
 
     @property
     def pooled(self) -> ConfusionCounts:
-        total = ConfusionCounts()
-        for c in self.fold_counts:
-            total = total + c
-        return total
+        return sum(self.fold_counts, ConfusionCounts())
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """Pooled cross-validated counts at one penalty ratio gamma = w1/w2.
 
-    ``unconverged`` counts the fold fits at this ratio that hit the SMO
-    update budget; their counts are pooled all the same.
+    ``unconverged`` counts the fold fits at this ratio that did not converge,
+    by update budget or stall; their counts are pooled all the same.
     """
 
     gamma: float
@@ -178,7 +175,11 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class SvmLearner:
-    """Fold-level SVM recipe: hyperparameters minus any fitted state."""
+    """Fold-level SVM recipe: hyperparameters minus any fitted state.
+
+    Each field is passed to ``fit_svm`` as the keyword of its name, so a
+    field that is no such keyword fails with ``TypeError`` on the first fit.
+    """
 
     kernel: KernelSpec = KernelSpec()
     penalties: PenaltyConfig = PenaltyConfig()
@@ -191,23 +192,13 @@ class SvmLearner:
         """``fit_svm`` with this recipe; ``start`` passes a warm start and a
         shared kernel-row cache on to it."""
         labels = np.where(np.asarray(exploded, dtype=bool), 1.0, -1.0)
-        return fit_svm(
-            features,
-            labels,
-            kernel=self.kernel,
-            penalties=self.penalties,
-            tol=self.tol,
-            max_passes=self.max_passes,
-            seed=self.seed,
-            normalization=normalization,
-            cache_mb=self.cache_mb,
-            **start,
-        )
+        return fit_svm(features, labels, normalization=normalization, **vars(self), **start)
 
 
 @dataclass(frozen=True)
 class LogisticLearner:
-    """Fold-level logistic-regression recipe."""
+    """Fold-level logistic-regression recipe; each field is passed to
+    ``fit_logistic`` as the keyword of its name, as ``SvmLearner``'s are."""
 
     ridge: float = 1e-6
     tol: float = 1e-8
@@ -217,15 +208,7 @@ class LogisticLearner:
         """``fit_logistic`` with this recipe; ``start`` passes a warm start
         (``init_beta``) on to it."""
         labels = np.asarray(exploded, dtype=bool).astype(float)
-        return fit_logistic(
-            features,
-            labels,
-            ridge=self.ridge,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            normalization=normalization,
-            **start,
-        )
+        return fit_logistic(features, labels, normalization=normalization, **vars(self), **start)
 
 
 def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
@@ -260,7 +243,7 @@ def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
 
 def make_fold(data: Dataset, train_idx, test_idx,
               feature_config: FeatureConfig = FeatureConfig()):
-    """One fold's ``(normalization, X, exploded, X_test, test_exploded)``.
+    """One fold's ``(normalization, X, exploded, X_test, test_exploded, test_idx)``.
 
     Normalization is fitted here from the training rows only, so held-out
     values can never leak into the feature scaling.
@@ -269,15 +252,19 @@ def make_fold(data: Dataset, train_idx, test_idx,
     test = data.subset(test_idx)
     params = fit_normalization(train, feature_config)
     return (params, featurize(params, train), train.exploded,
-            featurize(params, test), test.exploded)
+            featurize(params, test), test.exploded, test_idx)
 
 
 def fit_fold(fold, learner, **start):
     """Fit ``learner`` on a made fold and score its held-out rows: ``(model,
-    counts)``.  ``start`` holds the learner's warm-start keywords, if any."""
-    params, X, exploded, X_test, test_exploded = fold
+    counts)``.  ``start`` holds the learner's warm-start keywords, if any.
+    A held-out row whose score is not finite is named by its row in the data."""
+    params, X, exploded, X_test, test_exploded, test_idx = fold
     model = learner.fit(X, exploded, normalization=params, **start)
-    predicted = model.predict(X_test) == 1
+    try:
+        predicted = model.predict(X_test) == 1
+    except NonFiniteScoreError as exc:
+        raise NonFiniteScoreError(int(test_idx[exc.row]), exc.kind) from None
     return model, ConfusionCounts.from_outcomes(test_exploded, predicted)
 
 
@@ -290,9 +277,7 @@ def _stratified_folds(data: Dataset, v: int, seed: int, feature_config: FeatureC
     folds = stratified_kfold_indices(data.exploded, v, seed)
     feature_config.check_ratio(data)
     for fold in folds:
-        in_train = np.ones(len(data), dtype=bool)
-        in_train[fold] = False
-        yield make_fold(data, np.flatnonzero(in_train), fold, feature_config)
+        yield make_fold(data, np.delete(np.arange(len(data)), fold), fold, feature_config)
 
 
 def cross_validate(

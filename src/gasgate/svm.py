@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormalizationParams, check_width
-from .errors import GasgateError, SingleClassError
+from .errors import GasgateError, NonFiniteScoreError, SingleClassError
 from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
 #: default ceiling of the kernel-row cache a fit builds, in MiB.  Below it the
@@ -147,8 +147,7 @@ class SvmModel:
         # a nan score would label its row safe
         bad = ~np.isfinite(scores)
         if bad.any():
-            raise GasgateError(f"the decision value of row {int(bad.argmax()) + 1} is "
-                               f"not finite: its {self.kernel.kind} kernel values overflow")
+            raise NonFiniteScoreError(int(bad.argmax()), self.kernel.kind)
         return scores
 
     def decision_value(self, x) -> float:
@@ -266,9 +265,11 @@ def fit_svm(
         raise GasgateError(_NON_FINITE_KERNEL.format(spec.kind))
     caps = np.where(y > 0, penalties.positive, penalties.negative)
     smo = _Smo(cache, y, caps, seed, init_alpha, init_gradient)
-    # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
-    # selection would steer it to a different local optimum.
-    converged = smo.run(max_passes * len(y), tol, second_order=spec.kind != "sigmoid")
+    # no overflow warning: a kernel row that overflows is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
+        # selection would steer it to a different local optimum.
+        converged = smo.run(max_passes * len(y), tol, second_order=spec.kind != "sigmoid")
     alpha, F, trace = smo.alpha, smo.F, smo.trace
     del smo  # its working arrays go before the recompute, where a fit's memory peaks
 

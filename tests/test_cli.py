@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gasgate import cli, evaluate
 from gasgate.cli import main
 from gasgate.data import BLOCK_ROWS, Dataset, GasSample, featurize, load_csv, write_csv
-from gasgate.evaluate import SvmLearner, choose_ratio, penalty_sweep, sweep_text
+from gasgate.evaluate import LogisticLearner, SvmLearner, choose_ratio, penalty_sweep, sweep_text
 from gasgate.kernels import KernelSpec
 from gasgate.logistic import LogisticModel, sigmoid
 from gasgate.model_io import load_model, save_model
@@ -100,6 +101,25 @@ class TestParsing:
         assert capsys.readouterr().out.startswith(f"usage: gasgate {command} ")
 
 
+class TestSolverDefaults:
+    """A command line that sets no solver flag builds the default recipes."""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_train_and_cv(self, command):
+        parser = cli.build_parser()
+        svm_args = parser.parse_args([command, "--model", "svm"])
+        assert cli._learner(svm_args, 0) == SvmLearner()
+        lr_args = parser.parse_args([command, "--model", "lr"])
+        assert cli._learner(lr_args, 0) == LogisticLearner()
+
+    def test_sweep_and_intervals(self):
+        parser = cli.build_parser()
+        sweep_args = parser.parse_args(["sweep"])
+        assert (cli._svm_learner(sweep_args, 0, 1.0, 1.0)
+                == SvmLearner(penalties=PenaltyConfig(1.0, 1.0)))
+        assert cli._lr_learner(parser.parse_args(["intervals"])) == LogisticLearner()
+
+
 class TestGen:
     def test_writes_corpus_with_exact_class_split(self, corpus_csv, capsys):
         data = load_csv(corpus_csv)
@@ -145,6 +165,16 @@ class TestTrain:
         assert rc == 0
         assert "trained lr on 120 samples" in stdout
         assert isinstance(load_model(again), LogisticModel)
+
+    def test_penalties_too_small_to_move_are_refused(self, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "tiny.json"
+        rc = main(["train", "--model", "svm", "--penalty-positive", "1e-13",
+                   "--penalty-negative", "1e-13", "--data", str(corpus_csv), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("gasgate: error: optimizer made no progress; "
+                                "no support vectors found\n")
+        assert captured.out == "" and not out.exists()
 
     def test_svm_model_is_loadable(self, svm_model):
         model = load_model(svm_model)
@@ -571,13 +601,36 @@ class TestSweep:
         stunted = capsys.readouterr()
         assert stunted.err.count("\n") == 1
         assert stunted.err.startswith("warning: ")
-        assert "fold fits hit --max-passes" in stunted.err
+        assert "fold fits did not converge" in stunted.err
         assert "ratio 1.0: " in stunted.err
         # stdout is the report alone, exactly as rendered by the library
         learner = SvmLearner(KernelSpec("rbf", gamma=0.5), PenaltyConfig(10.0, 10.0),
                              max_passes=1)
         report = penalty_sweep(load_csv(noisy_csv), learner, gamma_grid=(1.0, 8.0), v=4)
         assert stunted.out == sweep_text(report) + f"chosen gamma: {choose_ratio(report)!r}\n"
+
+    def test_stalled_fits_are_not_blamed_on_the_budget(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "stall.csv"
+        assert main(["gen", "--n", "60", "--seed", "0", "--noise", "0.3",
+                     "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        fits = []
+        fit_svm = evaluate.fit_svm
+
+        def recording(features, labels, **kwargs):
+            model = fit_svm(features, labels, **kwargs)
+            budget = kwargs["max_passes"] * len(labels)
+            fits.append((model.converged, len(model.objective_trace) - 1 < budget))
+            return model
+
+        monkeypatch.setattr(evaluate, "fit_svm", recording)
+        assert main(["sweep", "--data", str(corpus), "--tol", "1e-12", "--base-w2", "1e6",
+                     "--grid", "1,5"]) == 0
+        # every fit stopped inside its update budget, when no pair made progress
+        assert fits == [(False, True)] * 10
+        assert capsys.readouterr().err == (
+            "warning: 10 of 10 fold fits did not converge (ratio 1.0: 5, ratio 5.0: 5); "
+            "their counts are pooled\n")
 
     def test_ratios_below_one_rejected(self, corpus_csv):
         assert main(["sweep", "--data", str(corpus_csv), "--grid", "0.5,2"]) == 1
@@ -757,6 +810,53 @@ class TestNonFiniteKernel:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == ("gasgate: error: the decision value of row 2 is not "
+                                "finite: its polynomial kernel values overflow\n")
+
+
+    # k(x, x) = 0 on every row, while k(-1, 1) = (-2e103)^3 overflows: the
+    # fit itself, or (in the folds) every step SMO tries, meets the overflow
+    @pytest.mark.parametrize("command, error", [
+        (["train", "--model", "svm"],
+         "polynomial kernel values are not finite on the training features"),
+        (["cv", "--model", "svm", "--folds", "2"],
+         "optimizer made no progress; no support vectors found"),
+        (["sweep", "--folds", "2"], "optimizer made no progress; no support vectors found"),
+    ], ids=["train", "cv", "sweep"])
+    def test_overflow_off_the_diagonal_prints_one_line(self, tmp_path, capsys, command, error):
+        path = tmp_path / "six.csv"
+        path.write_text("hc,o2,co,co2,exploded\n1,15,0,0,1\n2,15,0,0,0\n1,16,0,0,0\n"
+                        "2,16,0,0,1\n1,17,0,0,1\n2,17,0,0,0\n")
+        out = tmp_path / "out.txt"
+        rc = main([*command, "--features", "hc", "--kernel", "polynomial", "--gamma", "1e103",
+                   "--coef0=-1e103", "--degree", "3", "--data", str(path), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"gasgate: error: {error}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", [["cv", "--model", "svm"], ["sweep"], ["predict"]],
+                             ids=lambda c: c[0])
+    def test_held_out_overflow_names_the_dataset_row(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.csv"
+        assert main(["gen", "--n", "200", "--seed", "7", "--noise", "0.05",
+                     "--out", str(corpus)]) == 0
+        kernel = ["--kernel", "polynomial", "--gamma", "1", "--coef0", "1"]
+        if command == ["predict"]:
+            model = tmp_path / "poly.json"
+            assert main(["train", "--model", "svm", *kernel, "--data", str(corpus),
+                         "--out", str(model)]) == 0
+            command, kernel = ["predict", "--model-file", str(model)], []
+        capsys.readouterr()
+        rows = corpus.read_text().splitlines()
+        fields = rows[151].split(",")  # data row 151
+        fields[0] = "1e-300"
+        rows[151] = ",".join(fields)
+        path = tmp_path / "tiny_hc.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main([*command, *kernel, "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gasgate: error: the decision value of row 151 is not "
                                 "finite: its polynomial kernel values overflow\n")
 
 
@@ -1018,6 +1118,27 @@ class TestIntervals:
         rc = main(["intervals", "--model-file", str(svm_model), "--o2", "16"])
         assert rc == 2
         assert "logistic" in capsys.readouterr().err
+
+    def test_absent_levels_print_and_write_no_interval(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        assert main(["gen", "--n", "500", "--seed", "1", "--noise", "0.05",
+                     "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "intervals.csv"
+        assert main(["intervals", "--data", str(corpus), "--ridge", "0.1",
+                     "--o2", "2,5,8,16", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[:3] == [f"o2={o2}: no explosive interval" for o2 in (2, 5, 8)]
+        assert stdout[3].startswith("o2=16: explosive hc in [")
+        rows = out.read_text().splitlines()
+        assert rows[1:4] == ["2.0,,,0", "5.0,,,0", "8.0,,,0"]
+        assert rows[4].startswith("16.0,") and rows[4].endswith(",1")
+
+    def test_empty_o2_list(self, span_csv, capsys):
+        rc = main(["intervals", "--data", str(span_csv), "--o2", ","])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            "gasgate intervals: error: argument --o2: empty list\n")
 
     def test_bad_o2_list(self, span_csv):
         rc = main(["intervals", "--data", str(span_csv), "--o2", "sixteen"])

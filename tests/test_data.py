@@ -411,6 +411,12 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 1"):
             load_csv(path)
 
+    def test_comment_lines_only_is_missing_its_header(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_text("# one\n# two\n")
+        with pytest.raises(DataFormatError, match=r"^missing header 'hc,o2,co,co2,exploded' in "):
+            load_csv(path)
+
     def test_empty_after_header(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text(f"{CSV_HEADER}\n")

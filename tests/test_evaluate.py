@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import weakref
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasgate.data import Dataset, FeatureConfig, GasSample
-from gasgate.errors import DataFormatError, SingleClassError
+from gasgate.errors import DataFormatError, NonFiniteScoreError, SingleClassError
 from gasgate.evaluate import (
     DEFAULT_FOLDS,
     DEFAULT_GAMMA_GRID,
@@ -297,6 +299,26 @@ class TestCrossValidate:
             run(Dataset.from_columns(*zip(*rows)))
 
 
+class TestHeldOutOverflow:
+    """A held-out row whose SVM score overflows is named by its row in the
+    data, as ``predict`` names it, not by its place among the fold's rows."""
+
+    @pytest.mark.parametrize("run", [
+        lambda data, learner: cross_validate(data, learner),
+        lambda data, learner: penalty_sweep(data, learner, gamma_grid=(1.0, 2.0)),
+    ], ids=["cv", "sweep"])
+    def test_row_in_the_data(self, run):
+        data = generate(default_region(), n=200, seed=7, noise=0.05)
+        hc = data.hc.copy()
+        hc[150] = 1e-300  # its o2/hc feature is about 1e301 off the training range
+        data = Dataset.from_columns(hc, data.o2, data.co, data.co2, data.exploded)
+        learner = SvmLearner(KernelSpec("polynomial", gamma=1.0, coef0=1.0))
+        with pytest.raises(NonFiniteScoreError,
+                           match="^the decision value of row 151 is not finite") as caught:
+            run(data, learner)
+        assert caught.value.row == 150
+
+
 def cold_fold_fits(data, learner, v, seed):
     """``(model, counts)`` of each fold of ``cross_validate``, fitted from zero."""
     everything = np.arange(len(data))
@@ -334,6 +356,22 @@ class TestWarmStartedLogisticFolds:
 
 
 class TestLearners:
+    @pytest.mark.parametrize("learner, fit", [(SvmLearner, fit_svm),
+                                              (LogisticLearner, fit_logistic)])
+    def test_every_field_is_a_fit_keyword(self, learner, fit):
+        keywords = inspect.signature(fit).parameters
+        assert {field.name for field in dataclasses.fields(learner)} <= set(keywords)
+
+    def test_every_field_reaches_the_fit(self, featurized_small):
+        params, X, exploded = featurized_small
+        settings = dict(kernel=KernelSpec("polynomial", gamma=0.5, coef0=1.0, degree=2),
+                        penalties=PenaltyConfig(3.0, 2.0), tol=1e-2, max_passes=2, seed=4,
+                        cache_mb=0.01)
+        model = SvmLearner(**settings).fit(X, exploded, normalization=params)
+        direct = fit_svm(X, np.where(exploded, 1.0, -1.0), normalization=params, **settings)
+        assert np.array_equal(model.alpha, direct.alpha) and model.bias == direct.bias
+        assert (model.kernel, model.penalties) == (settings["kernel"], settings["penalties"])
+
     def test_svm_learner_round_trip(self, featurized_small):
         params, X, exploded = featurized_small
         learner = SvmLearner(kernel=KernelSpec("rbf", gamma=0.5))

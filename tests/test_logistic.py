@@ -204,6 +204,36 @@ class TestFit:
         assert np.abs(model.beta - res.x).max() <= 1e-4
         assert np.linalg.norm(penalized_gradient(model.beta, X, y, model.ridge)) <= 1e-8
 
+    def test_singular_hessian_falls_back_to_gradient_steps(self, monkeypatch):
+        # CO is constant on this corpus, so its normalized column is all zeros
+        # and, with no ridge, every Hessian is singular
+        data = generate(default_region(), n=500, seed=1, noise=0.05)
+        with pytest.warns(UserWarning, match="constant attribute"):
+            with_co = fit_normalization(data, FeatureConfig(("hc", "o2", "co")))
+        without_co = fit_normalization(data, FeatureConfig(("hc", "o2")))
+        y = data.exploded.astype(float)
+        outcomes = []
+        solve = np.linalg.solve
+
+        def recording(*args):
+            try:
+                step = solve(*args)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("solved")
+            return step
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        model = fit_logistic(featurize(with_co, data), y, ridge=0.0)
+        monkeypatch.undo()
+        reference = fit_logistic(featurize(without_co, data), y, ridge=0.0)
+        assert len(outcomes) > 1 and set(outcomes) == {"singular"}
+        assert model.converged and reference.converged
+        assert model.beta[3] == 0.0
+        # both stop at the gradient tolerance, not at the same point
+        assert np.abs(model.beta[:3] - reference.beta).max() <= 1e-6
+
     def test_row_order_does_not_change_the_fit(self, featurized_small):
         _, X, exploded = featurized_small
         y = exploded.astype(float)

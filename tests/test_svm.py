@@ -945,9 +945,25 @@ class TestValidation:
         X = np.array([[0.0], [a], [-a], [0.5 * a]])
         spec = KernelSpec("polynomial", gamma=1.0, coef0=-a * a, degree=3)
         assert np.isfinite(KernelRows(spec, X, 2**20).diagonal).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(GasgateError, match="^polynomial kernel values are not finite"):
-                fit(X, np.array([1.0, -1.0, -1.0, 1.0]), spec)
+        # SMO steps on the overflowing rows without a warning of its own
+        with pytest.raises(GasgateError, match="^polynomial kernel values are not finite"):
+            fit(X, np.array([1.0, -1.0, -1.0, 1.0]), spec)
+
+    def test_penalties_below_the_multiplier_threshold_leave_nothing_to_move(self, monkeypatch):
+        # with caps of 1e-13 no multiplier can pass the 1e-12 support-vector
+        # threshold, so both index sets start empty and SMO stops at once
+        runs = []
+        run = svm._Smo.run
+
+        def recording(smo, *args, **kwargs):
+            runs.append((run(smo, *args, **kwargs), smo.updates))
+            return runs[-1][0]
+
+        monkeypatch.setattr(svm._Smo, "run", recording)
+        X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
+        with pytest.raises(GasgateError, match="^optimizer made no progress"):
+            fit(X, np.array([-1.0, -1.0, 1.0, 1.0]), pos=1e-13, neg=1e-13)
+        assert runs == [(True, 0)]
 
     def test_non_finite_decision_value_names_its_row(self):
         model = SvmModel(
