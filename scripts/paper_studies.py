@@ -91,16 +91,16 @@ def penalty(args, data) -> None:
     # the sweep scales the negative-class cost w2 by each ratio
     learner = SvmLearner(kernel=KernelSpec("rbf", gamma=args.gamma),
                          penalties=PenaltyConfig(args.w2, args.w2), seed=args.seed)
-    report = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=args.seed)
+    sweep = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=args.seed)
     print(f"corpus: {data.provenance or args.data} ({len(data)} samples)")
     print(f"{args.folds}-fold CV at each ratio, pooled over folds:\n")
-    print(sweep_text(report), end="")
-    chosen = choose_ratio(report)
-    row = report.row(chosen)
+    print(sweep_text(sweep), end="")
+    chosen = choose_ratio(sweep)
+    pooled = dict(sweep)[chosen].pooled
     print(f"\nchosen ratio: {chosen:g} "
-          f"(type1 {row.type1_rate:.2%}, whole error {row.whole_error_rate:.2%})")
+          f"(type1 {pooled.type1_rate:.2%}, whole error {pooled.whole_error_rate:.2%})")
     if args.out:
-        atomic_write_text(args.out, sweep_tsv(report))
+        atomic_write_text(args.out, sweep_tsv(sweep))
         print(f"wrote {args.out}")
 
 

@@ -463,9 +463,9 @@ def cmd_sweep(args) -> int:
     data = load_csv(args.data)
     # the sweep reads the negative penalty alone and scales it by each ratio
     learner = _svm_learner(args, seed, args.base_w2, args.base_w2)
-    report = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=seed,
-                           feature_config=config)
-    stalled = {r.gamma: r.unconverged for r in report.rows if r.unconverged}
+    sweep = penalty_sweep(data, learner, gamma_grid=args.grid, v=args.folds, seed=seed,
+                          feature_config=config)
+    stalled = {g: r.unconverged for g, r in sweep if r.unconverged}
     if stalled:
         detail = ", ".join(f"ratio {g!r}: {k}" for g, k in stalled.items())
         print(
@@ -473,10 +473,10 @@ def cmd_sweep(args) -> int:
             f"fold fits did not converge ({detail}); their counts are pooled",
             file=sys.stderr,
         )
-    sys.stdout.write(sweep_text(report))
-    print(f"chosen gamma: {choose_ratio(report)!r}")
+    sys.stdout.write(sweep_text(sweep))
+    print(f"chosen gamma: {choose_ratio(sweep)!r}")
     if args.out:
-        atomic_write_text(args.out, sweep_tsv(report))
+        atomic_write_text(args.out, sweep_tsv(sweep))
         print(f"wrote {args.out}")
     return 0
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, SingleClassError
 
 CSV_HEADER = "hc,o2,co,co2,exploded"
 
@@ -300,6 +300,25 @@ def check_width(params: NormalizationParams | None, n_features: int) -> None:
                          f"for a model of {n_features} features")
 
 
+def check_training_set(X: np.ndarray, y: np.ndarray, encoding: tuple[str, str],
+                       tol: float) -> None:
+    """Refuse a fit's features ``X`` and labels ``y`` that disagree on the
+    sample count, the first non-finite feature row, labels outside the two
+    written in ``encoding`` (such as ``("0", "1")``), a single class, and a
+    ``tol`` that is not positive."""
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("features and labels disagree on sample count")
+    if not np.isfinite(X).all():
+        raise ValueError(f"feature row {int(np.isfinite(X).all(1).argmin())} is not finite")
+    classes = np.unique(y)
+    if not set(classes) <= {float(label) for label in encoding}:
+        raise ValueError(f"labels must be encoded as {' / '.join(encoding)}")
+    if len(classes) < 2:
+        raise SingleClassError("training data contains a single class")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def load_csv(path) -> Dataset:
     """Read a measurement CSV into a Dataset, preserving row order.
 
@@ -327,11 +346,10 @@ _HEADER_LINE = f"{CSV_HEADER}\n".encode()
 #: every byte ``write_csv`` emits after its header line
 _PLAIN_BYTES = b"0123456789.,+-eE\n"
 
-#: what deleting the plain bytes leaves of the header line
-_HEADER_REST = _HEADER_LINE.translate(None, _PLAIN_BYTES)
-
-#: bytes whose line ends ``_parse_plain`` checks at a time
-_SCAN_BYTES = 1 << 20
+#: bytes whose alphabet and line ends ``_parse_plain`` checks at a time: each
+#: slice is copied and masked, so this bounds what a load holds beyond the
+#: file and its table
+_SCAN_BYTES = 1 << 16
 
 
 def _parse_plain(raw: bytes) -> tuple[np.ndarray, range] | None:
@@ -348,15 +366,15 @@ def _parse_plain(raw: bytes) -> tuple[np.ndarray, range] | None:
     sits on line k + 2.
     """
     start = len(_HEADER_LINE)
-    # translating all of raw spares a copy of everything after the header
-    if not (raw.startswith(_HEADER_LINE) and len(raw) > start
-            and raw.translate(None, _PLAIN_BYTES) == _HEADER_REST):
+    if not (raw.startswith(_HEADER_LINE) and len(raw) > start):
         return None
-    # every newline after the header ends a ",0" or ",1"; checked a slice at
-    # a time, so the mask does not grow with the file
+    # after the header only plain bytes, and every newline ends a ",0" or
+    # ",1"; checked a slice at a time, so no copy or mask grows with the file
     buf = np.frombuffer(raw, dtype=np.uint8)
     lines = 0
     for lo in range(start, len(buf), _SCAN_BYTES):
+        if raw[lo:lo + _SCAN_BYTES].translate(None, _PLAIN_BYTES):
+            return None
         ends = np.flatnonzero(buf[lo:lo + _SCAN_BYTES] == ord("\n")) + lo
         flags = buf[ends - 1]
         if not ((buf[ends - 2] == ord(",")).all()

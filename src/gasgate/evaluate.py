@@ -129,51 +129,6 @@ class CvReport:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """Pooled cross-validated counts at one penalty ratio gamma = w1/w2.
-
-    ``unconverged`` counts the fold fits at this ratio that did not converge,
-    by update budget or stall; their counts are pooled all the same.
-    """
-
-    gamma: float
-    counts: ConfusionCounts
-    unconverged: int = 0
-
-    def __post_init__(self):
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-
-    @property
-    def type1_rate(self) -> float:
-        return self.counts.type1_rate
-
-    @property
-    def type2_rate(self) -> float:
-        return self.counts.type2_rate
-
-    @property
-    def whole_error_rate(self) -> float:
-        return self.counts.whole_error_rate
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
-            raise ValueError("a sweep report needs at least one row")
-
-    def row(self, gamma: float) -> SweepRow:
-        for r in self.rows:
-            if r.gamma == gamma:
-                return r
-        raise KeyError(f"no sweep row at gamma={gamma}")
-
-
-@dataclass(frozen=True)
 class SvmLearner:
     """Fold-level SVM recipe: hyperparameters minus any fitted state.
 
@@ -338,16 +293,20 @@ def penalty_sweep(
     v: int = DEFAULT_FOLDS,
     seed: int = 0,
     feature_config: FeatureConfig = FeatureConfig(),
-) -> SweepReport:
+) -> tuple[tuple[float, CvReport], ...]:
     """Cross-validate ``learner`` at each penalty ratio in ``gamma_grid``.
+
+    Returns one ``(gamma, report)`` pair per entry of ``gamma_grid``, in its
+    order with repeats kept.  Each report is what ``cross_validate`` returns
+    for the SVM recipe at that ratio: the per-fold counts in fold order, the
+    fold seed, and how many of the ratio's fold fits did not converge (by
+    update budget or stall; their counts are included all the same).
 
     At ratio gamma the negative (safe) class slack cost is w2 =
     ``learner.penalties.negative`` and the positive (explosion) cost is
     gamma * w2; ``learner.penalties.positive`` is not read.  The kernel,
     tolerance, update budget, jitter seed and cache ceiling are the
-    learner's.  Counts are pooled over the folds, so each row's rates share
-    one denominator.  Rows follow the order of ``gamma_grid``, repeats
-    included.
+    learner's.
 
     The folds are those of ``cross_validate`` with the same seed.  Within a
     fold the ratios are solved as a path (Hastie et al. 2004): normalization
@@ -368,7 +327,7 @@ def penalty_sweep(
     ratios = sorted(set(grid))
     w2 = learner.penalties.negative
     path_learners = [replace(learner, penalties=PenaltyConfig(g * w2, w2)) for g in ratios]
-    counts = dict.fromkeys(ratios, ConfusionCounts())
+    counts = {g: [] for g in ratios}
     unconverged = dict.fromkeys(ratios, 0)
     for fold in _stratified_folds(data, v, seed, feature_config):
         start = {"cache": KernelRows(learner.kernel.resolved(fold[1].shape[1]), fold[1],
@@ -376,22 +335,27 @@ def penalty_sweep(
         for gamma, path_learner in zip(ratios, path_learners):
             model, fold_counts = fit_fold(fold, path_learner, **start)
             start.update(init_alpha=model.alpha, init_gradient=model.gradient)
-            counts[gamma] = counts[gamma] + fold_counts
+            counts[gamma].append(fold_counts)
             unconverged[gamma] += not model.converged
         # dropped before the next fold is made: a sweep holds one fold's cache
         del fold, start, model
-    return SweepReport(tuple(SweepRow(g, counts[g], unconverged[g]) for g in grid))
+    reports = {g: CvReport(counts[g], seed=seed, unconverged=unconverged[g]) for g in ratios}
+    return tuple((g, reports[g]) for g in grid)
 
 
-def choose_ratio(report: SweepReport) -> float:
-    """Smallest gamma among those minimizing type-I rate, then whole error.
+def choose_ratio(sweep) -> float:
+    """Smallest gamma among those minimizing pooled type-I rate, then whole
+    error, over ``penalty_sweep``'s ``(gamma, report)`` pairs.
 
     Type-I (missed explosion) dominates the ordering because that error is
     the safety-critical one; the whole error rate breaks ties, and the
-    smallest gamma wins any remaining tie.  Row order never matters.
+    smallest gamma wins any remaining tie.  Pair order never matters.
     """
-    best = min(report.rows, key=lambda r: (r.type1_rate, r.whole_error_rate, r.gamma))
-    return best.gamma
+    ranks = []
+    for gamma, report in sweep:
+        c = report.pooled
+        ranks.append((c.type1_rate, c.whole_error_rate, gamma))
+    return min(ranks)[2]
 
 
 def cv_report_csv(report: CvReport) -> str:
@@ -418,22 +382,24 @@ def cv_report_text(report: CvReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_tsv(report: SweepReport) -> str:
-    """TSV ``gamma<TAB>type1<TAB>type2<TAB>whole`` for external plotting."""
+def sweep_tsv(sweep) -> str:
+    """TSV ``gamma<TAB>type1<TAB>type2<TAB>whole`` of ``penalty_sweep``'s
+    pairs, rates pooled over the folds, for external plotting."""
     lines = ["gamma\ttype1\ttype2\twhole"]
-    for r in report.rows:
-        lines.append(
-            f"{r.gamma!r}\t{r.type1_rate!r}\t{r.type2_rate!r}\t{r.whole_error_rate!r}"
-        )
+    for gamma, report in sweep:
+        c = report.pooled
+        lines.append(f"{gamma!r}\t{c.type1_rate!r}\t{c.type2_rate!r}\t{c.whole_error_rate!r}")
     return "\n".join(lines) + "\n"
 
 
-def sweep_text(report: SweepReport) -> str:
-    """Aligned-column rendering of a SweepReport."""
+def sweep_text(sweep) -> str:
+    """Aligned-column rendering of ``penalty_sweep``'s pairs, rates pooled
+    over the folds."""
     lines = [f"{'gamma':>6}  {'type1':>7} {'type2':>7} {'whole':>7}"]
-    for r in report.rows:
+    for gamma, report in sweep:
+        c = report.pooled
         lines.append(
-            f"{r.gamma:>6.1f}  {r.type1_rate:>7.2%} {r.type2_rate:>7.2%} "
-            f"{r.whole_error_rate:>7.2%}"
+            f"{gamma:>6.1f}  {c.type1_rate:>7.2%} {c.type2_rate:>7.2%} "
+            f"{c.whole_error_rate:>7.2%}"
         )
     return "\n".join(lines) + "\n"

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RATIO_HC_OVER_O2, NormalizationParams, check_width
+from .data import RATIO_HC_OVER_O2, NormalizationParams, check_training_set, check_width
 # unused here, but perfbench/layers.py wraps logistic.apply_normalization by name
 from .data import apply_normalization  # noqa: F401
-from .errors import DataFormatError, IntervalSolverError
-from .errors import PerfectSeparationError, SingleClassError
+from .errors import DataFormatError, IntervalSolverError, PerfectSeparationError
 
 SEPARATION_NORM = 1e3
 
@@ -181,18 +180,9 @@ def fit_logistic(
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("features and labels disagree on sample count")
-    if not np.isfinite(X).all():
-        raise ValueError(f"feature row {int(np.isfinite(X).all(1).argmin())} is not finite")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
-        raise ValueError("labels must be encoded as 0 / 1")
-    if (y == 1).all() or (y == 0).all():
-        raise SingleClassError("training data contains a single class")
+    check_training_set(X, y, ("0", "1"), tol)
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     design = _Design(_design(X))
     D = design.matrix

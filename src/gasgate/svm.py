@@ -38,12 +38,13 @@ free multiplier recomputes u once, for every sample, through them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormalizationParams, check_width
-from .errors import GasgateError, NonFiniteScoreError, SingleClassError
+from .data import NormalizationParams, check_training_set, check_width
+from .errors import GasgateError, NonFiniteScoreError
 from .kernels import KernelRows, KernelSpec, kernel_matrix, unbuffered_blocks
 
 #: default ceiling of the kernel-row cache a fit builds, in MiB.  Below it the
@@ -242,16 +243,7 @@ def fit_svm(
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("features and labels disagree on sample count")
-    if not np.isfinite(X).all():
-        raise ValueError(f"feature row {int(np.isfinite(X).all(1).argmin())} is not finite")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
-        raise ValueError("labels must be encoded as +1 / -1")
-    if (y > 0).all() or (y < 0).all():
-        raise SingleClassError("training data contains a single class")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_training_set(X, y, ("+1", "-1"), tol)
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
 
@@ -384,6 +376,8 @@ class _Smo:
         row, diag = self.cache.row, self.cache.diagonal
         Ki, Kj = row(i), row(j)
         eta = diag[i] + diag[j] - 2.0 * Ki[j]
+        if not math.isfinite(eta):  # no sound step exists; blame the kernel, not SMO
+            raise GasgateError(_NON_FINITE_KERNEL.format(self.cache.spec.kind))
         Fi, Fj = F[i], F[j]
         if eta > 1e-12:
             aj_new = min(max(aj + yj * (Fi - Fj) / eta, lo), hi)

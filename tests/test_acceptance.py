@@ -205,9 +205,9 @@ def test_07_penalty_ratio_trades_misses_for_alarms():
     for seed in range(10):
         data = generate(default_region(), n=200, seed=seed, noise=0.10)
         learner = SvmLearner(penalties=PenaltyConfig(1.0, 1.0), seed=seed)
-        report = penalty_sweep(data, learner, gamma_grid=(1.0, 60.0), seed=seed)
-        high.append(report.row(1.0).type1_rate)
-        low.append(report.row(60.0).type1_rate)
+        report = dict(penalty_sweep(data, learner, gamma_grid=(1.0, 60.0), seed=seed))
+        high.append(report[1.0].pooled.type1_rate)
+        low.append(report[60.0].pooled.type1_rate)
     avg_low, avg_high = float(np.mean(low)), float(np.mean(high))
 
     start = time.monotonic()
@@ -219,14 +219,14 @@ def test_07_penalty_ratio_trades_misses_for_alarms():
     )
     elapsed = time.monotonic() - start
     chosen = choose_ratio(full)
-    min_type1 = min(r.type1_rate for r in full.rows)
+    min_type1 = min(r.pooled.type1_rate for _, r in full)
     check(
         7,
         "over 10 noisy corpora the missed-explosion rate at ratio 60 never "
         "exceeds the rate at ratio 1 on average, and the chosen ratio "
         "attains the sweep's minimum (12-point sweep < 60 s)",
         avg_low <= avg_high
-        and full.row(chosen).type1_rate == min_type1
+        and dict(full)[chosen].pooled.type1_rate == min_type1
         and elapsed < 60.0,
         f"avg type1 {avg_low:.4f} @60 vs {avg_high:.4f} @1, "
         f"chosen {chosen:g}, sweep {elapsed:.1f} s",

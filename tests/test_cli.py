@@ -814,15 +814,14 @@ class TestNonFiniteKernel:
 
 
     # k(x, x) = 0 on every row, while k(-1, 1) = (-2e103)^3 overflows: the
-    # fit itself, or (in the folds) every step SMO tries, meets the overflow
-    @pytest.mark.parametrize("command, error", [
-        (["train", "--model", "svm"],
-         "polynomial kernel values are not finite on the training features"),
-        (["cv", "--model", "svm", "--folds", "2"],
-         "optimizer made no progress; no support vectors found"),
-        (["sweep", "--folds", "2"], "optimizer made no progress; no support vectors found"),
+    # fit itself, or (in the folds) every step SMO tries, meets the overflow,
+    # and each is refused for the kernel rather than for SMO's lack of progress
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "svm"],
+        ["cv", "--model", "svm", "--folds", "2"],
+        ["sweep", "--folds", "2"],
     ], ids=["train", "cv", "sweep"])
-    def test_overflow_off_the_diagonal_prints_one_line(self, tmp_path, capsys, command, error):
+    def test_overflow_off_the_diagonal_prints_one_line(self, tmp_path, capsys, command):
         path = tmp_path / "six.csv"
         path.write_text("hc,o2,co,co2,exploded\n1,15,0,0,1\n2,15,0,0,0\n1,16,0,0,0\n"
                         "2,16,0,0,1\n1,17,0,0,1\n2,17,0,0,0\n")
@@ -831,7 +830,8 @@ class TestNonFiniteKernel:
                    "--coef0=-1e103", "--degree", "3", "--data", str(path), "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err == f"gasgate: error: {error}\n"
+        assert captured.err == ("gasgate: error: polynomial kernel values are not "
+                                "finite on the training features\n")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", [["cv", "--model", "svm"], ["sweep"], ["predict"]],

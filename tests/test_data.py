@@ -24,7 +24,9 @@ from gasgate.data import (
     load_csv,
     write_csv,
 )
-from gasgate.errors import DataFormatError
+from gasgate.errors import DataFormatError, SingleClassError
+from gasgate.logistic import fit_logistic
+from gasgate.svm import fit_svm
 from gasgate.synth import default_region, generate
 
 from .support import traced_peak_mb
@@ -326,6 +328,38 @@ class TestNormalization:
         # order-preserving
         order = np.argsort(raw[:, 0])
         assert np.all(np.diff(normed[order, 0]) >= 0)
+
+
+class TestTrainingSetChecks:
+    """``fit_svm`` and ``fit_logistic`` refuse a bad training set with the
+    same messages, each naming its own label encoding."""
+
+    FITS = pytest.mark.parametrize("fit, negative, encoding", [
+        (fit_svm, -1.0, "+1 / -1"),
+        (fit_logistic, 0.0, "0 / 1"),
+    ], ids=["svm", "logistic"])
+
+    @FITS
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda X, y: (X, y[:2], 1e-3), ValueError,
+         "features and labels disagree on sample count"),
+        (lambda X, y: (np.where(X > 0.5, np.inf, X), y, 1e-3), ValueError,
+         "feature row 1 is not finite"),
+        (lambda X, y: (X, np.ones(3), 1e-3), SingleClassError,
+         "training data contains a single class"),
+        (lambda X, y: (X, y, 0.0), ValueError, "tol must be positive, got 0.0"),
+    ], ids=["count", "row", "single", "tol"])
+    def test_same_refusal(self, fit, negative, encoding, edit, error, message):
+        X, y, tol = edit(np.array([[0.0], [1.0], [2.0]]), np.array([negative, 1.0, 1.0]))
+        with pytest.raises(error) as caught:
+            fit(X, y, tol=tol)
+        assert str(caught.value) == message
+
+    @FITS
+    def test_labels_outside_the_encoding(self, fit, negative, encoding):
+        with pytest.raises(ValueError) as caught:
+            fit(np.array([[0.0], [1.0]]), np.array([negative, 2.0]))
+        assert str(caught.value) == f"labels must be encoded as {encoding}"
 
 
 def reference_features(config, data):
@@ -701,6 +735,15 @@ class TestPlainFastPath:
         path.write_bytes(b"# lead\n" + path.read_bytes())
         file_mb = path.stat().st_size / 2**20
         assert traced_peak_mb(lambda: load_csv(path)) <= 5 * file_mb
+
+    @pytest.mark.parametrize("n", [20_000, 50_000])
+    def test_plain_file_memory_is_below_twice_the_file(self, tmp_path, n):
+        # 1.79 and 1.77 times the file's bytes; deleting the plain bytes from
+        # the whole file at once, not a slice at a time, would take 2.00
+        path = tmp_path / "plain.csv"
+        write_csv(generate(default_region(), n=n, seed=5, noise=0.05), path)
+        file_mb = path.stat().st_size / 2**20
+        assert traced_peak_mb(lambda: load_csv(path)) <= 1.9 * file_mb
 
     def test_byte_order_mark_is_not_stripped(self, tmp_path):
         path = tmp_path / "bom.csv"

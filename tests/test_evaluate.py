@@ -16,8 +16,6 @@ from gasgate.evaluate import (
     CvReport,
     LogisticLearner,
     SvmLearner,
-    SweepReport,
-    SweepRow,
     choose_ratio,
     cross_validate,
     cv_report_csv,
@@ -119,26 +117,10 @@ class TestCvReport:
             CvReport(())
 
 
-class TestSweepContainers:
-    def test_gamma_floor(self):
-        with pytest.raises(ValueError, match="gamma"):
-            SweepRow(0.5, ConfusionCounts(1, 0, 1, 0))
-
-    def test_row_lookup(self):
-        report = SweepReport(
-            (
-                SweepRow(1.0, ConfusionCounts(1, 0, 1, 0)),
-                SweepRow(5.0, ConfusionCounts(2, 0, 2, 0)),
-            )
-        )
-        assert report.row(5.0).counts.tp == 2
-        with pytest.raises(KeyError):
-            report.row(7.0)
-
-    def test_defaults(self):
-        assert DEFAULT_FOLDS == 5
-        assert DEFAULT_REPEATS == 10
-        assert DEFAULT_GAMMA_GRID == tuple(5.0 * k for k in range(1, 13))
+def test_defaults():
+    assert DEFAULT_FOLDS == 5
+    assert DEFAULT_REPEATS == 10
+    assert DEFAULT_GAMMA_GRID == tuple(5.0 * k for k in range(1, 13))
 
 
 class TestStratifiedKfold:
@@ -386,19 +368,19 @@ class TestLearners:
 
 
 class TestPenaltySweep:
-    def test_rows_cover_the_grid_with_shared_denominator(self, small_corpus):
-        report = penalty_sweep(small_corpus, sweep_learner(KernelSpec("rbf", gamma=0.5)),
-                               gamma_grid=(1.0, 8.0), v=4)
-        assert [r.gamma for r in report.rows] == [1.0, 8.0]
-        for row in report.rows:
-            assert row.counts.n == len(small_corpus)
+    def test_reports_cover_the_grid_with_shared_denominator(self, small_corpus):
+        sweep = penalty_sweep(small_corpus, sweep_learner(KernelSpec("rbf", gamma=0.5)),
+                              gamma_grid=(1.0, 8.0), v=4)
+        assert [gamma for gamma, _ in sweep] == [1.0, 8.0]
+        for _, report in sweep:
+            assert report.v == 4
+            assert report.pooled.n == len(small_corpus)
 
-    def test_unit_ratio_row_matches_plain_cross_validation(self, small_corpus):
+    def test_unit_ratio_report_is_plain_cross_validation(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(1.0, 1.0), seed=2)
-        report = penalty_sweep(small_corpus, learner, gamma_grid=(1.0,), v=4, seed=2)
-        direct = cross_validate(small_corpus, learner, v=4, seed=2)
-        assert report.rows[0].counts == direct.pooled
+        sweep = penalty_sweep(small_corpus, learner, gamma_grid=(1.0,), v=4, seed=2)
+        assert sweep == ((1.0, cross_validate(small_corpus, learner, v=4, seed=2)),)
 
     @pytest.mark.parametrize(
         "kw",
@@ -415,9 +397,8 @@ class TestPenaltySweep:
         # the learner's positive penalty is not read
         kernel = KernelSpec("rbf", gamma=0.5)
         learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(99.0, 2.0))
-        report = penalty_sweep(small_corpus, learner, gamma_grid=(1.0, 3.0), v=4)
-        cold = cold_sweep(small_corpus, kernel, (1.0, 3.0), v=4, w2=2.0)
-        assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
+        sweep = penalty_sweep(small_corpus, learner, gamma_grid=(1.0, 3.0), v=4)
+        assert sweep == cold_sweep(small_corpus, kernel, (1.0, 3.0), v=4, w2=2.0)
 
     # The warm-started path must agree with the cold reference: one
     # cross_validate per ratio, every fit from alpha = 0 on its own Gram.
@@ -426,18 +407,14 @@ class TestPenaltySweep:
     def test_matches_cold_reference_on_acceptance_corpora(self, seed):
         data = generate(default_region(), n=200, seed=seed, noise=0.10)
         warm = penalty_sweep(data, sweep_learner(seed=seed), seed=seed)
-        cold = cold_sweep(data, KernelSpec(), DEFAULT_GAMMA_GRID, seed=seed)
-        assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
-        assert choose_ratio(warm) == choose_ratio(cold)
+        assert warm == cold_sweep(data, KernelSpec(), DEFAULT_GAMMA_GRID, seed=seed)
 
     def test_matches_cold_reference_on_benchmark_corpus(self):
         # the sweep workload's corpus: 500 rows, generator seed 3, 5 % noise
         data = generate(default_region(), n=500, seed=3, noise=0.05)
         kernel = KernelSpec("rbf", gamma=0.5)
         warm = penalty_sweep(data, sweep_learner(kernel))
-        cold = cold_sweep(data, kernel, DEFAULT_GAMMA_GRID)
-        assert [r.counts for r in warm.rows] == [r.counts for r in cold.rows]
-        assert choose_ratio(warm) == choose_ratio(cold)
+        assert warm == cold_sweep(data, kernel, DEFAULT_GAMMA_GRID)
 
     def test_benchmark_corpus_takes_at_most_2500_updates(self, monkeypatch):
         # 7333 updates by pair steps alone; the free-set Newton step of
@@ -561,20 +538,21 @@ class TestPenaltySweep:
     def test_shuffled_grid_with_a_repeat_keeps_row_order(self, small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
         grid = (20.0, 1.0, 60.0, 1.0, 5.0)
-        report = penalty_sweep(small_corpus, sweep_learner(kernel), gamma_grid=grid, v=4)
-        cold = cold_sweep(small_corpus, kernel, grid, v=4)
-        assert [r.gamma for r in report.rows] == list(grid)
-        assert [r.counts for r in report.rows] == [r.counts for r in cold.rows]
+        sweep = penalty_sweep(small_corpus, sweep_learner(kernel), gamma_grid=grid, v=4)
+        assert [gamma for gamma, _ in sweep] == list(grid)
+        assert sweep == cold_sweep(small_corpus, kernel, grid, v=4)
 
     def test_unconverged_fits_are_counted(self, noisy_small_corpus):
         kernel = KernelSpec("rbf", gamma=0.5)
-        stunted = penalty_sweep(noisy_small_corpus, sweep_learner(kernel, 10.0, max_passes=1),
-                                gamma_grid=(1.0, 8.0, 1.0), v=4)
-        assert 0 < stunted.rows[0].unconverged <= 4
-        assert stunted.rows[2].unconverged == stunted.rows[0].unconverged
+        learner = sweep_learner(kernel, 10.0, max_passes=1)
+        stunted = penalty_sweep(noisy_small_corpus, learner, gamma_grid=(1.0, 8.0, 1.0), v=4)
+        # the path's first ratio starts cold in every fold, as cross_validate's fits do
+        assert stunted[0] == (1.0, cross_validate(noisy_small_corpus, learner, v=4))
+        assert 0 < stunted[0][1].unconverged <= 4
+        assert stunted[2] == stunted[0]
         full = penalty_sweep(noisy_small_corpus, sweep_learner(kernel), gamma_grid=(1.0, 8.0),
                              v=4)
-        assert [r.unconverged for r in full.rows] == [0, 0]
+        assert [report.unconverged for _, report in full] == [0, 0]
 
 
 def sweep_learner(kernel=KernelSpec(), w2=1.0, **settings):
@@ -584,22 +562,23 @@ def sweep_learner(kernel=KernelSpec(), w2=1.0, **settings):
 
 def cold_sweep(data, kernel, grid, seed=0, v=DEFAULT_FOLDS, w2=1.0):
     """Reference sweep from independent cold fits: cross_validate per ratio."""
-    rows = []
+    sweep = []
     for gamma in grid:
         learner = SvmLearner(kernel=kernel, penalties=PenaltyConfig(gamma * w2, w2),
                              seed=seed)
-        rows.append(SweepRow(gamma, cross_validate(data, learner, v, seed).pooled))
-    return SweepReport(tuple(rows))
+        sweep.append((gamma, cross_validate(data, learner, v, seed)))
+    return tuple(sweep)
 
 
 def sweep_from_error_counts(spec):
-    """spec: iterable of (gamma, fn, fp) over a denominator of 100."""
-    rows = []
+    """spec: iterable of (gamma, fn, fp) over a denominator of 100, split
+    over two folds so that each rate reads the pooled counts."""
+    sweep = []
     for gamma, fn, fp in spec:
-        tp = 60 - fn
-        tn = 40 - fp
-        rows.append(SweepRow(gamma, ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)))
-    return SweepReport(tuple(rows))
+        first = ConfusionCounts(tp=30, fp=0, tn=20, fn=0)
+        second = ConfusionCounts(tp=30 - fn, fp=fp, tn=20 - fp, fn=fn)
+        sweep.append((gamma, CvReport((first, second))))
+    return tuple(sweep)
 
 
 class TestChooseRatio:
@@ -620,7 +599,7 @@ class TestChooseRatio:
     def test_row_order_never_matters(self, perm):
         spec = [(5.0, 2, 4), (10.0, 1, 7), (20.0, 1, 5), (30.0, 4, 0)]
         base = sweep_from_error_counts(spec)
-        shuffled = SweepReport(tuple(base.rows[i] for i in perm))
+        shuffled = tuple(base[i] for i in perm)
         assert choose_ratio(shuffled) == choose_ratio(base)
 
 
