@@ -143,11 +143,11 @@ class SvmLearner:
     seed: int = 0
     cache_mb: float = DEFAULT_CACHE_MB
 
-    def fit(self, features, exploded, normalization=None, **start):
-        """``fit_svm`` with this recipe; ``start`` passes a warm start and a
-        shared kernel-row cache on to it."""
+    def fit(self, features, exploded, normalization=None, **warm):
+        """``fit_svm`` with this recipe; ``warm`` passes a warm start (``start``,
+        the model a refit refines) and a shared kernel-row ``cache`` on to it."""
         labels = np.where(np.asarray(exploded, dtype=bool), 1.0, -1.0)
-        return fit_svm(features, labels, normalization=normalization, **vars(self), **start)
+        return fit_svm(features, labels, normalization=normalization, **vars(self), **warm)
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,11 @@ class LogisticLearner:
     tol: float = 1e-8
     max_iter: int = 200
 
-    def fit(self, features, exploded, normalization=None, **start):
-        """``fit_logistic`` with this recipe; ``start`` passes a warm start
-        (``init_beta``) on to it."""
+    def fit(self, features, exploded, normalization=None, **warm):
+        """``fit_logistic`` with this recipe; ``warm`` passes a warm start
+        (``start``, the model a refit refines) on to it."""
         labels = np.asarray(exploded, dtype=bool).astype(float)
-        return fit_logistic(features, labels, normalization=normalization, **vars(self), **start)
+        return fit_logistic(features, labels, normalization=normalization, **vars(self), **warm)
 
 
 def stratified_kfold_indices(exploded, v: int, seed: int) -> list[np.ndarray]:
@@ -210,12 +210,12 @@ def make_fold(data: Dataset, train_idx, test_idx,
             featurize(params, test), test.exploded, test_idx)
 
 
-def fit_fold(fold, learner, **start):
+def fit_fold(fold, learner, **warm):
     """Fit ``learner`` on a made fold and score its held-out rows: ``(model,
-    counts)``.  ``start`` holds the learner's warm-start keywords, if any.
+    counts)``.  ``warm`` holds the learner's warm-start keywords, if any.
     A held-out row whose score is not finite is named by its row in the data."""
     params, X, exploded, X_test, test_exploded, test_idx = fold
-    model = learner.fit(X, exploded, normalization=params, **start)
+    model = learner.fit(X, exploded, normalization=params, **warm)
     try:
         predicted = model.predict(X_test) == 1
     except NonFiniteScoreError as exc:
@@ -252,13 +252,13 @@ def cross_validate(
     """
     counts = []
     unconverged = 0
-    start = {}
+    start = None
     for fold in _stratified_folds(data, v, seed, feature_config):
-        model, fold_counts = fit_fold(fold, learner, **start)
+        model, fold_counts = fit_fold(fold, learner, start=start)
         counts.append(fold_counts)
         unconverged += not model.converged
         if isinstance(learner, LogisticLearner):
-            start = {"init_beta": model.beta}
+            start = model
     return CvReport(tuple(counts), seed=seed, unconverged=unconverged)
 
 
@@ -314,10 +314,10 @@ def penalty_sweep(
     ceiling serves every ratio, holding as many rows as the largest free set
     of the fold's fits so far calls for (``fit_svm``), and the distinct
     ratios are fitted in ascending order, each starting SMO from the
-    previous ratio's multipliers and gradient.  Raising the ratio only
-    raises the positive-class cap, so that start is feasible, reads no
-    kernel row, and every fit still stops at the same KKT tolerance as a
-    cold one.
+    previous ratio's model (``start``): its multipliers and gradient.
+    Raising the ratio only raises the positive-class cap, so that start is
+    feasible, reads no kernel row, and every fit still stops at the same
+    KKT tolerance as a cold one.
     """
     grid = [float(g) for g in gamma_grid]
     if not grid:
@@ -330,15 +330,15 @@ def penalty_sweep(
     counts = {g: [] for g in ratios}
     unconverged = dict.fromkeys(ratios, 0)
     for fold in _stratified_folds(data, v, seed, feature_config):
-        start = {"cache": KernelRows(learner.kernel.resolved(fold[1].shape[1]), fold[1],
-                                     learner.cache_mb * 2**20)}
+        cache = KernelRows(learner.kernel.resolved(fold[1].shape[1]), fold[1],
+                           learner.cache_mb * 2**20)
+        model = None
         for gamma, path_learner in zip(ratios, path_learners):
-            model, fold_counts = fit_fold(fold, path_learner, **start)
-            start.update(init_alpha=model.alpha, init_gradient=model.gradient)
+            model, fold_counts = fit_fold(fold, path_learner, cache=cache, start=model)
             counts[gamma].append(fold_counts)
             unconverged[gamma] += not model.converged
         # dropped before the next fold is made: a sweep holds one fold's cache
-        del fold, start, model
+        del fold, cache, model
     reports = {g: CvReport(counts[g], seed=seed, unconverged=unconverged[g]) for g in ratios}
     return tuple((g, reports[g]) for g in grid)
 
@@ -399,7 +399,7 @@ def sweep_text(sweep) -> str:
     for gamma, report in sweep:
         c = report.pooled
         lines.append(
-            f"{gamma:>6.1f}  {c.type1_rate:>7.2%} {c.type2_rate:>7.2%} "
+            f"{gamma!r:>6}  {c.type1_rate:>7.2%} {c.type2_rate:>7.2%} "
             f"{c.whole_error_rate:>7.2%}"
         )
     return "\n".join(lines) + "\n"

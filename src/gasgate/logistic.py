@@ -155,7 +155,7 @@ def fit_logistic(
     tol: float = 1e-8,
     max_iter: int = 200,
     normalization: NormalizationParams | None = None,
-    init_beta: np.ndarray | None = None,
+    start: LogisticModel | None = None,
 ) -> LogisticModel:
     """Maximize the ridge-penalized log-likelihood by damped Newton steps.
 
@@ -170,10 +170,10 @@ def fit_logistic(
     raise (ridge == 0) or warn (ridge > 0), since that scale signals class
     separation rather than a meaningful fit; a nan or inf feature raises ``ValueError``.
 
-    Newton starts from ``init_beta`` (intercept first, finite), or from
-    zeros without it.  The objective is concave, so a start changes where
-    Newton begins, not what it maximizes; one near the optimum, such as
-    the coefficients of a fit on overlapping rows, saves steps.  The
+    Newton starts from the coefficients of ``start``, a model over the
+    same features, or from zeros without it.  The objective is concave, so
+    a start changes where Newton begins, not what it maximizes; one near
+    the optimum, such as a fit on overlapping rows, saves steps.  The
     stopping test is a cold start's, so a start that already passes it is
     returned unchanged, and a start past norm 1e3 raises or warns as a
     cold fit's iterates would on their way there.
@@ -187,14 +187,9 @@ def fit_logistic(
     design = _Design(_design(X))
     D = design.matrix
     n, p = D.shape
-    if init_beta is None:
-        beta = np.zeros(p)
-    else:
-        beta = np.array(init_beta, dtype=float)
-        if beta.shape != (p,):
-            raise ValueError(f"init_beta must have shape {(p,)}, got {beta.shape}")
-        if not np.isfinite(beta).all():
-            raise ValueError("init_beta must be finite")
+    beta = np.zeros(p) if start is None else np.array(start.beta, dtype=float)
+    if beta.shape != (p,):
+        raise ValueError(f"start.beta must have shape {(p,)}, got {beta.shape}")
     mask = np.ones(p)
     mask[0] = 0.0  # intercept is never penalized
     ll = penalized_log_likelihood(beta, design, y, ridge)

@@ -88,7 +88,7 @@ class SvmModel:
     vector's class.  ``objective_trace``, ``alpha`` (the multipliers of every
     training sample, zeros included; the support vectors are the rows where
     it exceeds 1e-12), ``gradient`` (F = u - y at ``alpha`` for every
-    training sample; with ``alpha`` it warm-starts a refit) and
+    training sample; a refit's ``start`` reads both arrays) and
     ``gradient_drift`` (see ``fit_svm``) are diagnostics, not part of the
     serialized form.  ``support_vectors`` is 2-D and ``dual_coef`` 1-D, the
     kernel's gamma is resolved, and a normalization has one attribute per
@@ -182,8 +182,7 @@ def fit_svm(
     normalization: NormalizationParams | None = None,
     *,
     cache_mb: float = DEFAULT_CACHE_MB,
-    init_alpha: np.ndarray | None = None,
-    init_gradient: np.ndarray | None = None,
+    start: SvmModel | None = None,
     cache: KernelRows | None = None,
 ) -> SvmModel:
     """Train on (features, +/-1 labels) by SMO.
@@ -233,13 +232,13 @@ def fit_svm(
     on the same rows reuse the rows already computed and the fill limit it
     has reached; ``cache_mb`` then goes unused.
 
-    ``init_alpha`` and ``init_gradient``, given together or not at all,
-    start SMO from a feasible point instead of alpha = 0: ``init_alpha``
+    ``start``, a model fitted on these same rows, starts SMO from its
+    ``alpha`` and ``gradient`` instead of alpha = 0: ``start.alpha``
     satisfies 0 <= alpha <= C (within 1e-12 C) and |sum alpha y| <= 1e-9
-    sum C, and ``init_gradient`` is F = u - y there.  A previous fit's
-    ``alpha`` and ``gradient`` qualify when only the caps have grown, as
-    along a rising penalty ratio; the start then reads no kernel row.  One
-    without the other, malformed values, or a nan or inf feature raise ``ValueError``.
+    sum C, and ``start.gradient`` is F = u - y there.  A previous fit
+    qualifies when only the caps have grown, as along a rising penalty
+    ratio; the start then reads no kernel row.  A loaded model (no arrays),
+    malformed values, or a nan or inf feature raise ``ValueError``.
     """
     X = np.ascontiguousarray(np.atleast_2d(features), dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -256,7 +255,7 @@ def fit_svm(
     if not np.isfinite(cache.diagonal).all():
         raise GasgateError(_NON_FINITE_KERNEL.format(spec.kind))
     caps = np.where(y > 0, penalties.positive, penalties.negative)
-    smo = _Smo(cache, y, caps, seed, init_alpha, init_gradient)
+    smo = _Smo(cache, y, caps, seed, start)
     # no overflow warning: a kernel row that overflows is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         # The sigmoid Gram is indefinite, so its dual is nonconvex; second-order
@@ -301,38 +300,38 @@ def fit_svm(
     )
 
 
-def _start(init_alpha, init_gradient, y, caps) -> tuple[np.ndarray, np.ndarray, float]:
+def _start(start: SvmModel | None, y, caps) -> tuple[np.ndarray, np.ndarray, float]:
     """SMO's start (alpha, F, dual objective): zeros, or the checked warm start."""
-    if (init_alpha is None) != (init_gradient is None):
-        raise ValueError("init_alpha and init_gradient go together or not at all")
-    if init_alpha is None:
+    if start is None:
         return np.zeros(len(y)), -y, 0.0  # F = u - y, with u the decision values without bias
-    alpha = np.array(init_alpha, dtype=float)
+    if start.alpha is None or start.gradient is None:
+        raise ValueError("start has no alpha or gradient: a loaded model cannot warm-start")
+    alpha = np.array(start.alpha, dtype=float)
     if alpha.shape != y.shape:
-        raise ValueError(f"init_alpha must have shape {y.shape}, got {alpha.shape}")
+        raise ValueError(f"start.alpha must have shape {y.shape}, got {alpha.shape}")
     slack = 1e-12 * caps
     if not ((alpha >= -slack) & (alpha <= caps + slack)).all():
-        raise ValueError("init_alpha violates 0 <= alpha <= C")
+        raise ValueError("start.alpha violates 0 <= alpha <= C")
     if not abs(alpha @ y) <= 1e-9 * caps.sum():
-        raise ValueError(f"init_alpha violates sum(alpha * y) = 0 (got {alpha @ y:.3g})")
+        raise ValueError(f"start.alpha violates sum(alpha * y) = 0 (got {alpha @ y:.3g})")
     np.clip(alpha, 0.0, caps, out=alpha)
-    F = np.array(init_gradient, dtype=float)
+    F = np.array(start.gradient, dtype=float)
     if F.shape != y.shape:
-        raise ValueError(f"init_gradient must have shape {y.shape}, got {F.shape}")
+        raise ValueError(f"start.gradient must have shape {y.shape}, got {F.shape}")
     if not np.isfinite(F).all():
-        raise ValueError("init_gradient must be finite")
+        raise ValueError("start.gradient must be finite")
     return alpha, F, float(alpha.sum() - 0.5 * (alpha * y) @ (F + y))
 
 
 class _Smo:
     """SMO's state and steps on one problem, as LIBSVM's ``Solver`` (Chang & Lin 2011)."""
 
-    def __init__(self, cache: KernelRows, y, caps, seed: int, init_alpha, init_gradient):
+    def __init__(self, cache: KernelRows, y, caps, seed: int, start: SvmModel | None):
         self.cache, self.y, self.caps = cache, y, caps
         # Deterministic tie-breaking: a tiny per-sample jitter perturbs the
         # selection order among exactly-tied violators, nothing else.
         self.jitter = np.random.default_rng(seed).uniform(0.0, 1e-12, size=len(y))
-        self.alpha, self.F, objective = _start(init_alpha, init_gradient, y, caps)
+        self.alpha, self.F, objective = _start(start, y, caps)
         self.trace = [objective]  # the dual objective at the start and after each update
         self.updates = 0
         self.g_low, self.g_up = self.mask()

@@ -92,10 +92,11 @@ def generate(
 
     HC is uniform over [0.2, 4.0] and O2 uniform over the region window; a
     rejection sampler keeps drawing until round(n * fraction) in-band and the
-    remaining out-of-band points are collected.  Labels then flip
-    independently with probability ``noise``.  CO is the constant filler
-    0.05 and CO2 = max(0, 33 - O2) tracks oxygen so the concentration
-    invariant holds; neither enters the default feature set.
+    remaining out-of-band points are collected; a share that leaves either
+    class no row raises ``GenerationError`` before any draw.  Labels then
+    flip independently with probability ``noise``.  CO is the constant
+    filler 0.05 and CO2 = max(0, 33 - O2) tracks oxygen so the
+    concentration invariant holds; neither enters the default feature set.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
@@ -106,9 +107,14 @@ def generate(
             f"positive_fraction must be in (0, 1), got {positive_fraction}"
         )
 
-    rng = np.random.default_rng(seed)
     n_pos = int(np.floor(n * positive_fraction + 0.5))
     n_neg = n - n_pos
+    if not n_pos or not n_neg:
+        empty = "safe" if n_neg == 0 else "explosive"
+        raise GenerationError(
+            f"{n} rows at positive fraction {positive_fraction} leave no {empty} row"
+        )
+    rng = np.random.default_rng(seed)
     o2_low = max(0.0, region.o2_window[0])
     o2_high = region.o2_window[1]
 

@@ -153,6 +153,14 @@ class TestGen:
         out = str(workdir / "never.csv")
         assert main(["gen", *flags, "--out", out]) == 1
 
+    @pytest.mark.parametrize("fraction, empty", [("0.01", "explosive"), ("0.999", "safe")])
+    def test_one_class_corpus_refused(self, workdir, capsys, fraction, empty):
+        out = workdir / "never.csv"
+        assert main(["gen", "--n", "10", "--positive-fraction", fraction, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"gasgate: error: 10 rows at positive fraction {fraction} leave no {empty} row\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_lr_training_summary(self, lr_model, corpus_csv, workdir, capsys):

@@ -324,17 +324,16 @@ class TestWarmStartedLogisticFolds:
     def test_each_fold_starts_from_the_previous_fit(self, monkeypatch):
         starts, fitted = [], []
 
-        def recording(*args, init_beta=None, **kwargs):
-            starts.append(init_beta)
-            model = fit_logistic(*args, init_beta=init_beta, **kwargs)
-            fitted.append(model.beta)
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            model = fit_logistic(*args, start=start, **kwargs)
+            fitted.append(model)
             return model
 
         monkeypatch.setattr(evaluate, "fit_logistic", recording)
         cross_validate(self.NOISY, LogisticLearner(ridge=0.1), v=4, seed=3)
-        assert starts[0] is None
-        assert all(np.array_equal(s, b) for s, b in zip(starts[1:], fitted[:-1]))
         assert len(starts) == 4
+        assert all(s is f for s, f in zip(starts, [None] + fitted[:-1]))
 
 
 class TestLearners:
@@ -343,6 +342,14 @@ class TestLearners:
     def test_every_field_is_a_fit_keyword(self, learner, fit):
         keywords = inspect.signature(fit).parameters
         assert {field.name for field in dataclasses.fields(learner)} <= set(keywords)
+
+    @pytest.mark.parametrize("learner, fit", [(SvmLearner, fit_svm),
+                                              (LogisticLearner, fit_logistic)])
+    def test_every_field_default_is_the_fit_default(self, learner, fit):
+        # the CLI reads the fields' defaults, a library caller the fit's
+        keywords = inspect.signature(fit).parameters
+        for field in dataclasses.fields(learner):
+            assert keywords[field.name].default == field.default, field.name
 
     def test_every_field_reaches_the_fit(self, featurized_small):
         params, X, exploded = featurized_small
@@ -437,28 +444,29 @@ class TestPenaltySweep:
         # each ratio starts from the previous fit's multipliers and gradient,
         # so no fit sums a starting gradient: its one kernel sum is its last
         data = generate(default_region(), n=500, seed=3, noise=0.05)
-        sums, sums_per_fit, starts = [], [], []
+        sums, sums_per_fit, starts, fitted = [], [], [], []
         kernel_sums = svm._kernel_sums
 
         def recording_sums(*args):
             sums.append(args)
             return kernel_sums(*args)
 
-        def recording_fit(*args, init_alpha=None, init_gradient=None, **kwargs):
+        def recording_fit(*args, start=None, **kwargs):
             before = len(sums)
-            model = fit_svm(*args, init_alpha=init_alpha, init_gradient=init_gradient,
-                            **kwargs)
+            model = fit_svm(*args, start=start, **kwargs)
             sums_per_fit.append(len(sums) - before)
-            starts.append((init_alpha is None, init_gradient is None))
+            starts.append(start)
+            fitted.append(model)
             return model
 
         monkeypatch.setattr(svm, "_kernel_sums", recording_sums)
         monkeypatch.setattr("gasgate.evaluate.fit_svm", recording_fit)
         report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
         assert sums_per_fit == [1] * len(starts)
-        # per fold: one cold fit, then warm starts with both
+        # per fold: one cold fit, then each ratio starts from the previous one
         assert len(starts) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
-        assert starts == [(k % len(DEFAULT_GAMMA_GRID) == 0,) * 2 for k in range(len(starts))]
+        assert all(start is (None if k % len(DEFAULT_GAMMA_GRID) == 0 else fitted[k - 1])
+                   for k, start in enumerate(starts))
         assert choose_ratio(report) == 10.0
 
     def test_fold_caches_grow_with_the_free_set_across_the_path(self, monkeypatch):
@@ -628,3 +636,10 @@ class TestEmitters:
     def test_text_renderings_smoke(self):
         assert "mean accuracy:" in cv_report_text(self.REPORT)
         assert "gamma" in sweep_text(self.SWEEP)
+
+    def test_sweep_text_labels_each_ratio_as_given(self):
+        # one decimal would print 1.05 and 1.1 both as 1.1, 2.25 and 2.2 as 2.2
+        ratios = [1.05, 1.1, 2.25, 2.2, 5.0, 60.0]
+        lines = sweep_text(sweep_from_error_counts([(g, 0, 0) for g in ratios])).splitlines()
+        assert [line[:6] for line in lines[1:]] == [
+            "  1.05", "   1.1", "  2.25", "   2.2", "   5.0", "  60.0"]

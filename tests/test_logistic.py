@@ -376,16 +376,18 @@ class TestFit:
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("init_beta, message", [
-        (np.zeros(3), "shape"),
-        (np.zeros((1, 4)), "shape"),
-        ([0.0, np.nan, 0.0, 0.0], "finite"),
-        ([0.0, 0.0, np.inf, 0.0], "finite"),
+    @pytest.mark.parametrize("beta, message", [
+        (np.zeros(3), r"start\.beta must have shape \(4,\)"),
+        (np.zeros(5), r"start\.beta must have shape \(4,\)"),
+        # the model itself refuses these, before any fit
+        (np.zeros((1, 4)), r"beta must be \(intercept"),
+        ([0.0, np.nan, 0.0, 0.0], "beta must be finite"),
+        ([0.0, 0.0, np.inf, 0.0], "beta must be finite"),
     ])
-    def test_bad_start_rejected(self, featurized_small, init_beta, message):
+    def test_bad_start_rejected(self, featurized_small, beta, message):
         _, X, exploded = featurized_small
-        with pytest.raises(ValueError, match=f"init_beta must .*{message}"):
-            fit_logistic(X, exploded.astype(float), init_beta=init_beta)
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(X, exploded.astype(float), start=LogisticModel(beta=beta))
 
     def test_restart_at_the_optimum_takes_no_step(self, featurized_small, monkeypatch):
         _, X, exploded = featurized_small
@@ -399,7 +401,7 @@ class TestWarmStart:
             return penalized_log_likelihood(*args)
 
         monkeypatch.setattr(gasgate.logistic, "penalized_log_likelihood", counting)
-        warm = fit_logistic(X, y, ridge=0.1, init_beta=cold.beta)
+        warm = fit_logistic(X, y, ridge=0.1, start=cold)
         # the one evaluation is the start's: no line search ran
         assert len(evaluations) == 1
         assert warm.converged
@@ -409,8 +411,8 @@ class TestWarmStart:
         _, X, exploded = featurized_small
         y = exploded.astype(float)
         for _ in range(5):
-            start = rng.normal(scale=3.0, size=X.shape[1] + 1)
-            model = fit_logistic(X, y, ridge=0.1, init_beta=start)
+            start = LogisticModel(beta=rng.normal(scale=3.0, size=X.shape[1] + 1))
+            model = fit_logistic(X, y, ridge=0.1, start=start)
             assert model.converged
             assert np.linalg.norm(penalized_gradient(model.beta, X, y, 0.1)) <= 1e-8 * len(y)
 
@@ -437,13 +439,13 @@ class TestSeparation:
     def test_start_past_the_guard_warns_or_raises_as_a_cold_fit(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            separated = fit_logistic(self.X, self.y, ridge=1e-10).beta
+            separated = fit_logistic(self.X, self.y, ridge=1e-10)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            fit_logistic(self.X, self.y, ridge=1e-10, init_beta=separated)
+            fit_logistic(self.X, self.y, ridge=1e-10, start=separated)
         assert len([w for w in rec if "separation suspected" in str(w.message)]) == 1
         with pytest.raises(PerfectSeparationError):
-            fit_logistic(self.X, self.y, ridge=0.0, init_beta=separated)
+            fit_logistic(self.X, self.y, ridge=0.0, start=separated)
 
     def test_wide_margin_separable_data_is_unremarkable(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -11,6 +12,7 @@ from gasgate.errors import GasgateError, SingleClassError
 from gasgate import svm
 from gasgate.data import featurize, fit_normalization
 from gasgate.kernels import KernelRows, KernelSpec, kernel_matrix
+from gasgate.model_io import model_from_obj, model_to_obj
 from gasgate.svm import PenaltyConfig, SvmModel, fit_svm
 from gasgate.synth import default_region, generate
 
@@ -216,8 +218,7 @@ class TestStallFallbacks:
             X, y = rng.normal(size=(60, 2)), rng.choice([-1.0, 1.0], 60)
             start = fit(X, y, RBF, pos=penalty, neg=penalty)
             model, counts = count_lines(lines, lambda: fit(
-                X, y, RBF, pos=penalty, neg=penalty, tol=1e-12,
-                init_alpha=start.alpha, init_gradient=start.gradient))
+                X, y, RBF, pos=penalty, neg=penalty, tol=1e-12, start=start))
             no_pair = counts[lines[2]]
             assert np.all(np.diff(model.objective_trace) >= 0)
             assert len(model.objective_trace) - 1 < 1000 * len(y)  # not the budget
@@ -295,8 +296,8 @@ class TestStructure:
 
 
 class TestWarmStart:
-    """SMO restarted from given multipliers and their gradient (``init_alpha``
-    and ``init_gradient``) on a shared cache."""
+    """SMO restarted from a model's multipliers and their gradient (``start``)
+    on a shared cache."""
 
     def test_shared_cache_gives_the_same_fit(self, rng):
         X, y = random_two_class_problem(rng, n_range=(30, 60))
@@ -311,6 +312,11 @@ class TestWarmStart:
     X3 = np.array([[-1.0], [0.0], [1.0]])
     Y3 = np.array([-1.0, 1.0, 1.0])
 
+    def start(self, alpha, gradient=(0.0, 0.0, 0.0)):
+        """A fit on the three rows, carrying the given warm-start arrays."""
+        model = fit(self.X3, self.Y3, pos=2.0, neg=1.0)
+        return dataclasses.replace(model, alpha=np.array(alpha), gradient=np.array(gradient))
+
     @pytest.mark.parametrize(
         "alpha",
         [
@@ -321,10 +327,9 @@ class TestWarmStart:
             [np.nan, 0.0, 0.0],
         ],
     )
-    def test_infeasible_init_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="init_alpha (must|violates)"):
-            fit(self.X3, self.Y3, pos=2.0, neg=1.0, init_alpha=np.array(alpha),
-                init_gradient=np.zeros(3))
+    def test_infeasible_start_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"start\.alpha (must|violates)"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, start=self.start(alpha))
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
     def test_carried_gradient_reaches_the_cold_objective(self, kernel, rng, kernel_sum_rows):
@@ -334,9 +339,12 @@ class TestWarmStart:
             low = fit(X, y, kernel, pos=1.0, neg=1.0)
             cold = fit(X, y, kernel, pos=8.0, neg=1.0)
             del kernel_sum_rows[:]
-            warm = fit(X, y, kernel, pos=8.0, neg=1.0,
-                       init_alpha=low.alpha, init_gradient=low.gradient)
+            carried = low.alpha.copy(), low.gradient.copy()
+            warm = fit(X, y, kernel, pos=8.0, neg=1.0, start=low)
             assert cold.converged and warm.converged
+            # SMO works on copies: the start model is left as it was
+            assert np.array_equal(low.alpha, carried[0])
+            assert np.array_equal(low.gradient, carried[1])
             assert abs(warm.dual_objective() - cold.dual_objective()) <= 1e-3
             # no starting sum, only the one at the end
             assert kernel_sum_rows == [recomputed_rows(warm, y, np.where(y > 0, 8.0, 1.0))]
@@ -346,8 +354,7 @@ class TestWarmStart:
         X, y = random_two_class_problem(rng, n_range=(30, 60))
         model = fit(X, y, kernel, pos=3.0, neg=2.0)
         del kernel_sum_rows[:]
-        again = fit(X, y, kernel, pos=3.0, neg=2.0,
-                    init_alpha=model.alpha, init_gradient=model.gradient)
+        again = fit(X, y, kernel, pos=3.0, neg=2.0, start=model)
         assert model.converged and again.converged
         assert len(again.objective_trace) == 1
         assert again.objective_trace[0] == pytest.approx(model.objective_trace[-1], rel=1e-9)
@@ -359,7 +366,8 @@ class TestWarmStart:
         # at alpha = 0, u = 0 and the gradient is -y
         X, y = random_two_class_problem(rng, n_range=(30, 60))
         cold = fit(X, y, RBF)
-        zero = fit(X, y, RBF, init_alpha=np.zeros(len(y)), init_gradient=-y)
+        zero = fit(X, y, RBF, start=dataclasses.replace(cold, alpha=np.zeros(len(y)),
+                                                        gradient=-y))
         assert np.array_equal(zero.alpha, cold.alpha)
         assert zero.bias == cold.bias
 
@@ -373,15 +381,20 @@ class TestWarmStart:
         ],
         ids=["length", "shape", "nan", "inf"],
     )
-    def test_malformed_init_gradient_rejected(self, gradient, alpha):
-        with pytest.raises(ValueError, match="init_gradient"):
-            fit(self.X3, self.Y3, pos=2.0, neg=1.0,
-                init_alpha=np.array(alpha), init_gradient=np.array(gradient))
+    def test_malformed_start_gradient_rejected(self, gradient, alpha):
+        with pytest.raises(ValueError, match=r"start\.gradient"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, start=self.start(alpha, gradient))
 
-    @pytest.mark.parametrize("given", ["init_alpha", "init_gradient"])
-    def test_warm_start_needs_both_halves(self, given, kernel_sum_rows):
-        with pytest.raises(ValueError, match="go together or not at all"):
-            fit(self.X3, self.Y3, pos=2.0, neg=1.0, **{given: np.array([0.5, 0.5, 0.0])})
+    @pytest.mark.parametrize("strip", [
+        lambda model: dataclasses.replace(model, alpha=None),
+        lambda model: dataclasses.replace(model, gradient=None),
+        lambda model: model_from_obj(model_to_obj(model)),  # carries neither array
+    ], ids=["alpha", "gradient", "loaded"])
+    def test_start_without_its_arrays_refused(self, strip, kernel_sum_rows):
+        start = strip(self.start([0.5, 0.5, 0.0]))
+        del kernel_sum_rows[:]
+        with pytest.raises(ValueError, match="no alpha or gradient: a loaded model"):
+            fit(self.X3, self.Y3, pos=2.0, neg=1.0, start=start)
         assert kernel_sum_rows == []
 
     def test_rounding_excursions_are_clipped(self):
@@ -389,8 +402,7 @@ class TestWarmStart:
         # the linear kernel gives u = (-1/2, 0, 1/2) and the dual objective
         # is exactly 1 - 1/8
         model = fit(self.X3, self.Y3, pos=2.0, neg=1.0,
-                    init_alpha=np.array([0.5, 0.5, -1e-13]),
-                    init_gradient=np.array([0.5, -1.0, -0.5]))
+                    start=self.start([0.5, 0.5, -1e-13], [0.5, -1.0, -0.5]))
         assert model.objective_trace[0] == 0.875
         assert model.alpha.min() >= 0.0
 
@@ -471,12 +483,10 @@ class TestKernelRowCache:
         paths = []
         for budget in (2 * 8 * n, 1e9):
             cache = KernelRows(RBF, X, budget)
-            alpha = gradient = None
+            model = None
             path = []
             for ratio in (1.0, 5.0, 20.0):
-                model = fit(X, y, RBF, pos=ratio, neg=1.0, cache=cache,
-                            init_alpha=alpha, init_gradient=gradient)
-                alpha, gradient = model.alpha, model.gradient
+                model = fit(X, y, RBF, pos=ratio, neg=1.0, cache=cache, start=model)
                 path.append(model)
             assert cache.rows_held <= max(2, budget // (8 * n))
             paths.append(path)

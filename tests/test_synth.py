@@ -128,6 +128,21 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="unreachable"):
             generate(above, n=20, seed=0)
 
+    @pytest.mark.parametrize("frac, empty", [(0.01, "explosive"), (0.049, "explosive"),
+                                             (0.95, "safe"), (0.999, "safe")])
+    def test_fraction_rounding_a_class_to_no_row_raises(self, frac, empty, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(GenerationError,
+                           match=f"^10 rows at positive fraction {frac} leave no {empty} row$"):
+            generate(REGION, n=10, seed=0, positive_fraction=frac)
+
+    @pytest.mark.parametrize("frac, counts", [(0.05, (1, 9)), (0.94, (9, 1))])
+    def test_fraction_leaving_one_row_in_a_class_is_drawn(self, frac, counts):
+        assert generate(REGION, n=10, seed=0, positive_fraction=frac).class_counts() == counts
+
     def test_round_trips_through_csv(self, tmp_path):
         data = generate(REGION, n=30, seed=4, noise=0.05)
         path = tmp_path / "corpus.csv"
