@@ -300,6 +300,43 @@ def fit_svm(
     )
 
 
+def stays_optimal(model: SvmModel, labels, penalties: PenaltyConfig, tol: float = 1e-3) -> bool:
+    """Whether ``model`` still solves its training rows at ``penalties``:
+    ``fit_svm(start=model)`` there would make no update and return the same
+    support vectors, dual coefficients and bias.
+
+    True when ``model.alpha`` passes the warm start's checks unchanged
+    under the smaller of each sample's two caps (in the box: SMO's rounding
+    can leave a multiplier an ulp outside it, which a warm start clips; and
+    balanced, sum alpha y = 0 to the start's slack), has the same up and
+    low index sets and the same free set at ``penalties`` as at
+    ``model.penalties``, and either index set is empty or max F[low] -
+    min F[up] <= ``tol`` over ``model.gradient`` F.  That is the first
+    stopping test of SMO started from the model (the jitter only picks the
+    pair, whose F gap is at most that max - min), and the same free set
+    gives the same exact gradient and bias.  Every penalty between the two
+    gets the same answer: its caps are at least the smaller ones, and
+    index and free-set membership are monotone in the cap.  Along a rising
+    ratio that is where the SVM path is constant (Hastie et al. 2004).  A
+    loaded model (no arrays) raises ``ValueError``.
+    """
+    if model.alpha is None or model.gradient is None:
+        raise ValueError("model has no alpha or gradient: a loaded model has no path")
+    y = np.asarray(labels, dtype=float)
+    alpha, F = model.alpha, model.gradient
+    caps = np.where(y > 0, penalties.positive, penalties.negative)
+    old = np.where(y > 0, model.penalties.positive, model.penalties.negative)
+    up, low = _index_sets(alpha, y, caps)
+    old_up, old_low = _index_sets(alpha, y, old)
+    least = np.minimum(caps, old)
+    if not ((alpha >= 0).all() and (alpha <= least).all()
+            and abs(alpha @ y) <= 1e-9 * least.sum()
+            and np.array_equal(up, old_up) and np.array_equal(low, old_low)
+            and np.array_equal(_free(alpha, caps), _free(alpha, old))):
+        return False
+    return not (up.any() and low.any()) or F[low].max() - F[up].min() <= tol
+
+
 def _start(start: SvmModel | None, y, caps) -> tuple[np.ndarray, np.ndarray, float]:
     """SMO's start (alpha, F, dual objective): zeros, or the checked warm start."""
     if start is None:

@@ -94,7 +94,8 @@ def generate(
     rejection sampler keeps drawing until round(n * fraction) in-band and the
     remaining out-of-band points are collected; a share that leaves either
     class no row raises ``GenerationError`` before any draw.  Labels then
-    flip independently with probability ``noise``.  CO is the constant
+    flip independently with probability ``noise``; flips that leave either
+    class no row raise ``GenerationError`` too.  CO is the constant
     filler 0.05 and CO2 = max(0, 33 - O2) tracks oxygen so the
     concentration invariant holds; neither enters the default feature set.
     """
@@ -150,6 +151,11 @@ def generate(
     hc = np.concatenate(pos_hc + neg_hc)[order]
     o2 = np.concatenate(pos_o2 + neg_o2)[order]
     exploded = (order < n_pos) ^ flip
+    if exploded.all() or not exploded.any():
+        empty = "safe" if exploded.all() else "explosive"
+        raise GenerationError(
+            f"{n} rows at noise {noise} and seed {seed} leave no {empty} row after the label flips"
+        )
     co2 = np.maximum(0.0, 33.0 - o2)
     return Dataset.from_columns(
         hc,

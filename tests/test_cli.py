@@ -161,6 +161,15 @@ class TestGen:
             f"gasgate: error: 10 rows at positive fraction {fraction} leave no {empty} row\n")
         assert not out.exists()
 
+    def test_one_class_corpus_after_label_noise_refused(self, workdir, capsys):
+        out = workdir / "never.csv"
+        argv = ["gen", "--n", "10", "--positive-fraction", "0.9", "--noise", "0.3",
+                "--seed", "44", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("gasgate: error: 10 rows at noise 0.3 and seed 44 "
+                                           "leave no safe row after the label flips\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_lr_training_summary(self, lr_model, corpus_csv, workdir, capsys):

@@ -109,6 +109,21 @@ class TestCvReport:
         assert pooled.n == 71
         assert pooled.tn == 64 and pooled.fp == 7
 
+    def test_pooled_sums_the_folds_once(self, monkeypatch):
+        additions = []
+        add = ConfusionCounts.__add__
+
+        def counting(a, b):
+            additions.append(1)
+            return add(a, b)
+
+        monkeypatch.setattr(ConfusionCounts, "__add__", counting)
+        report = CvReport(self.REPORT.fold_counts)
+        assert report.pooled is report.pooled
+        assert len(additions) == report.v
+        # the cached sum takes no part in equality
+        assert report == CvReport(self.REPORT.fold_counts)
+
     def test_single_fold_std_is_zero(self):
         assert CvReport((counts_with_accuracy(3, 1),)).std == 0.0
 
@@ -417,16 +432,15 @@ class TestPenaltySweep:
         assert warm == cold_sweep(data, KernelSpec(), DEFAULT_GAMMA_GRID, seed=seed)
 
     def test_matches_cold_reference_on_benchmark_corpus(self):
-        # the sweep workload's corpus: 500 rows, generator seed 3, 5 % noise
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        data = benchmark_corpus()
         kernel = KernelSpec("rbf", gamma=0.5)
         warm = penalty_sweep(data, sweep_learner(kernel))
         assert warm == cold_sweep(data, kernel, DEFAULT_GAMMA_GRID)
 
     def test_benchmark_corpus_takes_at_most_2500_updates(self, monkeypatch):
         # 7333 updates by pair steps alone; the free-set Newton step of
-        # fit_svm cuts them to under 1800
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        # fit_svm cuts them to under 1800, over the 32 fits the folds' paths make
+        data = benchmark_corpus()
         updates = []
 
         def counting(*args, **kwargs):
@@ -436,14 +450,14 @@ class TestPenaltySweep:
 
         monkeypatch.setattr("gasgate.evaluate.fit_svm", counting)
         report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
-        assert len(updates) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
+        assert len(updates) == sum(BENCHMARK_PATH_FITS) == 32
         assert sum(updates) <= 2500
         assert choose_ratio(report) == 10.0
 
     def test_warm_starts_carry_their_gradient(self, monkeypatch):
         # each ratio starts from the previous fit's multipliers and gradient,
         # so no fit sums a starting gradient: its one kernel sum is its last
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        data = benchmark_corpus()
         sums, sums_per_fit, starts, fitted = [], [], [], []
         kernel_sums = svm._kernel_sums
 
@@ -464,15 +478,16 @@ class TestPenaltySweep:
         report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
         assert sums_per_fit == [1] * len(starts)
         # per fold: one cold fit, then each ratio starts from the previous one
-        assert len(starts) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS
-        assert all(start is (None if k % len(DEFAULT_GAMMA_GRID) == 0 else fitted[k - 1])
+        firsts = np.cumsum([0] + BENCHMARK_PATH_FITS[:-1])
+        assert len(starts) == sum(BENCHMARK_PATH_FITS)
+        assert all(start is (None if k in firsts else fitted[k - 1])
                    for k, start in enumerate(starts))
         assert choose_ratio(report) == 10.0
 
     def test_fold_caches_grow_with_the_free_set_across_the_path(self, monkeypatch):
         # the sweep workload's corpus: 400 training rows per fold, all of
         # which 16 MiB would hold; the fold's fits call for about 120
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        data = benchmark_corpus()
         caches, limits = [], []
 
         class Recorded(KernelRows):
@@ -495,18 +510,18 @@ class TestPenaltySweep:
         learner = sweep_learner(KernelSpec("rbf", gamma=0.5))
         report = penalty_sweep(data, learner)
         assert len(caches) == DEFAULT_FOLDS
-        for fold, cache in enumerate(caches, start=1):
+        for fold, (cache, fits) in enumerate(zip(caches, BENCHMARK_PATH_FITS), start=1):
             fold_limits = [limit for k, limit in limits if k == fold]
-            assert len(fold_limits) == len(DEFAULT_GAMMA_GRID)
+            assert len(fold_limits) == fits
             assert fold_limits == sorted(fold_limits)  # carried from fit to fit
             assert cache.rows_held <= cache.limit < cache.capacity == 400
         monkeypatch.setattr("gasgate.evaluate.KernelRows", HoldingAll)
         assert penalty_sweep(data, learner) == report
 
     def test_every_fit_runs_through_fit_fold(self, monkeypatch):
-        # one cache per fold, and each of the fold's 12 ratios fitted by the
-        # same fold recipe as cross_validate
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        # one cache per fold, and each ratio a fold's path fits is fitted by
+        # the same fold recipe as cross_validate
+        data = benchmark_corpus()
         calls, caches = [], []
 
         class Recorded(KernelRows):
@@ -521,15 +536,60 @@ class TestPenaltySweep:
         monkeypatch.setattr("gasgate.evaluate.fit_fold", counting)
         monkeypatch.setattr("gasgate.evaluate.KernelRows", Recorded)
         report = penalty_sweep(data, sweep_learner(KernelSpec("rbf", gamma=0.5)))
-        assert len(DEFAULT_GAMMA_GRID) == 12
-        assert len(calls) == len(DEFAULT_GAMMA_GRID) * DEFAULT_FOLDS == 60
+        assert len(calls) == sum(BENCHMARK_PATH_FITS) == 32
         assert len(caches) == DEFAULT_FOLDS
-        assert calls == [k // len(DEFAULT_GAMMA_GRID) + 1 for k in range(60)]
+        assert calls == [fold for fold, fits in enumerate(BENCHMARK_PATH_FITS, start=1)
+                         for _ in range(fits)]
         assert choose_ratio(report) == 10.0
+
+    def test_each_fold_fits_up_to_its_first_fit_that_stays_optimal(self, monkeypatch):
+        # ascending ratios, up to and including the first fit that still
+        # solves its fold at the grid's top ratio
+        asked = []
+
+        def recording(model, labels, penalties, tol):
+            asked.append(penalties)
+            return svm.stays_optimal(model, labels, penalties, tol)
+
+        monkeypatch.setattr("gasgate.evaluate.stays_optimal", recording)
+        learner = sweep_learner(KernelSpec("rbf", gamma=0.5))
+        _, paths = recorded_paths(monkeypatch, benchmark_corpus(), learner)
+        top = PenaltyConfig(max(DEFAULT_GAMMA_GRID), 1.0)
+        assert asked == [top] * sum(BENCHMARK_PATH_FITS)
+        assert [len(path) for _, path in paths] == BENCHMARK_PATH_FITS
+        for fold, path in paths:
+            labels = np.where(fold[2], 1.0, -1.0)
+            assert [g for g, _ in path] == list(DEFAULT_GAMMA_GRID[:len(path)])
+            assert [svm.stays_optimal(model, labels, top) for _, model in path] == (
+                [False] * (len(path) - 1) + [True])
+
+    @pytest.mark.parametrize("corpus", [*range(10), "benchmark"])
+    def test_skipped_ratios_are_solved_by_the_fold_last_fit(self, corpus, monkeypatch):
+        # a refit at each ratio a fold's path skips, started from the fold's
+        # last fit, makes no update and returns that fit's classifier
+        if corpus == "benchmark":
+            data, learner = benchmark_corpus(), sweep_learner(KernelSpec("rbf", gamma=0.5))
+        else:
+            data = generate(default_region(), n=200, seed=corpus, noise=0.10)
+            learner = sweep_learner(seed=corpus)
+        seed = 0 if corpus == "benchmark" else corpus
+        _, paths = recorded_paths(monkeypatch, data, learner, seed=seed)
+        skipped = 0
+        for fold, path in paths:
+            last = path[-1][1]
+            for gamma in DEFAULT_GAMMA_GRID[len(path):]:
+                refit = dataclasses.replace(learner, penalties=PenaltyConfig(gamma, 1.0)).fit(
+                    fold[1], fold[2], start=last)
+                assert len(refit.objective_trace) == 1 and refit.converged
+                assert np.array_equal(refit.support_vectors, last.support_vectors)
+                assert np.array_equal(refit.dual_coef, last.dual_coef)
+                assert refit.bias == last.bias
+                skipped += 1
+        assert skipped > 0
 
     def test_never_holds_two_fold_caches(self, monkeypatch):
         # when a fold's cache is built, every earlier fold's cache is gone
-        data = generate(default_region(), n=500, seed=3, noise=0.05)
+        data = benchmark_corpus()
         caches, alive_at_build = [], []
 
         class Watched(KernelRows):
@@ -561,6 +621,33 @@ class TestPenaltySweep:
         full = penalty_sweep(noisy_small_corpus, sweep_learner(kernel), gamma_grid=(1.0, 8.0),
                              v=4)
         assert [report.unconverged for _, report in full] == [0, 0]
+
+
+#: fits per fold on the sweep workload's corpus: each fold's path stops at
+#: its first fit that stays optimal up to the grid's top ratio
+BENCHMARK_PATH_FITS = [6, 7, 7, 6, 6]
+
+
+def benchmark_corpus():
+    """The sweep workload's corpus: 500 rows, generator seed 3, 5 % noise."""
+    return generate(default_region(), n=500, seed=3, noise=0.05)
+
+
+def recorded_paths(monkeypatch, data, learner, **kw):
+    """``penalty_sweep``'s result and, per fold, ``(fold, [(gamma, model), ...])``
+    of the fits its path made, in order."""
+    paths = []
+
+    def recording(fold, path_learner, **warm):
+        model, counts = fit_fold(fold, path_learner, **warm)
+        if warm["start"] is None:
+            paths.append((fold, []))
+        gamma = path_learner.penalties.positive / path_learner.penalties.negative
+        paths[-1][1].append((gamma, model))
+        return model, counts
+
+    monkeypatch.setattr("gasgate.evaluate.fit_fold", recording)
+    return penalty_sweep(data, learner, **kw), paths
 
 
 def sweep_learner(kernel=KernelSpec(), w2=1.0, **settings):
@@ -643,3 +730,9 @@ class TestEmitters:
         lines = sweep_text(sweep_from_error_counts([(g, 0, 0) for g in ratios])).splitlines()
         assert [line[:6] for line in lines[1:]] == [
             "  1.05", "   1.1", "  2.25", "   2.2", "   5.0", "  60.0"]
+
+    def test_sweep_text_widens_the_ratio_column_to_its_longest_label(self):
+        lines = sweep_text(sweep_from_error_counts([(4 / 3, 0, 0), (10.0, 1, 0)])).splitlines()
+        assert [line[:18] for line in lines] == [
+            "             gamma", "1.3333333333333333", "              10.0"]
+        assert len({len(line) for line in lines}) == 1

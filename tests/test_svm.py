@@ -421,6 +421,80 @@ class TestWarmStart:
             fit(self.X3, self.Y3, cache=cache)
 
 
+class TestStaysOptimal:
+    """The predicate that a fit still solves its rows at raised caps."""
+
+    # caps: positive 1, negative 2, raised to a positive 10; labels (-1, +1, +1)
+    X3, Y3 = TestWarmStart.X3, TestWarmStart.Y3
+    TOP = PenaltyConfig(10.0, 2.0)
+
+    def model(self, alpha, gradient=(0.0, 0.0, 0.0)):
+        model = fit(self.X3, self.Y3, pos=1.0, neg=2.0)
+        return dataclasses.replace(model, alpha=np.array(alpha), gradient=np.array(gradient))
+
+    def test_free_multipliers_at_a_flat_gradient_stay_optimal(self):
+        assert svm.stays_optimal(self.model([0.5, 0.5, 0.0]), self.Y3, self.TOP)
+
+    @pytest.mark.parametrize("top", [TOP, PenaltyConfig(1.0 + 1e-10, 2.0)],
+                             ids=["free-at-top", "bound-at-top"])
+    def test_explosion_multiplier_at_its_cap_does_not(self, top):
+        # at the raised cap alpha_1 = 1 joins the up set; only a cap raised
+        # by under 1e-9 leaves it outside the free set as well
+        assert not svm.stays_optimal(self.model([1.0, 1.0, 0.0]), self.Y3, top)
+
+    def test_multiplier_leaving_the_free_set_does_not(self):
+        # 5e-9 is free under a cap of 1 (above 1e-9 C) and not under 10
+        model = self.model([0.5, 0.5 - 5e-9, 5e-9])
+        assert svm.stays_optimal(model, self.Y3, PenaltyConfig(4.0, 2.0))
+        assert not svm.stays_optimal(model, self.Y3, self.TOP)
+
+    def test_violation_above_tol_does_not(self):
+        # max F over low (0.002) - min F over up (0) against tol
+        model = self.model([0.5, 0.5, 0.0], [0.0, 0.002, 0.0])
+        assert not svm.stays_optimal(model, self.Y3, self.TOP, tol=1e-3)
+        assert svm.stays_optimal(model, self.Y3, self.TOP, tol=3e-3)
+
+    @pytest.mark.parametrize("alpha", [[0.5, 0.5, -1e-13], [2.0 + 1e-13, 0.5, 0.5],
+                                       [0.5, 0.5 + 1e-6, 0.0], [0.5, 0.5 + 1e-8, 0.0]],
+                             ids=["below-zero", "above-cap", "unbalanced",
+                                  "unbalanced-at-its-own-caps"])
+    def test_start_the_warm_start_would_clip_or_refuse_does_not(self, alpha):
+        # 1e-8 is within the balance slack at the raised caps (2.2e-8), not
+        # at the model's own (4e-9), so a refit at a ratio just above them
+        # would refuse the start
+        assert not svm.stays_optimal(self.model(alpha), self.Y3, self.TOP)
+
+    def test_shrunken_cap_is_judged_at_its_own_box(self):
+        # a negative cap of 1.5 still holds alpha_0 = 0.5 free; one of 0.4 does not
+        model = self.model([0.5, 0.5, 0.0])
+        assert svm.stays_optimal(model, self.Y3, PenaltyConfig(10.0, 1.5))
+        assert not svm.stays_optimal(model, self.Y3, PenaltyConfig(10.0, 0.4))
+
+    def test_loaded_model_refused(self):
+        loaded = model_from_obj(model_to_obj(self.model([0.5, 0.5, 0.0])))
+        with pytest.raises(ValueError, match="no alpha or gradient"):
+            svm.stays_optimal(loaded, self.Y3, self.TOP)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=lambda k: k.kind)
+    def test_true_only_where_a_refit_keeps_the_model(self, kernel, rng):
+        # caps raised by 1.2x and 10x from 0.5, 5 and 50; the larger ones
+        # leave most problems at the end of their path
+        kept = 0
+        for _ in range(6):
+            X, y = random_two_class_problem(rng, n_range=(30, 60))
+            for base in (0.5, 5.0, 50.0):
+                model = fit(X, y, kernel, pos=base, neg=1.0)
+                for top in (PenaltyConfig(1.2 * base, 1.0), PenaltyConfig(10 * base, 1.0)):
+                    if svm.stays_optimal(model, y, top):
+                        again = fit_svm(X, y, kernel, top, start=model)
+                        assert len(again.objective_trace) == 1 and again.converged
+                        assert np.array_equal(again.support_vectors, model.support_vectors)
+                        assert np.array_equal(again.dual_coef, model.dual_coef)
+                        assert again.bias == model.bias
+                        kept += 1
+        assert kept >= 10
+
+
 @pytest.fixture(scope="module")
 def corpus():
     data = generate(default_region(), n=300, seed=5, noise=0.05)

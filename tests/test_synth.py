@@ -139,6 +139,13 @@ class TestGenerate:
                            match=f"^10 rows at positive fraction {frac} leave no {empty} row$"):
             generate(REGION, n=10, seed=0, positive_fraction=frac)
 
+    @pytest.mark.parametrize("frac, seed, empty", [(0.1, 13, "explosive"), (0.9, 44, "safe")])
+    def test_label_flips_emptying_a_class_raise(self, frac, seed, empty):
+        # both classes are drawn; the noise then flips every row of one
+        with pytest.raises(GenerationError, match=f"^10 rows at noise 0.3 and seed {seed} "
+                                                  f"leave no {empty} row after the label flips$"):
+            generate(REGION, n=10, seed=seed, noise=0.3, positive_fraction=frac)
+
     @pytest.mark.parametrize("frac, counts", [(0.05, (1, 9)), (0.94, (9, 1))])
     def test_fraction_leaving_one_row_in_a_class_is_drawn(self, frac, counts):
         assert generate(REGION, n=10, seed=0, positive_fraction=frac).class_counts() == counts
